@@ -25,10 +25,7 @@ from .frontend import (
     resolve_defs,
 )
 from .oracle import ENUM_CAP, run_property_suite
-from .reduce import (
-    DEFAULT_FUEL, FuelExhausted, Stuck, eval_cbv, normalize, step_cbv,
-    step_lo,
-)
+from .reduce import DEFAULT_FUEL, FuelExhausted, Stuck, eval_cbv, normalize
 from .syntax import free_vars
 from .typecheck import Inferred, Mode
 
@@ -194,15 +191,8 @@ def _cmd_check(args: argparse.Namespace, fuel: int) -> int:
     return EXIT_OK
 
 
-def _trace(term, strategy: str, fuel: int) -> None:
-    step = step_cbv if strategy == CBV else step_lo
-    print(f"{0:>5}  {pretty(term)}", file=sys.stderr)
-    for i in range(1, fuel + 1):
-        nxt = step(term)
-        if nxt is None:
-            return
-        term = nxt
-        print(f"{i:>5}  {pretty(term)}", file=sys.stderr)
+def _print_step(step: int, term) -> None:
+    print(f"{step:>5}  {pretty(term)}", file=sys.stderr)
 
 
 def _cmd_eval(args: argparse.Namespace, fuel: int) -> int:
@@ -232,12 +222,14 @@ def _cmd_eval(args: argparse.Namespace, fuel: int) -> int:
 
     erasure = erase(d.body)
     closed = not free_vars(d.body) and not len(resolved.assumptions)
+    on_step = None
     if args.trace:
-        _trace(erasure, args.strategy, fuel)
+        _print_step(0, erasure)
+        on_step = _print_step
     if args.strategy == CBV:
-        outcome = eval_cbv(erasure, fuel)
+        outcome = eval_cbv(erasure, fuel, on_step=on_step)
     else:
-        outcome = normalize(erasure, fuel)
+        outcome = normalize(erasure, fuel, on_step=on_step)
 
     kind = type(outcome).__name__
     steps = outcome.fuel if isinstance(outcome, FuelExhausted) \

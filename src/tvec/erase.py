@@ -11,12 +11,13 @@ locally closed.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .syntax import (
     AnnTerm, App, BVar, Cons, FVar, Join, Lam, Nil, Node, QApp, QLam, RNat,
     RVec, Succ, TApp, TAppImp, TCast, TCons, TFoldS, TFoldZ, TJoin, TLam,
     TLamImp, TNil, TQApp, TQLam, TRNat, TRVec, TSucc, TUnfoldS, TUnfoldZ,
-    TZero, UnannTerm, Zero, free_vars, fresh_name, has_bound_at, open_at,
-    subst,
+    TZero, UnannTerm, Zero, free_vars, fresh_name, subst,
 )
 
 
@@ -62,12 +63,35 @@ def erase(t: AnnTerm) -> UnannTerm:
 def _release(body: UnannTerm, hint: str) -> UnannTerm:
     """Drop one binder level from an erased body.
 
-    If the erased body still mentions the bound variable (only possible for
-    ill-typed terms), release it under a name that captures nothing.
+    Indices that point past the dropped binder move down by one.  If the
+    erased body still mentions the dropped variable itself (only possible
+    for ill-typed terms), that occurrence is released under a name that
+    captures nothing.  The body itself comes back if nothing changes.
     """
-    if not has_bound_at(body, 0):
-        return body
-    return open_at(body, 0, FVar(fresh_name(hint, free_vars(body))))
+    released: FVar | None = None
+
+    def go(t: Node, k: int) -> Node:
+        nonlocal released
+        if isinstance(t, BVar):
+            if t.index < k:
+                return t
+            if t.index > k:
+                return BVar(t.index - 1, span=t.span)
+            if released is None:
+                released = FVar(fresh_name(hint, free_vars(body)))
+            return released
+        scopes = type(t).SCOPES
+        if not scopes:
+            return t
+        changes = {}
+        for name, extra in scopes.items():
+            child = getattr(t, name)
+            new = go(child, k + extra)
+            if new is not child:
+                changes[name] = new
+        return replace(t, **changes) if changes else t
+
+    return go(body, 0)
 
 
 def term_free_vars(t: AnnTerm) -> frozenset[str]:
@@ -91,8 +115,6 @@ def subst_annotated(t: AnnTerm, name: str, repl: AnnTerm) -> AnnTerm:
     Term positions receive `repl` itself; annotation positions (types,
     motives) embed unannotated terms only, so they receive its erasure.
     """
-    from dataclasses import replace
-
     repl_erased = erase(repl)
 
     def go(t: Node) -> Node:

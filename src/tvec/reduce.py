@@ -18,15 +18,66 @@ The contraction rules:
 The quasi-implicit rule and closure under its contexts only ever fire on
 large-elimination terms; base-mode terms contain no such nodes, so on them
 the relation is exactly the five-rule system.
+
+The engine
+----------
+One focused reducer, `_run`, serves all three strategies.  It never walks
+back to the root: it keeps the path from the root to the current subterm
+(the focus) as an explicit stack of frames, each holding a parent node,
+its children so far and the slot the focus sits in, and it rebuilds a
+parent only when the focus leaves it.  The strategies differ only in the
+order the machine visits a node and its children:
+
+  * leftmost-outermost (LO) tests a node for a redex before its children,
+    and visits the children left to right;
+  * rightmost-innermost (RI) visits the children right to left and tests
+    the node after them;
+  * call-by-value visits the children left to right (operator before
+    operand, recursor scrutinee last), tests the node after them, treats
+    abstractions and shells as values without entering them, and stops
+    at the first node that is neither a value nor a redex.
+
+After a contraction the machine continues at the contractum.  Under LO
+only the parent of a contracted node can have become a redex, and only if
+the node sat in its `fn` slot (application, quasi-implicit application)
+or `scrut` slot (recursors); the machine re-checks that parent, and then
+its parent in turn, before it resumes at the contractum.  Under RI and
+call-by-value the parent is tested anyway once the contractum is done.
+Subterms found normal (call-by-value: found to be values) are remembered
+by identity for the rest of the call, so the copies a contraction makes
+of them are never scanned again.
+
+Binders are opened on the way down with names from a per-call counter,
+checked against the free names of the input (collected the first time a
+binder is opened), and closed on the way up.  `_open` and `_close` walk
+with explicit stacks too, so no part of the reducer recurses: depth is
+bounded by memory, not by the interpreter's recursion limit.
+
+Cost model.  A step costs the contraction itself (a substitution walks
+the abstraction's body) plus the frames pushed and popped to reach the
+next redex; entering a binder walks its body once to open it and once to
+close it.  On the benchmark families (`plus n n`, `append` of length-n
+vectors) the cost per step is flat in n for all three strategies.
+
+Step-count contract.  The engine contracts exactly the redexes, in exactly
+the order, that the plain definitions contract: "find the LO (or RI, or
+call-by-value) redex from the root, contract it, repeat".  Step counts,
+result terms and stuck reasons are theirs.  Fuel counts contractions; a
+run that has made `fuel` contractions reports `FuelExhausted`, even when
+its last step lands on a normal form or a value.  Those definitions live
+on as the reference in the test suite, which checks the engine against
+them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import itertools
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from .syntax import (
-    App, Cons, FVar, Join, Lam, Nil, QApp, QLam, RNat, RVec, Succ, UnannTerm,
-    Zero, alpha_eq, close1, free_vars, fresh_name, open1,
+    App, BVar, Cons, FVar, Join, Lam, Nil, QApp, QLam, RNat, RVec, Succ,
+    UnannTerm, Zero, alpha_eq,
 )
 
 DEFAULT_FUEL = 100_000
@@ -65,96 +116,315 @@ class Stuck:
 
 CbvOutcome = Value | Stuck | FuelExhausted
 
+# Called after every contraction with the step number and the whole term.
+StepHook = Callable[[int, UnannTerm], None]
+
+
+# --------------------------------------------------------------------------
+# node tables: children in constructor order, and rebuilding from them
+
+_KIDS = {
+    App: lambda t: [t.fn, t.arg],
+    Lam: lambda t: [t.body],
+    Succ: lambda t: [t.pred],
+    RNat: lambda t: [t.base, t.step, t.scrut],
+    Cons: lambda t: [t.head, t.tail],
+    RVec: lambda t: [t.base, t.step, t.scrut],
+    QLam: lambda t: [t.body],
+    QApp: lambda t: [t.fn],
+}
+
+_BUILD = {
+    App: lambda t, k: App(k[0], k[1], span=t.span),
+    Lam: lambda t, k: Lam(t.hint, k[0], span=t.span),
+    Succ: lambda t, k: Succ(k[0], span=t.span),
+    RNat: lambda t, k: RNat(k[0], k[1], k[2], span=t.span),
+    Cons: lambda t, k: Cons(k[0], k[1], span=t.span),
+    RVec: lambda t, k: RVec(k[0], k[1], k[2], span=t.span),
+    QLam: lambda t, k: QLam(k[0], span=t.span),
+    QApp: lambda t, k: QApp(k[0], span=t.span),
+}
+
+# Node types that can be redexes.
+_HEADS = frozenset({App, RNat, RVec, QApp})
+
+# (parent type, slot) -> child types that make the parent a redex.
+_TRIGGERS = {
+    (App, 0): (Lam,),
+    (QApp, 0): (QLam,),
+    (RNat, 2): (Zero, Succ),
+    (RVec, 2): (Nil, Cons),
+}
+
+_STUCK = {
+    App: "application head is not an abstraction",
+    RNat: "numeral recursor scrutinee is not 0 or S _",
+    RVec: "vector recursor scrutinee is not nil or cons",
+    QApp: "quasi-implicit application head is not a quasi-implicit "
+          "abstraction",
+}
+
+# Values whatever their children; `S v` and `cons v w` are values when
+# their children are.
+_VALUE_LEAVES = frozenset({Lam, Zero, Nil, Join, QLam})
+
+
+# --------------------------------------------------------------------------
+# binder operations without recursion
+
+
+def _map_vars(t: UnannTerm, leaf) -> UnannTerm:
+    """Rebuild t with `leaf(v, depth)` in place of every variable v, where
+    depth counts the abstractions above v.  Subterms that do not change
+    are shared, and t itself comes back if nothing changes."""
+    stack: list[list] = []   # [node, children, slot, changed, depth]
+    depth = 0
+    while True:
+        tp = type(t)
+        kids_of = _KIDS.get(tp)
+        if kids_of is not None:
+            kids = kids_of(t)
+            stack.append([t, kids, 0, False, depth])
+            if tp is Lam:
+                depth += 1
+            t = kids[0]
+            continue
+        if tp is BVar or tp is FVar:
+            t = leaf(t, depth)
+        while stack:
+            fr = stack[-1]
+            kids, slot = fr[1], fr[2]
+            if t is not kids[slot]:
+                kids[slot] = t
+                fr[3] = True
+            depth = fr[4]
+            slot += 1
+            if slot < len(kids):
+                fr[2] = slot
+                t = kids[slot]
+                break
+            stack.pop()
+            node = fr[0]
+            t = _BUILD[type(node)](node, kids) if fr[3] else node
+        else:
+            return t
+
+
+def _open(t: UnannTerm, repl: UnannTerm) -> UnannTerm:
+    """`open1` without recursion: the outermost bound variable becomes
+    `repl`, which must be locally closed."""
+    return _map_vars(
+        t, lambda v, d: repl if type(v) is BVar and v.index == d else v)
+
+
+def _close(t: UnannTerm, name: str) -> UnannTerm:
+    """`close1` without recursion: the free variable `name` becomes the
+    outermost bound variable."""
+    return _map_vars(
+        t, lambda v, d: BVar(d, span=v.span)
+        if type(v) is FVar and v.name == name else v)
+
+
+def _free_names(t: UnannTerm) -> set[str]:
+    names: set[str] = set()
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if type(t) is FVar:
+            names.add(t.name)
+        else:
+            kids_of = _KIDS.get(type(t))
+            if kids_of is not None:
+                todo.extend(kids_of(t))
+    return names
+
+
+def _fresh_names(t: UnannTerm) -> Iterator[str]:
+    """Names for opening binders: a counter, skipping the free names of t,
+    which are collected when the first name is asked for."""
+    avoid = _free_names(t)
+    for count in itertools.count(1):
+        name = f"%{count}"
+        if name not in avoid:
+            yield name
+
+
+# --------------------------------------------------------------------------
+# contraction and the engine
+
 
 def contract(t: UnannTerm) -> UnannTerm | None:
     """Contract the redex at the root, if there is one."""
-    match t:
-        case App(Lam(_, body), arg):
-            return open1(body, arg)
-        case RNat(base, _, Zero()):
-            return base
-        case RNat(base, step, Succ(n)):
-            return App(App(step, n), RNat(base, step, n))
-        case RVec(base, _, Nil()):
-            return base
-        case RVec(base, step, Cons(head, tail)):
-            return App(App(App(step, head), tail), RVec(base, step, tail))
-        case QApp(QLam(body)):
-            return body
+    tp = type(t)
+    if tp is App:
+        fn = t.fn
+        if type(fn) is Lam:
+            return _open(fn.body, t.arg)
+    elif tp is RNat:
+        scrut = t.scrut
+        if type(scrut) is Zero:
+            return t.base
+        if type(scrut) is Succ:
+            n = scrut.pred
+            return App(App(t.step, n), RNat(t.base, t.step, n))
+    elif tp is RVec:
+        scrut = t.scrut
+        if type(scrut) is Nil:
+            return t.base
+        if type(scrut) is Cons:
+            tail = scrut.tail
+            return App(App(App(t.step, scrut.head), tail),
+                       RVec(t.base, t.step, tail))
+    elif tp is QApp:
+        fn = t.fn
+        if type(fn) is QLam:
+            return fn.body
     return None
 
 
-def step_full(t: UnannTerm) -> set[UnannTerm]:
-    """All one-step reducts of t, under arbitrary contexts."""
-    out: set[UnannTerm] = set()
-    c = contract(t)
-    if c is not None:
-        out.add(c)
-    for fname, extra in type(t).SCOPES.items():
-        child = getattr(t, fname)
-        if extra:
-            name = fresh_name("x", free_vars(child))
-            for r in step_full(open1(child, FVar(name))):
-                out.add(replace(t, **{fname: close1(r, name)}))
+def _is_normal(t: UnannTerm) -> bool:
+    """True iff t holds no redex.  Opening a binder cannot create one, so
+    this needs no opening."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        tp = type(t)
+        if tp in _HEADS and _is_redex(t):
+            return False
+        kids_of = _KIDS.get(tp)
+        if kids_of is not None:
+            todo.extend(kids_of(t))
+    return True
+
+
+def _is_redex(t: UnannTerm) -> bool:
+    """True iff the node t (an application, recursor or quasi-implicit
+    application) is a redex."""
+    tp = type(t)
+    if tp is RNat or tp is RVec:
+        return type(t.scrut) in _TRIGGERS[tp, 2]
+    return type(t.fn) in _TRIGGERS[tp, 0]
+
+
+def _plug(t: UnannTerm, stack: list[list]) -> UnannTerm:
+    """The whole term: t at the focus, the frames rebuilt around it.  The
+    stack is left as it is."""
+    for node, kids, slot, changed, name, opened in reversed(stack):
+        if t is kids[slot] and not changed:
+            t = node
+        elif name is not None:
+            t = Lam(node.hint, _close(t, name), span=node.span)
         else:
-            for r in step_full(child):
-                out.add(replace(t, **{fname: r}))
-    return out
+            kids = list(kids)
+            kids[slot] = t
+            t = _BUILD[type(node)](node, kids)
+    return t
 
 
-def step_lo(t: UnannTerm) -> UnannTerm | None:
-    """Contract the leftmost-outermost redex: the root if it is one,
-    otherwise the first child (in constructor order) holding one."""
-    c = contract(t)
-    if c is not None:
-        return c
-    for fname, extra in type(t).SCOPES.items():
-        child = getattr(t, fname)
-        if extra:
-            name = fresh_name("x", free_vars(child))
-            r = step_lo(open1(child, FVar(name)))
-            if r is not None:
-                return replace(t, **{fname: close1(r, name)})
+_LO, _RI, _CBV = "lo", "ri", "cbv"
+
+
+def _run(t: UnannTerm, fuel: int, mode: str, on_step: StepHook | None):
+    lo, ri, cbv = mode is _LO, mode is _RI, mode is _CBV
+    done: dict[int, UnannTerm] = {}   # id -> node found normal / a value
+    # frames: [node, children, slot, changed, binder name, opened body]
+    stack: list[list] = []
+    names = _fresh_names(t)
+    steps = 0
+    down = True
+    while True:
+        if down:
+            tp = type(t)
+            kids_of = _KIDS.get(tp)
+            if kids_of is None:
+                if cbv and (tp is FVar or tp is BVar):
+                    reason = (f"free variable {t.name}" if tp is FVar
+                              else "no rule applies")
+                    return Stuck(_plug(t, stack), reason, steps)
+                down = False
+                continue
+            if id(t) in done or (cbv and (tp is Lam or tp is QLam)):
+                down = False
+                continue
+            if not (lo and tp in _HEADS and _is_redex(t)):
+                kids = kids_of(t)
+                if tp is Lam:
+                    name = next(names)
+                    body = _open(kids[0], FVar(name))
+                    kids[0] = body
+                    stack.append([t, kids, 0, False, name, body])
+                    t = body
+                else:
+                    slot = len(kids) - 1 if ri else 0
+                    stack.append([t, kids, slot, False, None, None])
+                    t = kids[slot]
+                continue
         else:
-            r = step_lo(child)
-            if r is not None:
-                return replace(t, **{fname: r})
-    return None
+            # Going up: t is normal (LO, RI) or a value (call-by-value).
+            if not stack:
+                return Value(t, steps) if cbv else NormalForm(t, steps)
+            fr = stack[-1]
+            kids, slot = fr[1], fr[2]
+            if t is not kids[slot]:
+                kids[slot] = t
+                fr[3] = True
+            slot += -1 if ri else 1
+            if 0 <= slot < len(kids):
+                fr[2] = slot
+                t = kids[slot]
+                down = True
+                continue
+            stack.pop()
+            node = fr[0]
+            tp = type(node)
+            if not fr[3]:
+                t = node
+            elif tp is Lam:
+                t = Lam(node.hint, _close(kids[0], fr[4]), span=node.span)
+            else:
+                t = _BUILD[tp](node, kids)
+            if lo or tp not in _HEADS or not _is_redex(t):
+                if cbv and tp in _HEADS:
+                    return Stuck(_plug(t, stack), _STUCK[tp], steps)
+                done[id(t)] = t
+                continue
+
+        # t is a redex.  Contract it and, under LO, every parent that this
+        # turns into a redex; then go down into the last contractum.
+        while True:
+            steps += 1
+            t = contract(t)
+            if on_step is not None:
+                on_step(steps, _plug(t, stack))
+            if steps == fuel:
+                return FuelExhausted(_plug(t, stack), fuel)
+            if not lo or not stack:
+                break
+            fr = stack[-1]
+            node, slot = fr[0], fr[2]
+            trigger = _TRIGGERS.get((type(node), slot))
+            if trigger is None or type(t) not in trigger:
+                break
+            kids = list(fr[1])
+            kids[slot] = t
+            t = _BUILD[type(node)](node, kids)
+            stack.pop()
+        down = True
 
 
-def step_ri(t: UnannTerm) -> UnannTerm | None:
-    """Contract the rightmost-innermost redex."""
-    for fname, extra in reversed(list(type(t).SCOPES.items())):
-        child = getattr(t, fname)
-        if extra:
-            name = fresh_name("x", free_vars(child))
-            r = step_ri(open1(child, FVar(name)))
-            if r is not None:
-                return replace(t, **{fname: close1(r, name)})
-        else:
-            r = step_ri(child)
-            if r is not None:
-                return replace(t, **{fname: r})
-    return contract(t)
-
-
-_STRATEGIES = {LEFTMOST_OUTERMOST: step_lo, RIGHTMOST_INNERMOST: step_ri}
+_MODES = {LEFTMOST_OUTERMOST: _LO, RIGHTMOST_INNERMOST: _RI}
 
 
 def normalize(t: UnannTerm, fuel: int = DEFAULT_FUEL,
-              strategy: str = LEFTMOST_OUTERMOST) -> NormalizeOutcome:
+              strategy: str = LEFTMOST_OUTERMOST, *,
+              on_step: StepHook | None = None) -> NormalizeOutcome:
     """Reduce t to a normal form, or report fuel exhaustion."""
     if fuel <= 0:
         raise ValueError("fuel must be positive")
-    step = _STRATEGIES[strategy]
-    steps = 0
-    while steps < fuel:
-        nxt = step(t)
-        if nxt is None:
-            return NormalForm(t, steps)
-        t = nxt
-        steps += 1
-    return FuelExhausted(t, fuel)
+    mode = _MODES[strategy]
+    if _is_normal(t):
+        return NormalForm(t, 0)
+    return _run(t, fuel, mode, on_step)
 
 
 def joinable(a: UnannTerm, b: UnannTerm,
@@ -174,98 +444,25 @@ def joinable(a: UnannTerm, b: UnannTerm,
 
 
 def is_value(t: UnannTerm) -> bool:
-    match t:
-        case Lam() | Zero() | Nil() | Join() | QLam():
-            return True
-        case Succ(p):
-            return is_value(p)
-        case Cons(h, tl):
-            return is_value(h) and is_value(tl)
-    return False
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        tp = type(t)
+        if tp is Succ:
+            todo.append(t.pred)
+        elif tp is Cons:
+            todo.append(t.head)
+            todo.append(t.tail)
+        elif tp not in _VALUE_LEAVES:
+            return False
+    return True
 
 
-def step_cbv(t: UnannTerm) -> UnannTerm | None:
-    """One deterministic call-by-value step, or None on values and stuck
-    terms.  Order: operator, then operand; recursor arguments left to
-    right with the scrutinee last; redexes fire only on value arguments."""
-    match t:
-        case App(fn, arg):
-            if not is_value(fn):
-                r = step_cbv(fn)
-                return None if r is None else App(r, arg)
-            if not is_value(arg):
-                r = step_cbv(arg)
-                return None if r is None else App(fn, r)
-            if isinstance(fn, Lam):
-                return open1(fn.body, arg)
-            return None
-        case Succ(p):
-            r = step_cbv(p)
-            return None if r is None else Succ(r)
-        case Cons(h, tl):
-            if not is_value(h):
-                r = step_cbv(h)
-                return None if r is None else Cons(r, tl)
-            r = step_cbv(tl)
-            return None if r is None else Cons(h, r)
-        case RNat(base, step, scrut) | RVec(base, step, scrut):
-            for name, sub in (("base", base), ("step", step), ("scrut", scrut)):
-                if not is_value(sub):
-                    r = step_cbv(sub)
-                    return None if r is None else replace(t, **{name: r})
-            return contract(t)
-        case QApp(fn):
-            if not is_value(fn):
-                r = step_cbv(fn)
-                return None if r is None else QApp(r)
-            if isinstance(fn, QLam):
-                return fn.body
-            return None
-    return None
-
-
-def eval_cbv(t: UnannTerm, fuel: int = DEFAULT_FUEL) -> CbvOutcome:
+def eval_cbv(t: UnannTerm, fuel: int = DEFAULT_FUEL, *,
+             on_step: StepHook | None = None) -> CbvOutcome:
     """Run call-by-value to a value, a stuck state, or out of fuel."""
     if fuel <= 0:
         raise ValueError("fuel must be positive")
-    steps = 0
-    while steps < fuel:
-        nxt = step_cbv(t)
-        if nxt is None:
-            if is_value(t):
-                return Value(t, steps)
-            return Stuck(t, _stuck_reason(t), steps)
-        t = nxt
-        steps += 1
-    return FuelExhausted(t, fuel)
-
-
-def _stuck_reason(t: UnannTerm) -> str:
-    match t:
-        case FVar(name):
-            return f"free variable {name}"
-        case App(fn, arg):
-            if not is_value(fn):
-                return _stuck_reason(fn)
-            if not is_value(arg):
-                return _stuck_reason(arg)
-            return "application head is not an abstraction"
-        case Succ(p):
-            return _stuck_reason(p)
-        case Cons(h, tl):
-            return _stuck_reason(h) if not is_value(h) else _stuck_reason(tl)
-        case RNat(base, step, scrut):
-            for sub in (base, step, scrut):
-                if not is_value(sub):
-                    return _stuck_reason(sub)
-            return "numeral recursor scrutinee is not 0 or S _"
-        case RVec(base, step, scrut):
-            for sub in (base, step, scrut):
-                if not is_value(sub):
-                    return _stuck_reason(sub)
-            return "vector recursor scrutinee is not nil or cons"
-        case QApp(fn):
-            if not is_value(fn):
-                return _stuck_reason(fn)
-            return "quasi-implicit application head is not a quasi-implicit abstraction"
-    return "no rule applies"
+    if is_value(t):
+        return Value(t, 0)
+    return _run(t, fuel, _CBV, on_step)

@@ -17,8 +17,10 @@ Bound variables are de Bruijn indices (`BVar`), free variables are names
 excluded from equality, so `a == b` on locally closed nodes is exactly
 alpha-equivalence.  Every binding construct declares, per child field, how
 many extra binder levels that child sits under (`SCOPES`); the generic
-`open_at`/`close_at`/`subst`/`free_vars` walkers below are the only code
-that manipulates indices.
+`open_at`/`close_at`/`subst`/`free_vars` walkers below do the index work.
+Two walkers live elsewhere: erasure lowers the indices that point past a
+vanished binder (`erase._release`), and the reducer opens and closes
+binders without recursion (`reduce._open`/`_close`).
 """
 
 from __future__ import annotations
@@ -493,16 +495,6 @@ def alpha_eq(a: Node, b: Node) -> bool:
 def node_count(t: Node) -> int:
     """Number of AST nodes, annotations and motives included."""
     return 1 + sum(node_count(getattr(t, name)) for name in type(t).SCOPES)
-
-
-def has_bound_at(t: Node, k: int) -> bool:
-    """True iff the bound variable at level k occurs in `t`."""
-    if isinstance(t, BVar):
-        return t.index == k
-    return any(
-        has_bound_at(getattr(t, name), k + extra)
-        for name, extra in type(t).SCOPES.items()
-    )
 
 
 def fresh_name(hint: str, avoid: frozenset[str] | set[str]) -> str:

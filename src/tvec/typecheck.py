@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .erase import erase
-from .reduce import DEFAULT_FUEL, FuelExhausted, joinable, normalize
+from .reduce import DEFAULT_FUEL, FuelExhausted, normalize
 from .syntax import (
     AllTy, AnnTerm, BVar, Cons, Context, EqTy, FVar, NatTy, Nil, PiTy, Span,
     Succ, TApp, TAppImp, TCast, TCons, TFoldS, TFoldZ, TJoin, TLam, TLamImp,
@@ -335,22 +335,28 @@ class Checker:
 
     def _join_type(self, t, lhs, rhs) -> Ty:
         lhs_e, rhs_e = erase(lhs), erase(rhs)
-        j = joinable(lhs_e, rhs_e, self.fuel)
-        if j is True:
+        # One normalization per side both decides the rule and explains a
+        # failure.
+        forms = []
+        for side in (lhs_e, rhs_e):
+            out = normalize(side, self.fuel)
+            if isinstance(out, FuelExhausted):
+                self._fail("join", t,
+                           "undecided: fuel exhausted before both sides "
+                           "reached normal form",
+                           code="fuel-exhausted", actual=_fmt(out.term))
+            forms.append(out)
+        left, right = forms
+        if alpha_eq(left.term, right.term):
             return EqTy(lhs_e, rhs_e)
-        if isinstance(j, FuelExhausted):
-            self._fail("join", t,
-                       "undecided: fuel exhausted before both sides "
-                       "reached normal form",
-                       code="fuel-exhausted", actual=_fmt(j.term))
-        left_nf = normalize(lhs_e, self.fuel).term
-        right_nf = normalize(rhs_e, self.fuel).term
         self._fail("join", t, "the two sides have distinct normal forms",
                    code="join-distinct",
                    children=(
-                       Diagnostic("join", f"left normalizes to {_fmt(left_nf)}",
+                       Diagnostic("join",
+                                  f"left normalizes to {_fmt(left.term)}",
                                   _span(lhs), code="note", severity="note"),
-                       Diagnostic("join", f"right normalizes to {_fmt(right_nf)}",
+                       Diagnostic("join",
+                                  f"right normalizes to {_fmt(right.term)}",
                                   _span(rhs), code="note", severity="note"),
                    ))
 

@@ -139,6 +139,29 @@ class TestEval:
         assert lines[0].strip().startswith("0")
         assert lines[-1].split() == ["21", "4"]
 
+    # An outer variable under a dropped implicit binder used to erase to a
+    # dangling index: base mode printed `S nil, Value`, large-elim got
+    # stuck on `S ?1`.
+    @pytest.mark.parametrize("strategy, kind", [("cbv", "Value"),
+                                                ("full", "NormalForm")])
+    @pytest.mark.parametrize("mode, binder, app, steps", [
+        ("base", "ifun y : Nat", "f (nil [Nat]) 0 @[0]", 2),
+        ("large-elim", "qfun y : Nat", "f (nil [Nat]) 0 @-[0]", 3),
+    ])
+    def test_erasure_keeps_outer_variables(self, capsys, tmp_path, mode,
+                                           binder, app, steps, strategy,
+                                           kind):
+        path = tmp_path / "r.tvec"
+        path.write_text(
+            f"mode {mode}\n\n"
+            "def f : Pi a : Vec Nat 0. Pi x : Nat. All y : Nat. Nat =\n"
+            f"  fun a : Vec Nat 0 => fun x : Nat => {binder} => S x\n\n"
+            f"def r : Nat = {app}\n")
+        code, out, err = run_cli(capsys, "eval", str(path), "r",
+                                 "--strategy", strategy)
+        assert code == 0
+        assert out == f"1, {kind}, {steps} steps\n"
+
     def test_unknown_definition(self, capsys):
         code, out, err = run_cli(capsys, "eval", VEC, "nosuch")
         assert code == 1

@@ -10,13 +10,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tvec.corpus import append_body, num, plus_body, quod_all_body
-from tvec.erase import erase, subst_annotated, term_free_vars
+from tvec.erase import _release, erase, subst_annotated, term_free_vars
+from tvec.oracle import enumerate_terms
 from tvec.syntax import (
     App, BVar, Cons, EqTy, FVar, Join, Lam, NatTy, Nil, PiTy, QApp, QLam,
     RNat, RVec, Succ, TApp, TAppImp, TCast, TCons, TFoldS, TFoldZ, TJoin,
     TLam, TLamImp, TNil, TQApp, TQLam, TRNat, TRVec, TSucc, TUnfoldS,
     TUnfoldZ, TZero, VecTy, Zero, alpha_eq, free_vars, subst,
 )
+from tvec.typecheck import Mode
 
 NAT = NatTy()
 
@@ -66,6 +68,47 @@ class TestVanishingForms:
         e = erase(t)
         assert isinstance(e, Succ)
         assert isinstance(e.pred, FVar)
+
+
+class TestDroppedBinders:
+    """An implicit or quasi-implicit binder vanishes from the erasure, so
+    indices pointing past it must move down by one."""
+
+    def test_outer_variable_under_implicit_binder(self):
+        # fun x => ifun y => S x   erases to   fun x => S x
+        t = TLam("x", NAT, TLamImp("y", NAT, TSucc(BVar(1))))
+        assert erase(t) == Lam("x", Succ(BVar(0)))
+
+    def test_outer_variable_under_quasi_implicit_binder(self):
+        # fun x => qfun y => S x   erases to   fun x => qfun => S x
+        t = TLam("x", NAT, TQLam("y", NAT, TSucc(BVar(1))))
+        assert erase(t) == Lam("x", QLam(Succ(BVar(0))))
+
+    def test_dropped_variable_is_released_under_an_outer_binder(self):
+        t = TLam("x", NAT, TLamImp("y", NAT, TApp(BVar(0), BVar(1))))
+        assert erase(t) == Lam("x", App(FVar("y"), BVar(0)))
+
+    def test_indices_bound_inside_the_body_stay(self):
+        body = Lam("z", App(BVar(0), BVar(2)))
+        assert _release(body, "y") == Lam("z", App(BVar(0), BVar(1)))
+
+    def test_unchanged_body_is_returned_as_is(self):
+        body = Lam("z", App(BVar(0), FVar("a")))
+        assert _release(body, "y") is body
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_erasure_of_locally_closed_is_locally_closed(self, mode):
+        for t in enumerate_terms(6, mode):
+            assert locally_closed(t)
+            assert locally_closed(erase(t)), t
+
+
+def locally_closed(t, depth: int = 0) -> bool:
+    """No bound variable points past the binders around it."""
+    if isinstance(t, BVar):
+        return t.index < depth
+    return all(locally_closed(getattr(t, name), depth + extra)
+               for name, extra in type(t).SCOPES.items())
 
 
 class TestQuasiImplicit:

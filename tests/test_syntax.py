@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from tvec.syntax import (
     App, BVar, Cons, Context, EqTy, FVar, Join, Lam, NatTy, Nil, PiTy,
     Succ, TJoin, TLam, TSucc, TZero, VecTy, Zero, alpha_eq, close1,
-    ctx_ok, free_vars, fresh_name, has_bound_at, node_count, open1, open_at,
+    ctx_ok, free_vars, fresh_name, node_count, open1, open_at,
     open2, subst,
 )
 
@@ -139,11 +139,6 @@ class TestMeasures:
     ])
     def test_node_count(self, t, n):
         assert node_count(t) == n
-
-    def test_has_bound_at(self):
-        assert has_bound_at(Succ(BVar(0)), 0)
-        assert not has_bound_at(Lam("x", BVar(0)), 0)  # captured inside
-        assert has_bound_at(Lam("x", BVar(1)), 0)  # escapes one binder
 
     def test_fresh_name_primes(self):
         assert fresh_name("x", set()) == "x"
