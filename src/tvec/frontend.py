@@ -29,6 +29,10 @@ The file grammar (comments run `--` to end of line):
             | atom
     atom   := "zero" | NUMBER | IDENT | "nil" "[" type "]" | "(" term ")"
 
+A NUMBER is a run of decimal digits (what `str.isdecimal` accepts) worth
+at most 100000.  An IDENT is a letter or `_` followed by letters, digits,
+`_` and `'`, and is not a keyword.
+
 Application is juxtaposition, left-associative; arguments are atoms, so
 compound arguments take parentheses.  Numerals abbreviate towers of S over
 zero and are pure sugar.  Terms embedded in types (vector lengths, ifzero
@@ -49,8 +53,10 @@ s n`, `qfun => t`, `t @-[]`) that the parser does not accept.
 
 from __future__ import annotations
 
-import enum
+import re
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
 from .erase import erase, subst_annotated
 from .syntax import (
@@ -58,7 +64,7 @@ from .syntax import (
     Lam, NatTy, Nil, Node, PiTy, QApp, QLam, RNat, RVec, Span, Succ, TApp,
     TAppImp, TCast, TCons, TFoldS, TFoldZ, TJoin, TLam, TLamImp, TNil,
     TQApp, TQLam, TRNat, TRVec, TSucc, TUnfoldS, TUnfoldZ, TZero, Ty,
-    VecTy, Zero, close_at, close1, free_vars, fresh_name, subst,
+    UnannTerm, VecTy, Zero, close_at, close1, free_vars, fresh_name, subst,
 )
 from .typecheck import Diagnostic, Mode
 
@@ -88,11 +94,20 @@ KEYWORDS = frozenset({
     "cast", "foldz", "unfoldz", "folds", "unfolds", "large-elim",
 })
 
-_SYMBOLS = ("@-[", "@[", "=>", "(", ")", "[", "]", ":", ".", "=")
+# One alternative per token class, tried in this order at each position;
+# `bad` matches any character, so the matches cover the text without gaps.
+# `\s`, `\w` and `\d` accept exactly the characters that `str.isspace`,
+# `str.isalnum` (plus `_`) and `str.isdecimal` accept.
+_TOKEN = re.compile(r"""
+    (?P<skip> (?: \s+ | --[^\n]* )+ )
+  | (?P<sym> large-elim(?![\w']) | @-\[ | @\[ | => | [()\[\]:.=] )
+  | (?P<number> \d+ )
+  | (?P<word> [^\W\d][\w']* )
+  | (?P<bad> . )
+""", re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "number", "eof", or the literal keyword/symbol
     text: str
     start: int
@@ -103,56 +118,28 @@ class Token:
         return Span(self.start, self.end)
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_cont(ch: str) -> bool:
-    return ch.isalnum() or ch in "_'"
-
-
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for m in _TOKEN.finditer(text):
+        group = m.lastgroup
+        if group == "skip":
             continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("large-elim", i) and (
-                i + 10 >= n or not _is_ident_cont(text[i + 10])):
-            toks.append(Token("large-elim", "large-elim", i, i + 10))
-            i += 10
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Token(sym, sym, i, i + len(sym)))
-                i += len(sym)
-                break
+        word = m.group()
+        start = m.start()
+        if group == "sym":
+            kind = word
+        elif group == "number":
+            kind = "number"
+        # `[^\W\d]` also admits digits that are not decimal, such as `²`;
+        # a word must start with a letter or `_`.
+        elif group == "word" and (word[0].isalpha() or word[0] == "_"):
+            kind = word if word in KEYWORDS else "ident"
         else:
-            if ch.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                toks.append(Token("number", text[i:j], i, j))
-                i = j
-            elif _is_ident_start(ch):
-                j = i
-                while j < n and _is_ident_cont(text[j]):
-                    j += 1
-                word = text[i:j]
-                kind = word if word in KEYWORDS else "ident"
-                toks.append(Token(kind, word, i, j))
-                i = j
-            else:
-                raise ParseError(Diagnostic(
-                    "lex", f"unexpected character {ch!r}", Span(i, i + 1),
-                    code="parse-error"))
-    toks.append(Token("eof", "", n, n))
+            raise ParseError(Diagnostic(
+                "lex", f"unexpected character {word[0]!r}",
+                Span(start, start + 1), code="parse-error"))
+        toks.append(Token(kind, word, start, m.end()))
+    toks.append(Token("eof", "", len(text), len(text)))
     return toks
 
 
@@ -188,6 +175,10 @@ Item = DefItem | AssumeItem | ModeItem
 class SourceFile:
     items: tuple[Item, ...]
 
+
+# A numeral is a tower of one `S` node per unit, so a larger one is
+# rejected before it is built.
+MAX_NUMERAL = 100_000
 
 _ATOM_STARTS = frozenset({"zero", "number", "ident", "nil", "("})
 _HEAD_STARTS = _ATOM_STARTS | frozenset(
@@ -454,9 +445,16 @@ class _Parser:
             return TZero(span=tok.span)
         if tok.kind == "number":
             self.next()
-            t: AnnTerm = TZero(span=tok.span)
-            for _ in range(int(tok.text)):
-                t = TSucc(t, span=tok.span)
+            try:
+                n = int(tok.text)
+            except ValueError:  # more digits than `int` converts
+                n = MAX_NUMERAL + 1
+            if n > MAX_NUMERAL:
+                self._err(f"numeral is larger than {MAX_NUMERAL}", tok)
+            span = tok.span
+            t: AnnTerm = TZero(span=span)
+            for _ in range(n):
+                t = TSucc(t, span=span)
             return t
         if tok.kind == "ident":
             self.next()
@@ -664,25 +662,58 @@ def resolve_defs(source: SourceFile,
     and its own binders.  Def bodies substitute in annotated at term
     positions and erased at type positions; a leftover free name is an
     unknown reference, or a recursive one if it names the def itself.
+
+    Each body is erased once, when its def is resolved, and each item
+    substitutes only the earlier defs it mentions, so loading a file costs
+    one pass per item and not one per pair of items.
     """
     mode: Mode | None = None
-    assumed = Context()
+    assumptions: list[tuple[str, Ty]] = []
+    assumed: set[str] = set()
     defs: list[ResolvedDef] = []
-    resolved: dict[str, AnnTerm] = {}
-    taken: set[str] = set()
+    # Per resolved def, in order: its name, annotated body, erased body,
+    # and the free names of the erased body that were not assumed when it
+    # was resolved.  The last are empty unless erasure released a name.
+    inlinable: list[tuple[str, AnnTerm, UnannTerm, frozenset[str]]] = []
+    position: dict[str, int] = {}
 
     def fail(message: str, span: Span, code: str):
         raise ResolveError(Diagnostic("resolve", message, span, code=code))
 
-    def inline_ty(ty: Ty) -> Ty:
-        for dname, dbody in resolved.items():
-            ty = subst(ty, dname, erase(dbody))
-        return ty
+    def inline(node: Node, annotated: bool) -> tuple[Node, frozenset[str]]:
+        """`node` with earlier defs substituted in, and its free names
+        other than assumed ones.
 
-    def inline_term(t: AnnTerm) -> AnnTerm:
-        for dname, dbody in resolved.items():
-            t = subst_annotated(t, dname, dbody)
-        return t
+        A resolved annotated body mentions only assumed names, so it is
+        enough to substitute the defs that occur in `node`, and they leave
+        no free name behind that needs a walk to find.  An erased body can
+        also mention a name that erasure released from an implicit binder
+        (only in an ill-typed body); if a later def took that name, it is
+        substituted too.  Going in definition order gives the same term as
+        substituting every earlier def in turn.
+        """
+        names = free_vars(node) - assumed
+        todo = [position[n] for n in names if n in position]
+        if not todo:
+            return node, names
+        heapify(todo)
+        done = -1
+        released = False
+        while todo:
+            i = heappop(todo)
+            if i == done:
+                continue
+            done = i
+            name, body, erased, stray = inlinable[i]
+            node = (subst_annotated(node, name, body) if annotated
+                    else subst(node, name, erased))
+            released = released or bool(stray)
+            for n in stray:
+                if position.get(n, -1) > i:
+                    heappush(todo, position[n])
+        if released:
+            return node, free_vars(node) - assumed
+        return node, frozenset(n for n in names if n not in position)
 
     for item in source.items:
         match item:
@@ -691,31 +722,33 @@ def resolve_defs(source: SourceFile,
                     fail("duplicate mode pragma", span, "duplicate-pragma")
                 mode = m
             case AssumeItem(name, ty, span):
-                if name in taken:
+                if name in assumed or name in position:
                     fail(f"duplicate name {name}", span, "duplicate-name")
-                ty = inline_ty(ty)
-                loose = free_vars(ty) - assumed.names()
+                ty, loose = inline(ty, annotated=False)
                 if loose:
                     fail(f"assume {name} mentions unknown names: "
                          f"{', '.join(sorted(loose))}", span, "unknown-name")
-                assumed = assumed.extend(name, ty)
-                taken.add(name)
+                assumptions.append((name, ty))
+                assumed.add(name)
             case DefItem(name, declared, body, span):
-                if name in taken:
+                if name in assumed or name in position:
                     fail(f"duplicate name {name}", span, "duplicate-name")
-                ty = inline_ty(declared)
-                body = inline_term(body)
-                if name in free_vars(body) | free_vars(ty):
+                ty, ty_loose = inline(declared, annotated=False)
+                body, body_loose = inline(body, annotated=True)
+                loose = ty_loose | body_loose
+                if name in loose:
                     fail(f"def {name} refers to itself; definitions are "
                          "non-recursive", span, "recursive-definition")
-                loose = (free_vars(body) | free_vars(ty)) - assumed.names()
                 if loose:
                     fail(f"def {name} mentions unknown names: "
                          f"{', '.join(sorted(loose))}", span, "unknown-name")
                 defs.append(ResolvedDef(name, ty, body, declared, span))
-                resolved[name] = body
-                taken.add(name)
+                erased = erase(body)
+                position[name] = len(inlinable)
+                inlinable.append((name, body, erased,
+                                  free_vars(erased) - assumed))
 
     if mode_override is not None:
         mode = mode_override
-    return ResolvedFile(mode or Mode.BASE, assumed, tuple(defs))
+    return ResolvedFile(mode or Mode.BASE, Context(tuple(assumptions)),
+                        tuple(defs))

@@ -485,9 +485,10 @@ def _run_p4(terms: list[AnnTerm]) -> PropertyResult:
     failures: list[Counterexample] = []
     for t in terms:
         u = erase(t)
+        u_names = free_vars(u)
         got = free_vars(subst(u, "a", probe))
-        expected = free_vars(u) - {"a"}
-        if "a" in free_vars(u):
+        expected = u_names - {"a"}
+        if "a" in u_names:
             expected |= free_vars(probe)
         if got != expected:
             failures.append(Counterexample(

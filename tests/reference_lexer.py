@@ -1,0 +1,69 @@
+"""Reference lexer, kept independent of the compiled pattern in `tvec.frontend`.
+
+This is the character-at-a-time lexer that the single-regex `tokenize`
+replaced: it tries whitespace, a comment, `large-elim`, each symbol, a
+number and a word at every position, in that order.  `test_frontend.py`
+checks that `tokenize` gives the same tokens, and the same error at the
+same offset, on random text.
+"""
+
+from __future__ import annotations
+
+from tvec.frontend import KEYWORDS, ParseError, Token
+from tvec.syntax import Span
+from tvec.typecheck import Diagnostic
+
+_SYMBOLS = ("@-[", "@[", "=>", "(", ")", "[", "]", ":", ".", "=")
+
+
+def _is_ident_start(ch: str) -> bool:
+    return ch.isalpha() or ch == "_"
+
+
+def _is_ident_cont(ch: str) -> bool:
+    return ch.isalnum() or ch in "_'"
+
+
+def tokenize(text: str) -> list[Token]:
+    toks: list[Token] = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if text.startswith("--", i):
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if text.startswith("large-elim", i) and (
+                i + 10 >= n or not _is_ident_cont(text[i + 10])):
+            toks.append(Token("large-elim", "large-elim", i, i + 10))
+            i += 10
+            continue
+        for sym in _SYMBOLS:
+            if text.startswith(sym, i):
+                toks.append(Token(sym, sym, i, i + len(sym)))
+                i += len(sym)
+                break
+        else:
+            if ch.isdecimal():
+                j = i
+                while j < n and text[j].isdecimal():
+                    j += 1
+                toks.append(Token("number", text[i:j], i, j))
+                i = j
+            elif _is_ident_start(ch):
+                j = i
+                while j < n and _is_ident_cont(text[j]):
+                    j += 1
+                word = text[i:j]
+                kind = word if word in KEYWORDS else "ident"
+                toks.append(Token(kind, word, i, j))
+                i = j
+            else:
+                raise ParseError(Diagnostic(
+                    "lex", f"unexpected character {ch!r}", Span(i, i + 1),
+                    code="parse-error"))
+    toks.append(Token("eof", "", n, n))
+    return toks

@@ -267,6 +267,16 @@ class TestErrorPaths:
         assert code == 2
         assert json.loads(out)["error"]["code"] == "parse-error"
 
+    def test_non_decimal_digit_is_a_parse_error(self, tmp_path, capsys):
+        src = tmp_path / "digit.tvec"
+        src.write_text("def n : Nat = \u00b2\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "check", str(src))
+        assert code == 2
+        assert "unexpected character" in err
+        code, out, err = run_cli(capsys, "check", str(src), "--json")
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "parse-error"
+
     def test_unknown_name_is_a_failure_not_usage(self, tmp_path, capsys):
         src = tmp_path / "free.tvec"
         src.write_text("def a : Nat = mystery\n")

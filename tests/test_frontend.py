@@ -1,20 +1,47 @@
 """Surface syntax: lexing, parsing, printing, and definition resolution."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_lexer
+import tvec.frontend
 from tvec.erase import erase
 from tvec.frontend import (
-    ParseError, ResolveError, parse, parse_term, parse_type, pretty,
-    resolve_defs, tokenize,
+    KEYWORDS, MAX_NUMERAL, ParseError, ResolveError, parse, parse_term,
+    parse_type, pretty, resolve_defs, tokenize,
 )
 from tvec.syntax import (
-    AllTy, BVar, Context, EqTy, FVar, IfZeroTy, NatTy, PiTy, Succ, TApp,
-    TAppImp, TCast, TCons, TJoin, TLam, TLamImp, TNil, TQApp, TQLam, TRNat,
-    TRVec, TSucc, TUnfoldZ, TZero, VecTy, Zero, alpha_eq,
+    AllTy, App, BVar, Context, EqTy, FVar, IfZeroTy, Lam, NatTy, PiTy, Succ,
+    TApp, TAppImp, TCast, TCons, TJoin, TLam, TLamImp, TNil, TQApp, TQLam,
+    TRNat, TRVec, TSucc, TUnfoldZ, TZero, VecTy, Zero, alpha_eq,
 )
 from tvec.typecheck import Mode
 
 NAT = NatTy()
+
+# Pieces of random source text: every symbol, keywords and fragments of
+# them, comment and identifier punctuation, whitespace (Unicode included),
+# characters that no token may start with, and letters, digits and other
+# numeric characters from any script.  Characters that fail at once are
+# kept few, so that most texts get far before the first error.
+FRAGMENTS = st.one_of(
+    st.sampled_from(sorted(KEYWORDS) + [
+        "@-[", "@[", "=>", "(", ")", "[", "]", ":", ".", "=", "@", "@-",
+        "-", "--", "large", "-elim", "large-", "elim", "'", "_", "\n",
+        " ", "\t", "\u00a0", "\u2028", "x", "v1", "z", "0", "7", "42",
+        "\u00e9", "\u00df", "\u03a9", "\u0663", "\uff17", "\u00b2",
+        "\u00bd", "\u216b", "~", "#",
+    ]),
+    st.characters(categories=("L", "N", "Z", "Pc")),
+)
+SOURCE_TEXT = st.lists(FRAGMENTS, max_size=30).map("".join)
+
+
+def lexed(lex, text):
+    try:
+        return [tuple(t) for t in lex(text)]
+    except ParseError as err:
+        return err.diagnostic.message, err.diagnostic.span
 
 
 class TestLexer:
@@ -35,10 +62,43 @@ class TestLexer:
         kinds = [t.kind for t in toks]
         assert "@[" in kinds and "@-[" in kinds
 
-    def test_bad_character(self):
+    @pytest.mark.parametrize("text, char, offset", [
+        pytest.param("zero ~ zero", "~", 5, id="tilde"),
+        # a digit, but not a decimal one
+        pytest.param("\u00b2", "\u00b2", 0, id="superscript-two"),
+        pytest.param("def n : Nat = \u00b2", "\u00b2", 14,
+                     id="superscript-two-in-def"),
+        # numeric, but not a letter; inside a word it is fine
+        pytest.param("x\u00b2 \u00bd", "\u00bd", 3, id="one-half"),
+    ])
+    def test_bad_character(self, text, char, offset):
         with pytest.raises(ParseError) as exc:
-            tokenize("zero ~ zero")
-        assert exc.value.diagnostic.code == "parse-error"
+            tokenize(text)
+        diag = exc.value.diagnostic
+        assert diag.code == "parse-error"
+        assert diag.message == f"unexpected character {char!r}"
+        assert (diag.span.start, diag.span.end) == (offset, offset + 1)
+
+    @pytest.mark.parametrize("text", [
+        "mode large-elim", "large-elim'", "large-elim_", "large-elim--",
+        "large-elim.", "f=>x=y", "f @-[x]@[y]", "x--y\nz", "v1'' \u0663",
+        "\u00e9t\u00e9\u00b2", "\u00a0zero\u2028",
+    ])
+    def test_matches_reference_lexer_at_boundaries(self, text):
+        assert lexed(tokenize, text) == lexed(reference_lexer.tokenize, text)
+
+    @settings(max_examples=500)
+    @given(SOURCE_TEXT)
+    def test_matches_reference_lexer(self, text):
+        assert lexed(tokenize, text) == lexed(reference_lexer.tokenize, text)
+
+    @settings(max_examples=500)
+    @given(SOURCE_TEXT.map(lambda text: text[:40]))
+    def test_parse_raises_only_parse_errors(self, text):
+        try:
+            parse(text)
+        except ParseError:
+            pass
 
 
 class TestParseTerm:
@@ -65,6 +125,8 @@ class TestParseTerm:
          TRNat("x", NAT, TZero(), FVar("s"), FVar("n"))),
         ("rvec [x. y. Nat] 0 s v",
          TRVec("x", "y", NAT, TZero(), FVar("s"), FVar("v"))),
+        ("\u0663", TSucc(TSucc(TSucc(TZero())))),  # Arabic-Indic three
+        ("0" * 30 + "2", TSucc(TSucc(TZero()))),
     ])
     def test_forms(self, src, expected):
         assert alpha_eq(parse_term(src), expected)
@@ -92,6 +154,12 @@ class TestParseTerm:
     def test_missing_body(self):
         with pytest.raises(ParseError):
             parse_term("fun x : Nat =>")
+
+    @pytest.mark.parametrize("src", [str(MAX_NUMERAL + 1), "1" * 5000])
+    def test_numeral_above_the_limit_is_rejected(self, src):
+        with pytest.raises(ParseError) as exc:
+            parse_term(src)
+        assert "larger than" in exc.value.diagnostic.message
 
 
 class TestParseType:
@@ -220,12 +288,59 @@ class TestFileParsing:
         ("def x : Nat = 0\ndef x : Nat = 0", "duplicate-name"),
         ("def x : Nat = y", "unknown-name"),
         ("def x : Nat = x", "recursive-definition"),
+        ("def x : Vec Nat x = nil[Nat]", "recursive-definition"),
+        ("def x : Vec Nat y = nil[Nat]", "unknown-name"),
+        # the erasure of `a` releases `z`, which nothing defines
+        ("def a : Nat = ifun z : Nat => z\ndef c : Vec Nat a = nil[Nat]",
+         "unknown-name"),
         ("assume p : n = 0", "unknown-name"),
     ])
     def test_resolution_errors(self, src, code):
         with pytest.raises(ResolveError) as exc:
             resolve_defs(parse(src))
         assert exc.value.diagnostic.code == code
+
+    def test_assume_gets_erased_bodies_inlined(self):
+        src = """
+        def id : Pi x : Nat. Nat = fun x : Nat => x
+        assume p : id 0 = 0
+        """
+        resolved = resolve_defs(parse(src))
+        assert resolved.assumptions.lookup("p") == \
+            EqTy(App(Lam("x", BVar(0)), Zero()), Zero())
+
+    def test_released_name_taken_by_a_later_def_is_inlined(self):
+        # `a` is ill-typed: its erasure releases `b` as a free name, which
+        # the next def then takes.  Inlining `a` into `c` brings in that
+        # `b`, which is substituted like any other later def.
+        src = """
+        def a : Nat = ifun b : Nat => b
+        def b : Nat = 0
+        def c : Vec Nat a = nil[Nat]
+        """
+        resolved = resolve_defs(parse(src))
+        assert resolved.defs[-1].ty == VecTy(NAT, Zero())
+
+    def test_resolution_work_is_linear(self, monkeypatch):
+        calls = 0
+
+        def counted(fn):
+            def wrapper(*args):
+                nonlocal calls
+                calls += 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("erase", "subst_annotated"):
+            monkeypatch.setattr(tvec.frontend, name,
+                                counted(getattr(tvec.frontend, name)))
+        n = 200
+        src = "def n0 : Nat = 0\n" + "".join(
+            f"def n{i} : Nat = S n{i - 1}\n" for i in range(1, n))
+        resolved = resolve_defs(parse(src))
+        assert resolved.defs[-1].body == parse_term(str(n - 1))
+        # one erasure per def and one substitution per reference
+        assert calls <= 2 * n
 
     def test_later_defs_may_not_be_referenced_early(self):
         src = "def x : Nat = y\ndef y : Nat = 0"
