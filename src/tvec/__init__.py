@@ -10,14 +10,13 @@ quasi-implicit ones and adds fold/unfold forms around types computed by
 eliminations while keeping closed evaluation safe.
 
 Modules: `syntax` (terms, types, binding), `erase` (annotation removal),
-`reduce` (full-beta and call-by-value), `typecheck` / `extension` (the
-two checking modes), `frontend` (.tvec parsing and printing), `corpus`
-(worked examples used by the tests and the self-test), `oracle`
-(enumeration and the property suite), and `cli`.
+`reduce` (full-beta and call-by-value), `typecheck` (the checker, both
+modes), `frontend` (.tvec parsing and printing), `corpus` (worked examples
+used by the tests and the self-test), `oracle` (enumeration and the
+property suite), and `cli`.
 """
 
 from .erase import erase, subst_annotated, term_free_vars
-from .extension import check_against_ext, checker_for, infer_ext
 from .frontend import (
     ParseError, ResolveError, ResolvedDef, ResolvedFile, SourceError,
     parse, parse_term, parse_type, pretty, resolve_defs,
@@ -41,9 +40,8 @@ __all__ = [
     "Failure", "FuelExhausted", "Inferred", "Mode", "Node", "NormalForm",
     "ParseError", "ResolveError", "ResolvedDef", "ResolvedFile",
     "SourceError", "Stuck", "SuiteReport", "Ty", "UnannTerm", "Value",
-    "alpha_eq", "canonical_shape", "check_against", "check_against_ext",
-    "checker_for", "enumerate_terms", "erase", "eval_cbv", "infer",
-    "infer_ext", "is_value", "joinable", "normalize", "parse",
-    "parse_term", "parse_type", "pretty", "resolve_defs",
+    "alpha_eq", "canonical_shape", "check_against", "enumerate_terms",
+    "erase", "eval_cbv", "infer", "is_value", "joinable", "normalize",
+    "parse", "parse_term", "parse_type", "pretty", "resolve_defs",
     "run_property_suite", "subst_annotated", "term_free_vars",
 ]

@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 from .erase import erase
-from .extension import checker_for
 from .frontend import (
     ParseError, ResolveError, ResolvedDef, ResolvedFile, parse, pretty,
     resolve_defs,
@@ -27,7 +26,7 @@ from .frontend import (
 from .oracle import ENUM_CAP, run_property_suite
 from .reduce import DEFAULT_FUEL, FuelExhausted, Stuck, eval_cbv, normalize
 from .syntax import free_vars
-from .typecheck import Inferred, Mode
+from .typecheck import Checker, Inferred, Mode
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -125,11 +124,14 @@ def _load(args: argparse.Namespace, fuel: int):
     """
     mode = _mode_from(args)
     try:
-        text = Path(args.path).read_text()
-    except OSError as err:
+        text = Path(args.path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        # an OSError names the file itself; a decoding error does not
+        message = str(err) if isinstance(err, OSError) \
+            else f"{args.path}: {err}"
         if args.json:
-            _emit(_error_payload(fuel, mode, "io-error", str(err)))
-        print(f"tvec: {err}", file=sys.stderr)
+            _emit(_error_payload(fuel, mode, "io-error", message))
+        print(f"tvec: {message}", file=sys.stderr)
         return None, EXIT_USAGE
     try:
         resolved = resolve_defs(parse(text), mode)
@@ -150,10 +152,17 @@ def _load(args: argparse.Namespace, fuel: int):
     return resolved, None
 
 
-def _find_def(resolved: ResolvedFile, name: str) -> ResolvedDef | None:
+def _find_def(args: argparse.Namespace, fuel: int,
+              resolved: ResolvedFile) -> ResolvedDef | None:
+    """The definition named on the command line, or None once reported."""
     for d in resolved.defs:
-        if d.name == name:
+        if d.name == args.name:
             return d
+    if args.json:
+        _emit(_error_payload(fuel, resolved.mode, "unknown-def",
+                             f"no definition named {args.name}"))
+    print(f"tvec: {args.path}: no definition named {args.name}",
+          file=sys.stderr)
     return None
 
 
@@ -161,7 +170,7 @@ def _cmd_check(args: argparse.Namespace, fuel: int) -> int:
     resolved, failed = _load(args, fuel)
     if resolved is None:
         return failed
-    checker = checker_for(resolved.mode, fuel)
+    checker = Checker(fuel, resolved.mode)
     report: list[dict] = []
     lines: list[str] = []
     failure = None
@@ -199,16 +208,11 @@ def _cmd_eval(args: argparse.Namespace, fuel: int) -> int:
     resolved, failed = _load(args, fuel)
     if resolved is None:
         return failed
-    d = _find_def(resolved, args.name)
+    d = _find_def(args, fuel, resolved)
     if d is None:
-        if args.json:
-            _emit(_error_payload(fuel, resolved.mode, "unknown-def",
-                                 f"no definition named {args.name}"))
-        print(f"tvec: {args.path}: no definition named {args.name}",
-              file=sys.stderr)
         return EXIT_FAIL
 
-    checker = checker_for(resolved.mode, fuel)
+    checker = Checker(fuel, resolved.mode)
     res = checker.check_against(resolved.assumptions, d.body, d.ty)
     if not isinstance(res, Inferred):
         if args.json:
@@ -272,13 +276,8 @@ def _cmd_erase(args: argparse.Namespace, fuel: int) -> int:
     resolved, failed = _load(args, fuel)
     if resolved is None:
         return failed
-    d = _find_def(resolved, args.name)
+    d = _find_def(args, fuel, resolved)
     if d is None:
-        if args.json:
-            _emit(_error_payload(fuel, resolved.mode, "unknown-def",
-                                 f"no definition named {args.name}"))
-        print(f"tvec: {args.path}: no definition named {args.name}",
-              file=sys.stderr)
         return EXIT_FAIL
     erasure = erase(d.body)
     if args.json:

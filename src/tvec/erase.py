@@ -17,7 +17,7 @@ from .syntax import (
     AnnTerm, App, BVar, Cons, FVar, Join, Lam, Nil, Node, QApp, QLam, RNat,
     RVec, Succ, TApp, TAppImp, TCast, TCons, TFoldS, TFoldZ, TJoin, TLam,
     TLamImp, TNil, TQApp, TQLam, TRNat, TRVec, TSucc, TUnfoldS, TUnfoldZ,
-    TZero, UnannTerm, Zero, free_vars, fresh_name, subst,
+    TZero, UnannTerm, Zero, free_vars, fresh_name, map_vars, subst,
 )
 
 
@@ -70,28 +70,17 @@ def _release(body: UnannTerm, hint: str) -> UnannTerm:
     """
     released: FVar | None = None
 
-    def go(t: Node, k: int) -> Node:
+    def leaf(v: BVar, k: int) -> Node:
         nonlocal released
-        if isinstance(t, BVar):
-            if t.index < k:
-                return t
-            if t.index > k:
-                return BVar(t.index - 1, span=t.span)
-            if released is None:
-                released = FVar(fresh_name(hint, free_vars(body)))
-            return released
-        scopes = type(t).SCOPES
-        if not scopes:
-            return t
-        changes = {}
-        for name, extra in scopes.items():
-            child = getattr(t, name)
-            new = go(child, k + extra)
-            if new is not child:
-                changes[name] = new
-        return replace(t, **changes) if changes else t
+        if v.index < k:
+            return v
+        if v.index > k:
+            return BVar(v.index - 1, span=v.span)
+        if released is None:
+            released = FVar(fresh_name(hint, free_vars(body)))
+        return released
 
-    return go(body, 0)
+    return map_vars(body, BVar, leaf)
 
 
 def term_free_vars(t: AnnTerm) -> frozenset[str]:

@@ -40,7 +40,6 @@ from typing import Callable, Iterator
 from . import frontend
 from .corpus import base_corpus, ext_assumptions, ext_corpus
 from .erase import erase, subst_annotated
-from .extension import checker_for
 from .reduce import (
     DEFAULT_FUEL, FuelExhausted, LEFTMOST_OUTERMOST, RIGHTMOST_INNERMOST,
     Stuck, Value, eval_cbv, joinable, normalize,
@@ -52,7 +51,7 @@ from .syntax import (
     TUnfoldS, TUnfoldZ, TZero, Ty, UnannTerm, VecTy, Zero, alpha_eq,
     free_vars, node_count, open1, subst,
 )
-from .typecheck import BASE_RULES, EXT_RULES, Checker, Inferred, Mode
+from .typecheck import RULES, Checker, Inferred, Mode
 
 ENUM_CAP = 8
 
@@ -331,7 +330,7 @@ class SuiteReport:
                 if c.ty is not None:
                     lines.append(f"      type: {c.ty}")
                 lines.append(f"      {c.detail}")
-        total = len(EXT_RULES if self.mode is Mode.LARGE_ELIM else BASE_RULES)
+        total = len(RULES[self.mode])
         if self.missing_rules:
             lines.append("  rule coverage: MISSING "
                          + ", ".join(self.missing_rules))
@@ -346,20 +345,20 @@ def run_property_suite(
     size: int = 6,
     mode: Mode = Mode.BASE,
     fuel: int = DEFAULT_FUEL,
-    checker_factory: Callable[[Mode, int], Checker] = checker_for,
+    checker_factory: Callable[..., Checker] = Checker,
     include_corpus: bool = True,
 ) -> SuiteReport:
     """Enumerate, check, and test; see the module docstring for the laws.
 
     `checker_factory` exists so a deliberately broken checker can be
     injected to confirm the suite notices: it is called once per run with
-    the mode and fuel.  Properties P1 to P3 run on every closed well-typed
-    term (enumerated or from the corpus); P4 and P5 are syntactic laws and
-    run on the whole enumeration over a two-variable context, well typed
-    or not.
+    the keyword arguments `fuel` and `mode`.  Properties P1 to P3 run on
+    every closed well-typed term (enumerated or from the corpus); P4 and P5
+    are syntactic laws and run on the whole enumeration over a two-variable
+    context, well typed or not.
     """
     start = time.perf_counter()
-    checker = checker_factory(mode, fuel)
+    checker = checker_factory(fuel=fuel, mode=mode)
 
     closed: list[tuple[str, AnnTerm, Ty]] = []
     empty = Context()
@@ -400,8 +399,7 @@ def run_property_suite(
     p4 = _run_p4(open_terms)
     p5 = _run_p5(open_terms)
 
-    required = EXT_RULES if mode is Mode.LARGE_ELIM else BASE_RULES
-    missing = tuple(sorted(r for r in required if not checker.rule_hits[r]))
+    missing = tuple(sorted(r for r in RULES[mode] if not checker.rule_hits[r]))
 
     return SuiteReport(
         mode=mode,

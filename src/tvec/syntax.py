@@ -16,17 +16,19 @@ Bound variables are de Bruijn indices (`BVar`), free variables are names
 (`FVar`).  Binder name hints are kept for printing and diagnostics but are
 excluded from equality, so `a == b` on locally closed nodes is exactly
 alpha-equivalence.  Every binding construct declares, per child field, how
-many extra binder levels that child sits under (`SCOPES`); the generic
-`open_at`/`close_at`/`subst`/`free_vars` walkers below do the index work.
-Two walkers live elsewhere: erasure lowers the indices that point past a
-vanished binder (`erase._release`), and the reducer opens and closes
-binders without recursion (`reduce._open`/`_close`).
+many extra binder levels that child sits under (`SCOPES`).  One walker,
+`map_vars`, follows those levels down to the variables and rebuilds only
+what changes; `open_at`, `close_at`, `subst` and erasure's index lowering
+(`erase._release`) are each a leaf function over it.  The folds
+`free_vars` and `node_count` walk the same children.  The reducer opens
+and closes binders with its own walker, which does not recurse
+(`reduce._open`/`_close`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import ClassVar, Iterator
+from typing import Callable, ClassVar, Iterator
 
 
 @dataclass(frozen=True)
@@ -392,15 +394,29 @@ AnnTerm = (
     | TUnfoldZ | TFoldS | TUnfoldS
 )
 
-QUASI_NODES = (QLam, QApp, TQLam, TQApp, TFoldZ, TUnfoldZ, TFoldS, TUnfoldS)
-IMPLICIT_NODES = (TLamImp, TAppImp)
-
 
 # --------------------------------------------------------------------------
 # generic binding operations
 
 
-def _rebuild(t: Node, changes: dict[str, Node]) -> Node:
+def map_vars(t: Node, kind: type[FVar] | type[BVar],
+             leaf: Callable[[Node, int], Node], depth: int = 0) -> Node:
+    """Replace every variable `v` of class `kind` in `t` with `leaf(v, d)`.
+
+    `d` is `depth` plus the number of binders between the root and `v`.
+    Unchanged subterms are shared, and `t` itself comes back if nothing
+    changes.  Each caller needs one class of variable only; leaving the
+    other class out of `leaf` keeps the walk as fast as a hand-written one.
+    """
+    scopes = type(t).SCOPES
+    if not scopes:
+        return leaf(t, depth) if type(t) is kind else t
+    changes = {}
+    for name, extra in scopes.items():
+        child = getattr(t, name)
+        new = map_vars(child, kind, leaf, depth + extra)
+        if new is not child:
+            changes[name] = new
     return replace(t, **changes) if changes else t
 
 
@@ -409,34 +425,16 @@ def open_at(t: Node, k: int, repl: Node) -> Node:
 
     `repl` must be locally closed; no index shifting is ever required.
     """
-    if isinstance(t, BVar):
-        return repl if t.index == k else t
-    scopes = type(t).SCOPES
-    if not scopes:
-        return t
-    changes = {}
-    for name, extra in scopes.items():
-        child = getattr(t, name)
-        new = open_at(child, k + extra, repl)
-        if new is not child:
-            changes[name] = new
-    return _rebuild(t, changes)
+    def leaf(v: BVar, depth: int) -> Node:
+        return repl if v.index == depth else v
+    return map_vars(t, BVar, leaf, k)
 
 
 def close_at(t: Node, k: int, name: str) -> Node:
     """Abstract the free variable `name` as the bound variable at level k."""
-    if isinstance(t, FVar):
-        return BVar(k, span=t.span) if t.name == name else t
-    scopes = type(t).SCOPES
-    if not scopes:
-        return t
-    changes = {}
-    for fname, extra in scopes.items():
-        child = getattr(t, fname)
-        new = close_at(child, k + extra, name)
-        if new is not child:
-            changes[fname] = new
-    return _rebuild(t, changes)
+    def leaf(v: FVar, depth: int) -> Node:
+        return BVar(depth, span=v.span) if v.name == name else v
+    return map_vars(t, FVar, leaf, k)
 
 
 def open1(t: Node, repl: Node) -> Node:
@@ -473,18 +471,9 @@ def subst(t: Node, name: str, repl: Node) -> Node:
     Capture cannot occur: bound variables are indices and `repl` is locally
     closed, so its free names cannot be caught by any binder in `t`.
     """
-    if isinstance(t, FVar):
-        return repl if t.name == name else t
-    scopes = type(t).SCOPES
-    if not scopes:
-        return t
-    changes = {}
-    for fname in scopes:
-        child = getattr(t, fname)
-        new = subst(child, name, repl)
-        if new is not child:
-            changes[fname] = new
-    return _rebuild(t, changes)
+    def leaf(v: FVar, depth: int) -> Node:
+        return repl if v.name == name else v
+    return map_vars(t, FVar, leaf)
 
 
 def alpha_eq(a: Node, b: Node) -> bool:

@@ -7,11 +7,17 @@ whose equations are produced by `join`, which in turn decides joinability
 by fuel-bounded normalization of erasures.  A fuel-exhausted joinability
 test is reported as undecided, never as a mismatch.
 
-The checker runs in one of two modes.  Base mode accepts implicit
-abstraction and application; large-elimination mode replaces them with the
-quasi-implicit and fold/unfold forms (see extension.py, which subclasses
-`Checker`).  Rule attempts are tallied in `rule_hits` so the self-test
-suite can assert coverage.
+The checker runs in one of two modes, and a mode is its set of rules
+(`RULES`).  Base mode accepts implicit abstraction and application;
+large-elimination mode swaps them for quasi-implicit ones (same side
+condition, but inhabitants keep an erased shell so progress survives) and
+adds fold/unfold forms that move between a branch type and the matching
+`ifzero` type.  Unfolding matches the scrutinee purely syntactically:
+`unfoldz` wants literally `ifzero 0 _ _`, `unfolds [w]` wants a scrutinee
+alpha-equal to `S |w|`; any reduction of the scrutinee must go through an
+explicit cast first.  A construct whose rule is not in the mode is a
+`mode-violation`.  Rule attempts are tallied in `rule_hits` so the
+self-test suite can assert coverage.
 """
 
 from __future__ import annotations
@@ -23,11 +29,11 @@ from dataclasses import dataclass
 from .erase import erase
 from .reduce import DEFAULT_FUEL, FuelExhausted, normalize
 from .syntax import (
-    AllTy, AnnTerm, BVar, Cons, Context, EqTy, FVar, NatTy, Nil, PiTy, Span,
-    Succ, TApp, TAppImp, TCast, TCons, TFoldS, TFoldZ, TJoin, TLam, TLamImp,
-    TNil, TQApp, TQLam, TRNat, TRVec, TSucc, TUnfoldS, TUnfoldZ, TZero, Ty,
-    VecTy, Zero, alpha_eq, close1, ctx_ok, free_vars, fresh_name, open1,
-    open2,
+    AllTy, AnnTerm, BVar, Cons, Context, EqTy, FVar, IfZeroTy, NatTy, Nil,
+    PiTy, Span, Succ, TApp, TAppImp, TCast, TCons, TFoldS, TFoldZ, TJoin, TLam,
+    TLamImp, TNil, TQApp, TQLam, TRNat, TRVec, TSucc, TUnfoldS, TUnfoldZ,
+    TZero, Ty, VecTy, Zero, alpha_eq, close1, ctx_ok, free_vars, fresh_name,
+    open1, open2,
 )
 
 
@@ -46,6 +52,8 @@ EXT_RULES = frozenset({
     "join", "cast", "quasi-abs", "quasi-app", "fold-zero", "unfold-zero",
     "fold-succ", "unfold-succ",
 })
+
+RULES = {Mode.BASE: BASE_RULES, Mode.LARGE_ELIM: EXT_RULES}
 
 
 @dataclass(frozen=True)
@@ -114,12 +122,12 @@ def _span(node) -> Span:
 
 
 class Checker:
-    """Base-mode checker; large-elimination mode subclasses it."""
+    """The checker for one mode; it accepts exactly the rules in RULES."""
 
-    mode = Mode.BASE
-
-    def __init__(self, fuel: int = DEFAULT_FUEL):
+    def __init__(self, fuel: int = DEFAULT_FUEL, mode: Mode = Mode.BASE):
         self.fuel = fuel
+        self.mode = mode
+        self.rules = RULES[mode]
         self.rule_hits: Counter[str] = Counter()
 
     # -- public entry points -------------------------------------------
@@ -172,10 +180,14 @@ class Checker:
                        code="type-mismatch",
                        expected=_fmt(expected), actual=_fmt(actual))
 
-    def _mode_fail(self, rule: str, node, construct: str) -> None:
-        self._fail(rule, node,
-                   f"{construct} is not part of {self.mode.value} mode",
-                   code="mode-violation")
+    def _gate(self, rule: str, node, construct: str) -> None:
+        """Fail with a mode violation unless the mode has `rule`; then count
+        the attempt, so a violation leaves `rule_hits` untouched."""
+        if rule not in self.rules:
+            self._fail(rule, node,
+                       f"{construct} is not part of {self.mode.value} mode",
+                       code="mode-violation")
+        self._hit(rule)
 
     # -- the rules -----------------------------------------------------
 
@@ -229,8 +241,13 @@ class Checker:
                 self._hit("abs")
                 hint, dom, cod = self._binder("abs", ctx, t, erased_absent=False)
                 return PiTy(hint, dom, cod)
+            # ctx, x:A |- t : B    x not free in |t|
+            # -------------------------------------- ifun x:A => t : All x:A. B
             case TLamImp():
-                return self._rule_spec_abs(ctx, t)
+                self._gate("spec-abs", t, "implicit abstraction")
+                hint, dom, cod = self._binder("spec-abs", ctx, t,
+                                              erased_absent=True)
+                return AllTy(hint, dom, cod)
             # f : Pi x:A. B   a : A
             # ---------------------------------------- f a : B[x := |a|]
             case TApp(fn, arg):
@@ -243,8 +260,14 @@ class Checker:
                 self._expect_alpha("app", arg, arg_ty, fn_ty.dom,
                                    "function argument")
                 return open1(fn_ty.cod, erase(arg))
-            case TAppImp():
-                return self._rule_spec_app(ctx, t)
+            # f : All x:A. B   a : A
+            # ---------------------------------------- f @[a] : B[x := |a|]
+            case TAppImp(fn, arg):
+                self._gate("spec-app", t, "implicit application")
+                return self._instantiate(
+                    "spec-app", ctx, fn, arg,
+                    "implicit application head is not an implicit product",
+                    "implicit argument")
             # t : A   t' : B   |t| and |t'| joinable
             # ---------------------------------------- join t t' : |t| = |t'|
             case TJoin(lhs, rhs):
@@ -302,18 +325,74 @@ class Checker:
                                    "recursor step")
                 return open2(motive, scrut_ty.length, erase(scrut))
             # quasi-implicit and fold/unfold forms: large-elim mode only
+            # ctx, x:A |- t : B    x not free in |t|
+            # -------------------------------------- qfun x:A => t : All x:A. B
             case TQLam():
-                return self._rule_quasi_abs(ctx, t)
-            case TQApp():
-                return self._rule_quasi_app(ctx, t)
-            case TFoldZ():
-                return self._rule_fold_zero(ctx, t)
-            case TUnfoldZ():
-                return self._rule_unfold_zero(ctx, t)
-            case TFoldS():
-                return self._rule_fold_succ(ctx, t)
-            case TUnfoldS():
-                return self._rule_unfold_succ(ctx, t)
+                self._gate("quasi-abs", t, "quasi-implicit abstraction")
+                hint, dom, cod = self._binder("quasi-abs", ctx, t,
+                                              erased_absent=True)
+                return AllTy(hint, dom, cod)
+            # f : All x:A. B   w : A
+            # ---------------------------------------- f @-[w] : B[x := |w|]
+            case TQApp(fn, witness):
+                self._gate("quasi-app", t, "quasi-implicit application")
+                return self._instantiate(
+                    "quasi-app", ctx, fn, witness,
+                    "quasi-implicit application head is not a "
+                    "quasi-implicit product",
+                    "quasi-implicit witness")
+            # t : A
+            # -------------------------------------- foldz [B] t : ifzero 0 A B
+            case TFoldZ(other, body):
+                self._gate("fold-zero", t, "ifzero introduction")
+                self._scope_check("fold-zero", t, other, ctx)
+                return IfZeroTy(Zero(), self._infer(ctx, body), other)
+            # t : ifzero 0 A B
+            # ---------------------------------------- unfoldz t : A
+            case TUnfoldZ(body):
+                self._gate("unfold-zero", t, "ifzero elimination")
+                body_ty = self._infer(ctx, body)
+                if not isinstance(body_ty, IfZeroTy):
+                    self._fail("unfold-zero", body,
+                               "unfoldz subject is not an ifzero type",
+                               code="shape-mismatch", actual=_fmt(body_ty))
+                if not alpha_eq(body_ty.scrut, Zero()):
+                    self._fail("unfold-zero", body,
+                               "unfoldz needs the scrutinee to be literally 0",
+                               code="scrutinee-mismatch", actual=_fmt(body_ty))
+                return body_ty.on_zero
+            # w : Nat   t : B
+            # ----------------------------- folds [w][A] t : ifzero (S |w|) A B
+            case TFoldS(witness, zero_ty, body):
+                self._gate("fold-succ", t, "ifzero introduction")
+                self._scope_check("fold-succ", t, zero_ty, ctx)
+                wit_ty = self._infer(ctx, witness)
+                self._expect_alpha("fold-succ", witness, wit_ty, NatTy(),
+                                   "folds witness")
+                body_ty = self._infer(ctx, body)
+                return IfZeroTy(Succ(erase(witness)), zero_ty, body_ty)
+            # w : Nat   t : ifzero (S |w|) A B
+            # ---------------------------------------- unfolds [w] t : B
+            case TUnfoldS(witness, body):
+                self._gate("unfold-succ", t, "ifzero elimination")
+                wit_ty = self._infer(ctx, witness)
+                self._expect_alpha("unfold-succ", witness, wit_ty, NatTy(),
+                                   "unfolds witness")
+                body_ty = self._infer(ctx, body)
+                if not isinstance(body_ty, IfZeroTy):
+                    self._fail("unfold-succ", body,
+                               "unfolds subject is not an ifzero type",
+                               code="shape-mismatch", actual=_fmt(body_ty))
+                scrut = Succ(erase(witness))
+                if not alpha_eq(body_ty.scrut, scrut):
+                    self._fail("unfold-succ", body,
+                               "unfolds needs the scrutinee to be literally "
+                               "S of the erased witness; no normalization "
+                               "is applied",
+                               code="scrutinee-mismatch",
+                               expected=_fmt(scrut),
+                               actual=_fmt(body_ty.scrut))
+                return body_ty.on_succ
         raise TypeError(f"not an annotated term: {t!r}")
 
     # -- shared rule bodies ---------------------------------------------
@@ -332,6 +411,17 @@ class Checker:
                        "it may only occur in annotations",
                        code="erased-occurrence")
         return t.hint, t.dom, close1(body_ty, x)
+
+    def _instantiate(self, rule: str, ctx: Context, fn, arg,
+                     head_message: str, what: str) -> Ty:
+        """Instantiate an implicit or quasi-implicit product."""
+        fn_ty = self._infer(ctx, fn)
+        if not isinstance(fn_ty, AllTy):
+            self._fail(rule, fn, head_message,
+                       code="shape-mismatch", actual=_fmt(fn_ty))
+        arg_ty = self._infer(ctx, arg)
+        self._expect_alpha(rule, arg, arg_ty, fn_ty.dom, what)
+        return open1(fn_ty.cod, erase(arg))
 
     def _join_type(self, t, lhs, rhs) -> Ty:
         lhs_e, rhs_e = erase(lhs), erase(rhs)
@@ -379,45 +469,6 @@ class Checker:
         ty = PiTy("v", VecTy(elem, FVar(l)), close1(ty, v))
         ty = PiTy("z", elem, close1(ty, z))
         return AllTy("l", NatTy(), close1(ty, l))
-
-    # -- implicit forms (base mode); extension mode forbids them --------
-
-    def _rule_spec_abs(self, ctx: Context, t: TLamImp) -> Ty:
-        self._hit("spec-abs")
-        hint, dom, cod = self._binder("spec-abs", ctx, t, erased_absent=True)
-        return AllTy(hint, dom, cod)
-
-    def _rule_spec_app(self, ctx: Context, t: TAppImp) -> Ty:
-        self._hit("spec-app")
-        fn_ty = self._infer(ctx, t.fn)
-        if not isinstance(fn_ty, AllTy):
-            self._fail("spec-app", t.fn,
-                       "implicit application head is not an implicit product",
-                       code="shape-mismatch", actual=_fmt(fn_ty))
-        arg_ty = self._infer(ctx, t.arg)
-        self._expect_alpha("spec-app", t.arg, arg_ty, fn_ty.dom,
-                           "implicit argument")
-        return open1(fn_ty.cod, erase(t.arg))
-
-    # -- large-elimination forms; base mode rejects them -----------------
-
-    def _rule_quasi_abs(self, ctx: Context, t: TQLam) -> Ty:
-        self._mode_fail("quasi-abs", t, "quasi-implicit abstraction")
-
-    def _rule_quasi_app(self, ctx: Context, t: TQApp) -> Ty:
-        self._mode_fail("quasi-app", t, "quasi-implicit application")
-
-    def _rule_fold_zero(self, ctx: Context, t: TFoldZ) -> Ty:
-        self._mode_fail("fold-zero", t, "ifzero introduction")
-
-    def _rule_unfold_zero(self, ctx: Context, t: TUnfoldZ) -> Ty:
-        self._mode_fail("unfold-zero", t, "ifzero elimination")
-
-    def _rule_fold_succ(self, ctx: Context, t: TFoldS) -> Ty:
-        self._mode_fail("fold-succ", t, "ifzero introduction")
-
-    def _rule_unfold_succ(self, ctx: Context, t: TUnfoldS) -> Ty:
-        self._mode_fail("unfold-succ", t, "ifzero elimination")
 
 
 def infer(ctx: Context, t: AnnTerm, fuel: int = DEFAULT_FUEL) -> CheckResult:

@@ -16,7 +16,6 @@ from pathlib import Path
 import tvec
 from tvec import corpus
 from tvec.erase import erase
-from tvec.extension import checker_for
 from tvec.frontend import parse_term, pretty
 from tvec.oracle import enumerate_terms
 from tvec.reduce import (
@@ -27,7 +26,7 @@ from tvec.syntax import (
     App, BVar, Cons, Context, FVar, Lam, NatTy, Nil, QLam, Succ, TJoin,
     TSucc, TZero, VecTy, Zero, alpha_eq, free_vars,
 )
-from tvec.typecheck import BASE_RULES, EXT_RULES, Inferred, Mode
+from tvec.typecheck import BASE_RULES, EXT_RULES, Checker, Inferred, Mode
 
 from conftest import VEC_PATH
 
@@ -69,7 +68,7 @@ def test_criterion_2_equality_semantics_exact_booleans():
     l2 = FVar("l2")
     assert joinable(l2, corpus.plus_u(Zero(), l2)) is True
     assert joinable(Zero(), Succ(Zero())) is False
-    res = checker_for(Mode.BASE).infer(
+    res = Checker(mode=Mode.BASE).infer(
         Context(), TJoin(TZero(), TSucc(TZero())))
     assert not isinstance(res, Inferred)
     assert res.diagnostic.code == "join-distinct"
@@ -105,7 +104,7 @@ def test_criterion_3_append_matches_independent_oracle():
 
 def test_criterion_4_stuck_application_types_in_absurd_context():
     body = corpus.stuck_app_body()
-    res = checker_for(Mode.LARGE_ELIM).check_against(
+    res = Checker(mode=Mode.LARGE_ELIM).check_against(
         corpus.ext_assumptions(), body, NatTy())
     assert isinstance(res, Inferred), res
     erasure = erase(body)
@@ -117,7 +116,7 @@ def test_criterion_4_stuck_application_types_in_absurd_context():
 def test_criterion_5_quasi_implicit_shell_is_a_closed_value():
     body = corpus.quod_all_body()
     assert not free_vars(body)
-    res = checker_for(Mode.LARGE_ELIM).check_against(
+    res = Checker(mode=Mode.LARGE_ELIM).check_against(
         Context(), body, corpus.quod_all_ty())
     assert isinstance(res, Inferred), res
     erasure = erase(body)

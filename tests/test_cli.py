@@ -254,6 +254,20 @@ class TestErrorPaths:
         assert blob["defs"] == []
         assert blob["error"]["code"] == "io-error"
 
+    def test_non_utf8_file_is_an_io_error(self, tmp_path, capsys):
+        src = tmp_path / "latin1.tvec"
+        src.write_bytes(b"def n : Nat = \xff")
+        code, out, err = run_cli(capsys, "check", str(src))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"tvec: {src}: 'utf-8' codec can't decode")
+        code, out, err = run_cli(capsys, "check", str(src), "--json")
+        assert code == 2
+        blob = json.loads(out)
+        assert blob["defs"] == []
+        assert blob["error"]["code"] == "io-error"
+        assert str(src) in blob["error"]["message"]
+
     def test_parse_error(self, tmp_path, capsys):
         src = tmp_path / "syntax.tvec"
         src.write_text("def ~\n")

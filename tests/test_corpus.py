@@ -11,11 +11,10 @@ import pytest
 
 from tvec import corpus
 from tvec.erase import erase
-from tvec.extension import checker_for
 from tvec.frontend import parse, pretty, resolve_defs
 from tvec.reduce import Value, eval_cbv, normalize
 from tvec.syntax import Cons, Context, Nil, Zero, alpha_eq, free_vars
-from tvec.typecheck import Inferred, Mode
+from tvec.typecheck import Checker, Inferred, Mode
 
 from conftest import QUODLIBET_PATH, VEC_PATH
 
@@ -44,7 +43,7 @@ class TestVecFile:
             assert alpha_eq(got.body, want.body), got.name
 
     def test_every_def_checks(self, vec_resolved):
-        checker = checker_for(vec_resolved.mode)
+        checker = Checker(mode=vec_resolved.mode)
         for d in vec_resolved.defs:
             res = checker.check_against(
                 vec_resolved.assumptions, d.body, d.ty)
@@ -71,7 +70,7 @@ class TestQuodlibetFile:
             assert alpha_eq(got.body, want.body), got.name
 
     def test_every_def_checks(self, quod_resolved):
-        checker = checker_for(quod_resolved.mode)
+        checker = Checker(mode=quod_resolved.mode)
         for d in quod_resolved.defs:
             res = checker.check_against(
                 quod_resolved.assumptions, d.body, d.ty)

@@ -15,27 +15,28 @@ from tvec.corpus import (
     via_witness_body,
 )
 from tvec.erase import erase
-from tvec.extension import ExtChecker, checker_for, infer_ext
 from tvec.reduce import Stuck, Value, eval_cbv
 from tvec.syntax import (
     AllTy, App, BVar, Context, IfZeroTy, NatTy, PiTy, QLam, Succ,
     TApp, TAppImp, TFoldS, TFoldZ, TJoin, TLam, TLamImp, TQApp,
     TQLam, TSucc, TUnfoldS, TUnfoldZ, TZero, Zero, alpha_eq, free_vars,
 )
-from tvec.typecheck import Failure, Inferred, Mode
+from tvec.typecheck import (
+    BASE_RULES, EXT_RULES, RULES, Checker, Failure, Inferred, Mode,
+)
 
 NAT = NatTy()
 NAT_TO_NAT = PiTy("x", NAT, NAT)
 
 
 def inferred(ctx, t):
-    res = infer_ext(ctx, t)
+    res = Checker(mode=Mode.LARGE_ELIM).infer(ctx, t)
     assert isinstance(res, Inferred), res
     return res.type
 
 
 def failure(ctx, t):
-    res = infer_ext(ctx, t)
+    res = Checker(mode=Mode.LARGE_ELIM).infer(ctx, t)
     assert isinstance(res, Failure), f"expected a failure, got {res}"
     return res.diagnostic
 
@@ -145,21 +146,59 @@ class TestStuckButTyped:
         assert diag.code == "join-distinct"
 
 
+# Each mode-only construct in the mode that lacks it: (mode, term, rule,
+# construct name in the message).
+WRONG_MODE = [
+    (Mode.LARGE_ELIM, TLamImp("l", NAT, TZero()), "spec-abs",
+     "implicit abstraction"),
+    (Mode.LARGE_ELIM, TAppImp(TLam("x", NAT, BVar(0)), TZero()), "spec-app",
+     "implicit application"),
+    (Mode.BASE, TQLam("q", NAT, TZero()), "quasi-abs",
+     "quasi-implicit abstraction"),
+    (Mode.BASE, TQApp(TZero(), TZero()), "quasi-app",
+     "quasi-implicit application"),
+    (Mode.BASE, TFoldZ(NAT, TZero()), "fold-zero", "ifzero introduction"),
+    (Mode.BASE, TUnfoldZ(TZero()), "unfold-zero", "ifzero elimination"),
+    (Mode.BASE, TFoldS(TZero(), NAT, TZero()), "fold-succ",
+     "ifzero introduction"),
+    (Mode.BASE, TUnfoldS(TZero(), TZero()), "unfold-succ",
+     "ifzero elimination"),
+]
+
+
 class TestModeDispatch:
+    @pytest.mark.parametrize("mode, t, rule, construct", WRONG_MODE,
+                             ids=[case[2] for case in WRONG_MODE])
+    def test_mode_only_construct_in_the_wrong_mode(self, mode, t, rule,
+                                                   construct):
+        checker = Checker(mode=mode)
+        res = checker.infer(Context(), t)
+        assert isinstance(res, Failure), res
+        diag = res.diagnostic
+        assert diag.rule == rule
+        assert diag.code == "mode-violation"
+        assert diag.message == f"{construct} is not part of {mode.value} mode"
+        assert checker.rule_hits[rule] == 0
+
     def test_checker_for(self):
-        assert isinstance(checker_for(Mode.LARGE_ELIM), ExtChecker)
-        assert not isinstance(checker_for(Mode.BASE), ExtChecker)
+        # a mode is its rule table; nothing else differs between checkers
+        for mode, rules in ((Mode.BASE, BASE_RULES),
+                            (Mode.LARGE_ELIM, EXT_RULES)):
+            checker = Checker(mode=mode)
+            assert checker.mode is mode
+            assert checker.rules is RULES[mode] is rules
+        assert Checker().mode is Mode.BASE
 
     def test_shared_rules_unchanged(self):
         # the structural fragment behaves identically in both modes
         t = TApp(TLam("x", NAT, TSucc(BVar(0))), num(1))
-        base = checker_for(Mode.BASE).infer(Context(), t)
-        ext = checker_for(Mode.LARGE_ELIM).infer(Context(), t)
+        base = Checker(mode=Mode.BASE).infer(Context(), t)
+        ext = Checker(mode=Mode.LARGE_ELIM).infer(Context(), t)
         assert isinstance(base, Inferred) and isinstance(ext, Inferred)
         assert alpha_eq(base.type, ext.type)
 
     def test_ext_rule_hits(self):
-        checker = ExtChecker()
+        checker = Checker(mode=Mode.LARGE_ELIM)
         checker.infer(Context(), fold_round_z_body())
         assert checker.rule_hits["fold-zero"] == 1
         assert checker.rule_hits["unfold-zero"] == 1
