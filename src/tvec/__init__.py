@@ -16,7 +16,7 @@ used by the tests and the self-test), `oracle` (enumeration and the
 property suite), and `cli`.
 """
 
-from .erase import erase, subst_annotated, term_free_vars
+from .erase import erase, subst_annotated
 from .frontend import (
     ParseError, ResolveError, ResolvedDef, ResolvedFile, SourceError,
     parse, parse_term, parse_type, pretty, resolve_defs,
@@ -43,5 +43,5 @@ __all__ = [
     "alpha_eq", "canonical_shape", "check_against", "enumerate_terms",
     "erase", "eval_cbv", "infer", "is_value", "joinable", "normalize",
     "parse", "parse_term", "parse_type", "pretty", "resolve_defs",
-    "run_property_suite", "subst_annotated", "term_free_vars",
+    "run_property_suite", "subst_annotated",
 ]

@@ -83,21 +83,6 @@ def _release(body: UnannTerm, hint: str) -> UnannTerm:
     return map_vars(body, BVar, leaf)
 
 
-def term_free_vars(t: AnnTerm) -> frozenset[str]:
-    """Free variables occurring in term positions, ignoring annotations."""
-    acc: set[str] = set()
-    _collect(t, acc)
-    return frozenset(acc)
-
-
-def _collect(t: Node, acc: set[str]) -> None:
-    if isinstance(t, FVar):
-        acc.add(t.name)
-        return
-    for name in type(t).ANN:
-        _collect(getattr(t, name), acc)
-
-
 def subst_annotated(t: AnnTerm, name: str, repl: AnnTerm) -> AnnTerm:
     """Substitute an annotated term for a free variable.
 

@@ -39,6 +39,12 @@ zero and are pure sugar.  Terms embedded in types (vector lengths, ifzero
 scrutinees, equation sides) are parsed as annotated terms and erased on
 the spot, since types embed unannotated terms only.
 
+Names bind as they are parsed: the parser keeps the binder names in scope,
+and an identifier becomes `BVar(k)`, k being the distance to the innermost
+binder of that name, or an `FVar` if no binder in scope has that name.  No
+finished body is walked again.  So a name that erasure releases from an
+ill-typed implicit binder stays free, even under a binder of that name.
+
 Definitions are transparent, non-recursive abbreviations: resolution
 substitutes each earlier def into later items, annotated bodies into term
 positions and erased bodies into type positions.  `assume` introduces a
@@ -64,7 +70,7 @@ from .syntax import (
     Lam, NatTy, Nil, Node, PiTy, QApp, QLam, RNat, RVec, Span, Succ, TApp,
     TAppImp, TCast, TCons, TFoldS, TFoldZ, TJoin, TLam, TLamImp, TNil,
     TQApp, TQLam, TRNat, TRVec, TSucc, TUnfoldS, TUnfoldZ, TZero, Ty,
-    UnannTerm, VecTy, Zero, close_at, close1, free_vars, fresh_name, subst,
+    UnannTerm, VecTy, Zero, free_vars, fresh_name, subst,
 )
 from .typecheck import Diagnostic, Mode
 
@@ -181,9 +187,6 @@ class SourceFile:
 MAX_NUMERAL = 100_000
 
 _ATOM_STARTS = frozenset({"zero", "number", "ident", "nil", "("})
-_HEAD_STARTS = _ATOM_STARTS | frozenset(
-    {"S", "cons", "join", "rnat", "rvec", "cast", "foldz", "unfoldz",
-     "folds", "unfolds"})
 _TYPE_KEYWORDS = frozenset({"Nat", "Vec", "Pi", "All", "ifzero"})
 
 
@@ -191,6 +194,10 @@ class _Parser:
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.pos = 0
+        # Names of the binders around the current token, innermost last.
+        # Each binder pushes its names inline and pops them after its
+        # scope, so that nesting costs no extra Python frame.
+        self.scope: list[str] = []
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -260,14 +267,15 @@ class _Parser:
         if tok.kind in _TYPE_KEYWORDS:
             return self._type_keyword()
         if tok.kind == "(":
-            save = self.pos
+            save, depth = self.pos, len(self.scope)
             try:
                 self.next()
                 inner = self.type_()
                 self.expect(")")
                 return inner
-            except ParseError:
+            except ParseError:  # may fail inside a binder's scope
                 self.pos = save
+                del self.scope[depth:]
         return self._equation()
 
     def _type_keyword(self) -> Ty:
@@ -284,9 +292,11 @@ class _Parser:
             self.expect(":")
             dom = self.type_()
             self.expect(".")
+            self.scope.append(name.text)
             cod = self.type_()
+            self.scope.pop()
             cls = PiTy if tok.kind == "Pi" else AllTy
-            return cls(name.text, dom, close1(cod, name.text),
+            return cls(name.text, dom, cod,
                        span=Span(tok.start, self._prev_end()))
         if tok.kind == "ifzero":
             scrut = self.atom()
@@ -325,9 +335,11 @@ class _Parser:
             self.expect(":")
             dom = self.type_()
             self.expect("=>")
+            self.scope.append(name.text)
             body = self.term()
+            self.scope.pop()
             cls = {"fun": TLam, "ifun": TLamImp, "qfun": TQLam}[tok.kind]
-            return cls(name.text, dom, close1(body, name.text),
+            return cls(name.text, dom, body,
                        span=Span(tok.start, self._prev_end()))
         return self.apply()
 
@@ -368,44 +380,32 @@ class _Parser:
             lhs = self.atom()
             rhs = self.atom()
             return TJoin(lhs, rhs, span=Span(tok.start, self._prev_end()))
-        if kind == "rnat":
+        if kind in ("rnat", "rvec", "cast"):
+            # `[x. motive]`; rvec binds `[l. v. motive]`, with the length
+            # at index 1 and the vector at index 0
             self.next()
             self.expect("[")
-            var = self.expect("ident", "a motive variable")
+            what = ("the length motive variable" if kind == "rvec"
+                    else "a motive variable")
+            names = [self.expect("ident", what).text]
             self.expect(".")
+            if kind == "rvec":
+                vvar = self.expect("ident", "the vector motive variable")
+                names.append(vvar.text)
+                self.expect(".")
+            self.scope += names
             motive = self.type_()
+            del self.scope[-len(names):]
             self.expect("]")
-            base = self.atom()
-            step = self.atom()
+            first = self.atom()
+            second = self.atom()
+            if kind == "cast":
+                return TCast(*names, motive, first, second,
+                             span=Span(tok.start, self._prev_end()))
             scrut = self.atom()
-            return TRNat(var.text, close1(motive, var.text), base, step,
-                         scrut, span=Span(tok.start, self._prev_end()))
-        if kind == "rvec":
-            self.next()
-            self.expect("[")
-            lvar = self.expect("ident", "the length motive variable")
-            self.expect(".")
-            vvar = self.expect("ident", "the vector motive variable")
-            self.expect(".")
-            motive = self.type_()
-            self.expect("]")
-            base = self.atom()
-            step = self.atom()
-            scrut = self.atom()
-            closed = close_at(close_at(motive, 0, vvar.text), 1, lvar.text)
-            return TRVec(lvar.text, vvar.text, closed, base, step, scrut,
-                         span=Span(tok.start, self._prev_end()))
-        if kind == "cast":
-            self.next()
-            self.expect("[")
-            var = self.expect("ident", "a motive variable")
-            self.expect(".")
-            motive = self.type_()
-            self.expect("]")
-            proof = self.atom()
-            body = self.atom()
-            return TCast(var.text, close1(motive, var.text), proof, body,
-                         span=Span(tok.start, self._prev_end()))
+            cls = TRNat if kind == "rnat" else TRVec
+            return cls(*names, motive, first, second, scrut,
+                       span=Span(tok.start, self._prev_end()))
         if kind == "foldz":
             self.next()
             self.expect("[")
@@ -458,7 +458,11 @@ class _Parser:
             return t
         if tok.kind == "ident":
             self.next()
-            return FVar(tok.text, span=tok.span)
+            name = tok.text
+            if name in self.scope:
+                # the distance to the innermost binder of that name
+                return BVar(self.scope[::-1].index(name), span=tok.span)
+            return FVar(name, span=tok.span)
         if tok.kind == "nil":
             self.next()
             self.expect("[")

@@ -22,7 +22,10 @@ what changes; `open_at`, `close_at`, `subst` and erasure's index lowering
 (`erase._release`) are each a leaf function over it.  The folds
 `free_vars` and `node_count` walk the same children.  The reducer opens
 and closes binders with its own walker, which does not recurse
-(`reduce._open`/`_close`).
+(`reduce._open`/`_close`).  The parser closes nothing: it binds names as
+it reads them.  `close_at` (through `close1`) is left to the checker,
+which closes the types it builds, and to the corpus, which builds terms
+from names.
 """
 
 from __future__ import annotations

@@ -79,6 +79,20 @@ class TestCheck:
         assert blob["defs"][-1]["status"] == "error"
         assert blob["defs"][-1]["diagnostic"]["code"] == "join-distinct"
 
+    def test_name_released_in_a_type_is_not_captured(self, tmp_path,
+                                                      capsys):
+        # The length erases to the `b` that the ill-typed `ifun` releases,
+        # which is a free name and not the `b` that the `Pi` binds.
+        src = tmp_path / "released.tvec"
+        src.write_text("assume v : Pi b : Nat. Vec Nat (ifun b : Nat => b)\n"
+                       "def w : Vec Nat 0 = v 0\n")
+        code, out, err = run_cli(capsys, "check", str(src))
+        assert code == 1
+        assert "assume v mentions unknown names: b" in err
+        code, out, err = run_cli(capsys, "check", str(src), "--json")
+        assert code == 1
+        assert json.loads(out)["error"]["code"] == "unknown-name"
+
     def test_mode_override_rejects_implicits(self, capsys):
         code, out, err = run_cli(capsys, "check", VEC,
                                  "--mode", "large-elim")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tvec.corpus import append_body, num, plus_body, quod_all_body
-from tvec.erase import _release, erase, subst_annotated, term_free_vars
+from tvec.erase import _release, erase, subst_annotated
 from tvec.oracle import enumerate_terms
 from tvec.syntax import (
     App, BVar, Cons, EqTy, FVar, Join, Lam, NatTy, Nil, PiTy, QApp, QLam,
@@ -144,9 +144,8 @@ class TestCorpusErasures:
 
 
 class TestFreeVariables:
-    def test_term_free_vars_ignores_annotations(self):
+    def test_free_vars_include_annotations(self):
         t = TLam("x", VecTy(NAT, FVar("n")), BVar(0))
-        assert term_free_vars(t) == frozenset()
         assert free_vars(t) == frozenset({"n"})
 
     def test_erasure_can_only_drop_free_vars(self):

@@ -1,15 +1,22 @@
 """Surface syntax: lexing, parsing, printing, and definition resolution."""
 
+import functools
+from dataclasses import fields, is_dataclass
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_lexer
+import reference_parser
 import tvec.frontend
+import tvec.syntax
+from conftest import EXAMPLES
 from tvec.erase import erase
 from tvec.frontend import (
     KEYWORDS, MAX_NUMERAL, ParseError, ResolveError, parse, parse_term,
     parse_type, pretty, resolve_defs, tokenize,
 )
+from tvec.oracle import enumerate_terms
 from tvec.syntax import (
     AllTy, App, BVar, Context, EqTy, FVar, IfZeroTy, Lam, NatTy, PiTy, Succ,
     TApp, TAppImp, TCast, TCons, TJoin, TLam, TLamImp, TNil, TQApp, TQLam,
@@ -146,6 +153,8 @@ class TestParseTerm:
     def test_rvec_motive_binds_two(self):
         t = parse_term("rvec [n. v. Vec Nat n] b s xs")
         assert t.motive == VecTy(NAT, BVar(1))
+        t = parse_term("rvec [n. v. n = v] b s xs")
+        assert t.motive == EqTy(BVar(1), BVar(0))
 
     def test_trailing_input_rejected(self):
         with pytest.raises(ParseError):
@@ -190,6 +199,56 @@ class TestParseType:
     def test_pi_scopes_into_codomain(self):
         ty = parse_type("Pi n : Nat. Vec Nat n")
         assert ty == PiTy("n", NAT, VecTy(NAT, BVar(0)))
+
+    def test_name_released_from_an_implicit_binder_stays_free(self):
+        # The length erases to the `b` that the ill-typed `ifun` releases.
+        # That is not the `b` of the `Pi`; the two-pass reference parser
+        # erased before closing the `Pi` and so captured it.
+        src = "Pi b : Nat. Vec Nat (ifun b : Nat => b)"
+        assert parse_type(src) == PiTy("b", NAT, VecTy(NAT, FVar("b")))
+        assert reference_parser.parse_type(src) == \
+            PiTy("b", NAT, VecTy(NAT, BVar(0)))
+
+
+class TestBinding:
+    """Names bind as they are parsed, with no pass over finished bodies."""
+
+    def test_deep_binder_chains_parse(self):
+        # Each `fun` level costs the parser one Python frame and each `Pi`
+        # level two, so both fit under the default recursion limit.
+        t = parse_term("fun x : Nat => " * 700 + "x")
+        for _ in range(700):
+            t = t.body
+        assert t == BVar(0)
+        ty = parse_type("Pi x : Nat. " * 350 + "Vec Nat x")
+        for _ in range(350):
+            ty = ty.cod
+        assert ty == VecTy(NAT, BVar(0))
+
+    @pytest.mark.parametrize("src", [
+        "fun x : Nat => " * 200 + "x",
+        "ifun x : Nat => qfun y : Nat => " * 100 + "x",
+        "nil[" + "Pi x : Nat. All y : Nat. " * 100 + "Vec Nat x]",
+        "cast [w. Vec Nat (" * 100 + "w" + ")] p v" * 100,
+        "rnat [x. Vec Nat (" * 100 + "x" + ")] 0 s n" * 100,
+        "rvec [l. v. Vec Nat (" * 100 + "l" + ")] 0 s n" * 100,
+    ], ids=["fun", "ifun-qfun", "Pi-All", "cast", "rnat", "rvec"])
+    def test_parsing_walks_no_finished_body(self, src, monkeypatch):
+        calls = 0
+        map_vars = tvec.syntax.map_vars
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return map_vars(*args)
+
+        monkeypatch.setattr(tvec.syntax, "map_vars", counted)
+        parse_term(src)
+        assert calls == 0
+
+    def test_inner_binder_shadows_outer(self):
+        t = parse_term("fun x : Nat => fun y : Nat => fun x : Nat => x y")
+        assert t.body.body.body == TApp(BVar(0), BVar(1))
 
 
 class TestPretty:
@@ -352,3 +411,156 @@ class TestFileParsing:
 def free_vars_empty(t) -> bool:
     from tvec.syntax import free_vars
     return not free_vars(t)
+
+
+# --------------------------------------------------------------------------
+# the parser against the reference parser
+
+
+def tree(x):
+    """`x` with every field spelled out, spans and binder hints included."""
+    if isinstance(x, tuple):
+        return tuple(map(tree, x))
+    if is_dataclass(x):
+        return (type(x).__name__,) + tuple(
+            tree(getattr(x, f.name)) for f in fields(x))
+    return x
+
+
+def parsed(parser, text):
+    try:
+        return parser(text)
+    except ParseError as err:
+        return err.diagnostic.message, err.diagnostic.span
+
+
+def assert_same_parse(new, ref, text):
+    """The two parsers give `==` results with equal spans and hints, or the
+    same error at the same span."""
+    got, want = parsed(new, text), parsed(ref, text)
+    assert got == want
+    assert tree(got) == tree(want)
+
+
+def _seq(*parts):
+    """Concatenate token lists; a string part is one literal token."""
+    parts = [st.just([p]) if isinstance(p, str) else p for p in parts]
+    return st.tuples(*parts).map(_concat)
+
+
+def _concat(lists):
+    return [tok for toks in lists for tok in toks]
+
+
+def _one(*tokens):
+    return st.sampled_from(tokens).map(lambda tok: [tok])
+
+
+@functools.cache
+def _grammar(implicit: bool, depth: int):
+    """Strategies for the token lists of a term and of a type that nest at
+    most `depth` levels deep.
+
+    With `implicit`, terms may bind with `ifun`/`qfun` but types embed no
+    terms (no `Vec`, `ifzero` or `=`); without it, the reverse.  So no
+    erasure at parse time ever releases a name, which keeps out the one
+    case where the parsers differ on purpose (see
+    `test_name_released_from_an_implicit_binder_stays_free`).
+    """
+    name = _one("x", "y", "b")
+    if depth == 0:
+        return st.one_of(name, _one("zero", "0", "2")), _one("Nat")
+    term, ty = _grammar(implicit, depth - 1)
+    tyatom = st.one_of(_one("Nat"), _seq("(", ty, ")"))
+    atom = st.one_of(
+        name, _one("zero", "0", "2"), _seq("nil", "[", ty, "]"),
+        _seq("(", term, ")"))
+    head = st.one_of(
+        atom, _seq("S", atom), _seq(_one("cons", "join"), atom, atom),
+        _seq("rnat", "[", name, ".", ty, "]", atom, atom, atom),
+        _seq("rvec", "[", name, ".", name, ".", ty, "]", atom, atom, atom),
+        _seq("cast", "[", name, ".", ty, "]", atom, atom),
+        _seq("foldz", "[", ty, "]", atom), _seq("unfoldz", atom),
+        _seq("folds", "[", term, "]", "[", ty, "]", atom),
+        _seq("unfolds", "[", term, "]", atom))
+    arg = st.one_of(atom, _seq(_one("@[", "@-["), term, "]"))
+    apply = _seq(head, st.lists(arg, max_size=2).map(_concat))
+    binder = _one("fun", "ifun", "qfun") if implicit else _one("fun")
+    ty_forms = [_one("Nat"), _seq("(", ty, ")"),
+                _seq(_one("Pi", "All"), name, ":", ty, ".", ty)]
+    if not implicit:
+        ty_forms += [_seq("Vec", tyatom, atom),
+                     _seq("ifzero", atom, tyatom, tyatom),
+                     _seq(apply, "=", apply)]
+    return (st.one_of(apply, _seq(binder, name, ":", ty, "=>", term)),
+            st.one_of(*ty_forms))
+
+
+def _sources(implicit: bool):
+    """(entry point, text) pairs from the grammar, each text mutated by at
+    most two token insertions or deletions drawn from the same tokens."""
+    term, ty = _grammar(implicit, 3)
+    entries = [st.tuples(st.just("term"), term),
+               st.tuples(st.just("type"), ty)]
+    if not implicit:
+        name = _one("x", "y", "b")
+        item = st.one_of(
+            _seq("mode", _one("base", "large-elim")),
+            _seq("assume", name, ":", ty),
+            _seq("def", name, ":", ty, "=", term))
+        entries.append(st.tuples(
+            st.just("file"), st.lists(item, max_size=3).map(_concat)))
+    vocab = sorted(KEYWORDS - ({"Vec", "ifzero"} if implicit
+                               else {"ifun", "qfun"}))
+    vocab += ["x", "y", "b", "0", "(", ")", "[", "]", ":", ".", "=>",
+              "@[", "@-["] + ([] if implicit else ["="])
+    edits = st.lists(st.tuples(st.integers(0, 200),
+                               st.one_of(st.none(), st.sampled_from(vocab))),
+                     max_size=2)
+    return st.tuples(st.one_of(*entries), edits).map(_edited)
+
+
+def _edited(drawn):
+    (entry, toks), edits = drawn
+    toks = list(toks)
+    for at, tok in edits:
+        if tok is None:
+            if toks:
+                del toks[at % len(toks)]
+        else:
+            toks.insert(at % (len(toks) + 1), tok)
+    return entry, " ".join(toks)
+
+
+ENTRY_POINTS = {
+    "term": (parse_term, reference_parser.parse_term),
+    "type": (parse_type, reference_parser.parse_type),
+    "file": (parse, reference_parser.parse),
+}
+
+
+class TestReferenceParser:
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("ctx", [
+        Context(),
+        Context().extend("a", NatTy()).extend("b", VecTy(NatTy(), Zero())),
+    ], ids=["closed", "two-variables"])
+    def test_enumerated_terms(self, mode, ctx):
+        for t in enumerate_terms(6, mode, ctx):
+            assert_same_parse(parse_term, reference_parser.parse_term,
+                              pretty(t))
+
+    @pytest.mark.parametrize("path", sorted(
+        [*EXAMPLES.glob("*.tvec"),
+         *(EXAMPLES.parent / "perfbench" / "programs").glob("*.tvec")]),
+        ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_program_files(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert len(parse(text).items) > 1
+        assert_same_parse(parse, reference_parser.parse, text)
+
+    @settings(max_examples=500)
+    @given(st.booleans().flatmap(_sources))
+    def test_grammar_token_strings(self, source):
+        entry, text = source
+        assert_same_parse(*ENTRY_POINTS[entry], text)
