@@ -1,10 +1,18 @@
 """Command-line front door: check, eval, erase, selftest.
 
+Each command returns one `Report`: exit status, `--json` payload, stdout
+text and stderr note.  A failure that ends a command early raises
+`_Failure` instead, and `main` turns it into the common error payload.
+`main` alone writes the report, so once argparse has accepted the
+command line, `--json` puts one JSON object on stdout whatever happens,
+bad fuel, an out-of-range `--size` and exhausted stack or memory
+included.  Human diagnostics go to stderr either way; only
+`eval --trace` writes there as it runs, one line per step.
+
 Exit codes are disjoint by construction: 0 is success, 1 is a failed
 check, evaluation, or self-test, and 2 is anything that prevented the
 request from being carried out at all (usage, unreadable file, syntax
-error).  With `--json` the report on stdout is well-formed JSON whatever
-happens; human diagnostics go to stderr either way.
+error, exhausted resources).
 
 The reduction budget comes from `--fuel`, falling back to the TVEC_FUEL
 environment variable and then to the built-in default.
@@ -17,6 +25,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from .erase import erase
 from .frontend import (
@@ -26,7 +35,7 @@ from .frontend import (
 from .oracle import ENUM_CAP, run_property_suite
 from .reduce import DEFAULT_FUEL, FuelExhausted, Stuck, eval_cbv, normalize
 from .syntax import free_vars
-from .typecheck import Checker, Inferred, Mode
+from .typecheck import Checker, Diagnostic, Inferred, Mode
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -81,6 +90,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+class Report(NamedTuple):
+    """What a command has to say; `main` writes it."""
+    status: int
+    payload: dict               # the `--json` report
+    text: str | None = None     # stdout without `--json`
+    note: str | None = None     # stderr, with or without `--json`
+
+
+class _Failure(Exception):
+    """Ends a command early.  `main` writes `note` to stderr and, under
+    `--json`, the common error payload around `error`; `mode` is the
+    file's mode once it is known."""
+
+    def __init__(self, status: int, error: dict, note: str,
+                 mode: Mode | None = None):
+        super().__init__(note)
+        self.status = status
+        self.error = error
+        self.note = note
+        self.mode = mode
+
+
+def _usage(message: str) -> _Failure:
+    return _Failure(EXIT_USAGE, {"code": "usage-error", "message": message},
+                    f"tvec: {message}")
+
+
 def _fuel_from(args: argparse.Namespace) -> int:
     if args.fuel is not None:
         fuel = args.fuel
@@ -91,9 +127,9 @@ def _fuel_from(args: argparse.Namespace) -> int:
         try:
             fuel = int(raw)
         except ValueError:
-            raise ValueError(f"TVEC_FUEL must be an integer, got {raw!r}")
+            raise _usage(f"TVEC_FUEL must be an integer, got {raw!r}")
     if fuel <= 0:
-        raise ValueError("fuel must be positive")
+        raise _usage("fuel must be positive")
     return fuel
 
 
@@ -101,79 +137,52 @@ def _mode_from(args: argparse.Namespace) -> Mode | None:
     return Mode(args.mode) if args.mode else None
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
-
-
-def _error_payload(fuel: int, mode: Mode | None, code: str,
-                   message: str, diagnostic: dict | None = None) -> dict:
-    return {
-        "defs": [],
-        "mode": mode.value if mode else None,
-        "fuel": fuel,
-        "error": diagnostic or {"code": code, "message": message},
-    }
-
-
-def _load(args: argparse.Namespace, fuel: int):
-    """Read, parse, and resolve; returns (resolved, None) or (None, exit).
+def _load(args: argparse.Namespace) -> ResolvedFile:
+    """Read, parse, and resolve.
 
     I/O and syntax errors are exit 2; resolution errors (unknown or
     duplicate names, recursion) mean a syntactically fine file that does
     not define what it claims, and are exit 1 like any other failure.
     """
-    mode = _mode_from(args)
     try:
         text = Path(args.path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
         # an OSError names the file itself; a decoding error does not
         message = str(err) if isinstance(err, OSError) \
             else f"{args.path}: {err}"
-        if args.json:
-            _emit(_error_payload(fuel, mode, "io-error", message))
-        print(f"tvec: {message}", file=sys.stderr)
-        return None, EXIT_USAGE
+        raise _Failure(EXIT_USAGE, {"code": "io-error", "message": message},
+                       f"tvec: {message}")
     try:
-        resolved = resolve_defs(parse(text), mode)
-    except ParseError as err:
-        if args.json:
-            _emit(_error_payload(fuel, mode, "parse-error", str(err),
-                                 err.diagnostic.to_json()))
-        print(f"tvec: {args.path}: {err.diagnostic.render()}",
-              file=sys.stderr)
-        return None, EXIT_USAGE
-    except ResolveError as err:
-        if args.json:
-            _emit(_error_payload(fuel, mode, "resolve-error", str(err),
-                                 err.diagnostic.to_json()))
-        print(f"tvec: {args.path}: {err.diagnostic.render()}",
-              file=sys.stderr)
-        return None, EXIT_FAIL
-    return resolved, None
+        return resolve_defs(parse(text), _mode_from(args))
+    except (ParseError, ResolveError) as err:
+        status = EXIT_USAGE if isinstance(err, ParseError) else EXIT_FAIL
+        raise _Failure(status, err.diagnostic.to_json(),
+                       f"tvec: {args.path}: {err.diagnostic.render()}")
 
 
-def _find_def(args: argparse.Namespace, fuel: int,
-              resolved: ResolvedFile) -> ResolvedDef | None:
-    """The definition named on the command line, or None once reported."""
+def _find_def(args: argparse.Namespace,
+              resolved: ResolvedFile) -> ResolvedDef:
+    """The definition named on the command line."""
     for d in resolved.defs:
         if d.name == args.name:
             return d
-    if args.json:
-        _emit(_error_payload(fuel, resolved.mode, "unknown-def",
-                             f"no definition named {args.name}"))
-    print(f"tvec: {args.path}: no definition named {args.name}",
-          file=sys.stderr)
-    return None
+    message = f"no definition named {args.name}"
+    raise _Failure(EXIT_FAIL, {"code": "unknown-def", "message": message},
+                   f"tvec: {args.path}: {message}", resolved.mode)
 
 
-def _cmd_check(args: argparse.Namespace, fuel: int) -> int:
-    resolved, failed = _load(args, fuel)
-    if resolved is None:
-        return failed
+def _failed_to_check(args: argparse.Namespace, name: str,
+                     diagnostic: Diagnostic) -> str:
+    return (f"tvec: {args.path}: definition {name} failed to check\n"
+            f"{diagnostic.render(indent=1)}")
+
+
+def _cmd_check(args: argparse.Namespace, fuel: int) -> Report:
+    resolved = _load(args)
     checker = Checker(fuel, resolved.mode)
     report: list[dict] = []
     lines: list[str] = []
-    failure = None
+    note = None
     for d in resolved.defs:
         res = checker.check_against(resolved.assumptions, d.body, d.ty)
         if isinstance(res, Inferred):
@@ -184,45 +193,26 @@ def _cmd_check(args: argparse.Namespace, fuel: int) -> int:
             report.append({"name": d.name, "type": pretty(d.declared),
                            "status": "error",
                            "diagnostic": res.diagnostic.to_json()})
-            failure = (d.name, res.diagnostic)
+            note = _failed_to_check(args, d.name, res.diagnostic)
             break
-    if args.json:
-        _emit({"defs": report, "mode": resolved.mode.value, "fuel": fuel})
-    else:
-        for line in lines:
-            print(line)
-    if failure is not None:
-        name, diag = failure
-        print(f"tvec: {args.path}: definition {name} failed to check",
-              file=sys.stderr)
-        print(diag.render(indent=1), file=sys.stderr)
-        return EXIT_FAIL
-    return EXIT_OK
+    return Report(EXIT_OK if note is None else EXIT_FAIL,
+                  {"defs": report, "mode": resolved.mode.value, "fuel": fuel},
+                  "\n".join(lines), note)
 
 
 def _print_step(step: int, term) -> None:
     print(f"{step:>5}  {pretty(term)}", file=sys.stderr)
 
 
-def _cmd_eval(args: argparse.Namespace, fuel: int) -> int:
-    resolved, failed = _load(args, fuel)
-    if resolved is None:
-        return failed
-    d = _find_def(args, fuel, resolved)
-    if d is None:
-        return EXIT_FAIL
-
+def _cmd_eval(args: argparse.Namespace, fuel: int) -> Report:
+    resolved = _load(args)
+    d = _find_def(args, resolved)
     checker = Checker(fuel, resolved.mode)
     res = checker.check_against(resolved.assumptions, d.body, d.ty)
     if not isinstance(res, Inferred):
-        if args.json:
-            _emit(_error_payload(fuel, resolved.mode, "check-failed",
-                                 f"definition {args.name} does not check",
-                                 res.diagnostic.to_json()))
-        print(f"tvec: {args.path}: definition {args.name} failed to check",
-              file=sys.stderr)
-        print(res.diagnostic.render(indent=1), file=sys.stderr)
-        return EXIT_FAIL
+        raise _Failure(EXIT_FAIL, res.diagnostic.to_json(),
+                       _failed_to_check(args, d.name, res.diagnostic),
+                       resolved.mode)
 
     erasure = erase(d.body)
     closed = not free_vars(d.body) and not len(resolved.assumptions)
@@ -235,7 +225,7 @@ def _cmd_eval(args: argparse.Namespace, fuel: int) -> int:
     else:
         outcome = normalize(erasure, fuel, on_step=on_step)
 
-    kind = type(outcome).__name__
+    term, kind = pretty(outcome.term), type(outcome).__name__
     steps = outcome.fuel if isinstance(outcome, FuelExhausted) \
         else outcome.steps
     note = None
@@ -253,55 +243,38 @@ def _cmd_eval(args: argparse.Namespace, fuel: int) -> int:
         note = "out of fuel; raise --fuel or TVEC_FUEL to continue"
         code = EXIT_FAIL
 
-    if args.json:
-        _emit({
-            "def": d.name,
-            "strategy": args.strategy,
-            "mode": resolved.mode.value,
-            "fuel": fuel,
-            "closed": closed,
-            "kind": kind,
-            "term": pretty(outcome.term),
-            "steps": steps,
-            "note": note,
-        })
-    else:
-        print(f"{pretty(outcome.term)}, {kind}, {steps} steps")
-    if note is not None:
-        print(f"tvec: {note}", file=sys.stderr)
-    return code
+    return Report(code, {
+        "def": d.name,
+        "strategy": args.strategy,
+        "mode": resolved.mode.value,
+        "fuel": fuel,
+        "closed": closed,
+        "kind": kind,
+        "term": term,
+        "steps": steps,
+        "note": note,
+    }, f"{term}, {kind}, {steps} steps",
+        None if note is None else f"tvec: {note}")
 
 
-def _cmd_erase(args: argparse.Namespace, fuel: int) -> int:
-    resolved, failed = _load(args, fuel)
-    if resolved is None:
-        return failed
-    d = _find_def(args, fuel, resolved)
-    if d is None:
-        return EXIT_FAIL
-    erasure = erase(d.body)
-    if args.json:
-        _emit({"def": d.name, "mode": resolved.mode.value,
-               "erasure": pretty(erasure)})
-    else:
-        print(pretty(erasure))
-    return EXIT_OK
+def _cmd_erase(args: argparse.Namespace, fuel: int) -> Report:
+    resolved = _load(args)
+    d = _find_def(args, resolved)
+    erasure = pretty(erase(d.body))
+    return Report(EXIT_OK, {"def": d.name, "mode": resolved.mode.value,
+                            "erasure": erasure}, erasure)
 
 
-def _cmd_selftest(args: argparse.Namespace, fuel: int) -> int:
+def _cmd_selftest(args: argparse.Namespace, fuel: int) -> Report:
     if not 1 <= args.size <= ENUM_CAP:
-        print(f"tvec: --size must be between 1 and {ENUM_CAP}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise _usage(f"--size must be between 1 and {ENUM_CAP}")
     modes = [Mode(args.mode)] if args.mode else list(Mode)
     reports = [run_property_suite(size=args.size, mode=m, fuel=fuel)
                for m in modes]
     ok = all(r.ok and r.undecided == 0 for r in reports)
-    if args.json:
-        _emit({"reports": [r.to_json() for r in reports], "ok": ok})
-    else:
-        print("\n\n".join(r.render() for r in reports))
-    return EXIT_OK if ok else EXIT_FAIL
+    return Report(EXIT_OK if ok else EXIT_FAIL,
+                  {"reports": [r.to_json() for r in reports], "ok": ok},
+                  "\n\n".join(r.render() for r in reports))
 
 
 _COMMANDS = {
@@ -314,12 +287,27 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    fuel = None
     try:
         fuel = _fuel_from(args)
-    except ValueError as err:
-        print(f"tvec: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    return _COMMANDS[args.command](args, fuel)
+        report = _COMMANDS[args.command](args, fuel)
+    except (_Failure, RecursionError, MemoryError) as err:
+        if not isinstance(err, _Failure):
+            message = (f"resources exhausted ({type(err).__name__}); the "
+                       "input is too deep or too large")
+            err = _Failure(EXIT_USAGE, {"code": "resource-exhausted",
+                                        "message": message},
+                           f"tvec: {message}")
+        mode = err.mode or _mode_from(args)
+        report = Report(err.status, {
+            "defs": [], "mode": mode.value if mode else None, "fuel": fuel,
+            "error": err.error}, note=err.note)
+    out = json.dumps(report.payload, indent=2) if args.json else report.text
+    if out:
+        print(out)
+    if report.note:
+        print(report.note, file=sys.stderr)
+    return report.status
 
 
 if __name__ == "__main__":

@@ -83,14 +83,14 @@ def _release(body: UnannTerm, hint: str) -> UnannTerm:
     return map_vars(body, BVar, leaf)
 
 
-def subst_annotated(t: AnnTerm, name: str, repl: AnnTerm) -> AnnTerm:
+def subst_annotated(t: AnnTerm, name: str, repl: AnnTerm,
+                    repl_erased: UnannTerm) -> AnnTerm:
     """Substitute an annotated term for a free variable.
 
     Term positions receive `repl` itself; annotation positions (types,
-    motives) embed unannotated terms only, so they receive its erasure.
+    motives) embed unannotated terms only, so they receive its erasure
+    `repl_erased`, which must be `erase(repl)`; callers hold it already.
     """
-    repl_erased = erase(repl)
-
     def go(t: Node) -> Node:
         if isinstance(t, FVar):
             return repl if t.name == name else t

@@ -198,6 +198,11 @@ class _Parser:
         # Each binder pushes its names inline and pops them after its
         # scope, so that nesting costs no extra Python frame.
         self.scope: list[str] = []
+        # Positions of a `(` where `( type )` failed.  Whether it fails
+        # depends on the tokens alone (the scope only picks BVar or FVar),
+        # so `type_` goes straight to the equation there on a retry; a
+        # retry without it costs twice the work per level of nesting.
+        self.not_a_type: set[int] = set()
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -266,7 +271,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind in _TYPE_KEYWORDS:
             return self._type_keyword()
-        if tok.kind == "(":
+        if tok.kind == "(" and self.pos not in self.not_a_type:
             save, depth = self.pos, len(self.scope)
             try:
                 self.next()
@@ -276,6 +281,7 @@ class _Parser:
             except ParseError:  # may fail inside a binder's scope
                 self.pos = save
                 del self.scope[depth:]
+                self.not_a_type.add(save)
         return self._equation()
 
     def _type_keyword(self) -> Ty:
@@ -709,7 +715,7 @@ def resolve_defs(source: SourceFile,
                 continue
             done = i
             name, body, erased, stray = inlinable[i]
-            node = (subst_annotated(node, name, body) if annotated
+            node = (subst_annotated(node, name, body, erased) if annotated
                     else subst(node, name, erased))
             released = released or bool(stray)
             for n in stray:

@@ -346,7 +346,6 @@ def run_property_suite(
     mode: Mode = Mode.BASE,
     fuel: int = DEFAULT_FUEL,
     checker_factory: Callable[..., Checker] = Checker,
-    include_corpus: bool = True,
 ) -> SuiteReport:
     """Enumerate, check, and test; see the module docstring for the laws.
 
@@ -376,22 +375,19 @@ def run_property_suite(
         open_terms.append(t)
         checker.infer(scope, t)
 
-    corpus_checked = 0
     corpus_failures: list[Counterexample] = []
-    if include_corpus:
-        if mode is Mode.LARGE_ELIM:
-            defs, ctx = ext_corpus(), ext_assumptions()
-        else:
-            defs, ctx = base_corpus(), empty
-        for d in defs:
-            corpus_checked += 1
-            res = checker.check_against(ctx, d.body, d.ty)
-            if not isinstance(res, Inferred):
-                corpus_failures.append(Counterexample(
-                    "corpus", d.name, frontend.pretty(d.ty),
-                    res.diagnostic.message))
-            elif not free_vars(d.body):
-                closed.append((d.name, d.body, res.type))
+    if mode is Mode.LARGE_ELIM:
+        defs, ctx = ext_corpus(), ext_assumptions()
+    else:
+        defs, ctx = base_corpus(), empty
+    for d in defs:
+        res = checker.check_against(ctx, d.body, d.ty)
+        if not isinstance(res, Inferred):
+            corpus_failures.append(Counterexample(
+                "corpus", d.name, frontend.pretty(d.ty),
+                res.diagnostic.message))
+        elif not free_vars(d.body):
+            closed.append((d.name, d.body, res.type))
 
     p1 = _run_p1(closed, mode, fuel)
     p2 = _run_p2(closed, mode, fuel)
@@ -407,7 +403,7 @@ def run_property_suite(
         fuel=fuel,
         enumerated=enumerated,
         well_typed=well_typed,
-        corpus_checked=corpus_checked,
+        corpus_checked=len(defs),
         corpus_failures=tuple(corpus_failures),
         properties=(p1, p2, p3, p4, p5),
         rule_hits=dict(checker.rule_hits),
@@ -480,6 +476,7 @@ def _run_p3(closed: list[tuple[str, AnnTerm, Ty]],
 def _run_p4(terms: list[AnnTerm]) -> PropertyResult:
     probe = Succ(FVar("b"))
     probe_ann = TSucc(TZero())
+    probe_erased = erase(probe_ann)
     failures: list[Counterexample] = []
     for t in terms:
         u = erase(t)
@@ -494,8 +491,8 @@ def _run_p4(terms: list[AnnTerm]) -> PropertyResult:
                 f"free variables after substitution: {sorted(got)}, "
                 f"expected {sorted(expected)}"))
             continue
-        via_ann = erase(subst_annotated(t, "a", probe_ann))
-        via_erased = subst(u, "a", erase(probe_ann))
+        via_ann = erase(subst_annotated(t, "a", probe_ann, probe_erased))
+        via_erased = subst(u, "a", probe_erased)
         if not alpha_eq(via_ann, via_erased):
             failures.append(Counterexample(
                 "P4", frontend.pretty(t), None,

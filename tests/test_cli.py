@@ -5,17 +5,23 @@ TestConsoleScript tests run the installed `tvec` console script, so they
 need the package installed (`pip install -e .`) and fail without it, on
 purpose: installing the script is a guarantee of its own.  The exit
 code contract: 0 success, 1 failed check/eval/selftest, 2 usage or
-unreadable/unparseable input.  Every --json invocation must put
-well-formed JSON on stdout no matter what went wrong.
+unreadable/unparseable input or exhausted resources.  Every --json
+invocation that argparse accepts must put one JSON object on stdout no
+matter what went wrong.
 """
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tvec
 from tvec.cli import main
+from tvec.oracle import ENUM_CAP
 from tvec.reduce import DEFAULT_FUEL
 
 from conftest import QUODLIBET_PATH, VEC_PATH
@@ -248,6 +254,15 @@ class TestSelftest:
     def test_size_out_of_range(self, capsys):
         code, out, err = run_cli(capsys, "selftest", "--size", "0")
         assert code == 2
+        assert out == ""
+        assert err == f"tvec: --size must be between 1 and {ENUM_CAP}\n"
+        code, out, json_err = run_cli(capsys, "selftest", "--size", "99",
+                                      "--json")
+        assert (code, json_err) == (2, err)
+        assert json.loads(out) == {
+            "defs": [], "mode": None, "fuel": DEFAULT_FUEL,
+            "error": {"code": "usage-error",
+                      "message": f"--size must be between 1 and {ENUM_CAP}"}}
 
 
 # --------------------------------------------------------------------------
@@ -336,6 +351,13 @@ class TestErrorPaths:
         code, out, err = run_cli(capsys, "check", VEC)
         assert code == 2
         assert "TVEC_FUEL" in err or "fuel" in err
+        code, out, json_err = run_cli(capsys, "check", VEC, "--json",
+                                      "--mode", "base")
+        assert (code, json_err) == (2, err)
+        blob = json.loads(out)
+        assert blob["error"] == {"code": "usage-error",
+                                 "message": err[len("tvec: "):-1]}
+        assert (blob["defs"], blob["mode"], blob["fuel"]) == ([], "base", None)
 
     def test_flag_overrides_broken_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("TVEC_FUEL", "not-a-number")
@@ -345,6 +367,72 @@ class TestErrorPaths:
     def test_negative_fuel_flag(self, capsys):
         code, out, err = run_cli(capsys, "check", VEC, "--fuel", "-1")
         assert code == 2
+        assert err == "tvec: fuel must be positive\n"
+        code, out, json_err = run_cli(capsys, "check", VEC, "--fuel", "0",
+                                      "--json")
+        assert (code, json_err) == (2, err)
+        assert json.loads(out) == {
+            "defs": [], "mode": None, "fuel": None,
+            "error": {"code": "usage-error",
+                      "message": "fuel must be positive"}}
+
+    # Every failure above, and the two that only `eval` has, under --json.
+    # `{f}` is a file holding `source`.
+    @pytest.mark.parametrize("source, argv, env, code, error", [
+        (None, ["check", "/nonexistent.tvec"], None, 2, "io-error"),
+        (b"def n : Nat = \xff", ["check", "{f}"], None, 2, "io-error"),
+        (b"def ~\n", ["check", "{f}"], None, 2, "parse-error"),
+        ("def n : Nat = \u00b2\n".encode(), ["check", "{f}"], None, 2,
+         "parse-error"),
+        (b"def a : Nat = mystery\n", ["check", "{f}"], None, 1,
+         "unknown-name"),
+        (b"def a : Nat = 0\ndef a : Nat = 0\n", ["check", "{f}"], None, 1,
+         "duplicate-name"),
+        (None, ["check", VEC], "abc", 2, "usage-error"),
+        (None, ["check", VEC, "--fuel", "-1"], None, 2, "usage-error"),
+        (None, ["selftest", "--size", "0"], None, 2, "usage-error"),
+        (None, ["eval", VEC, "nosuch"], None, 1, "unknown-def"),
+        (b"def bad : 0 = 1 = join 0 1\n", ["eval", "{f}", "bad"], None, 1,
+         "join-distinct"),
+    ], ids=["missing-file", "non-utf8", "parse-error", "non-decimal-digit",
+            "unknown-name", "duplicate-definition", "bad-fuel-env-var",
+            "negative-fuel-flag", "size-out-of-range", "eval-unknown-def",
+            "eval-check-fails"])
+    def test_every_failure_is_one_json_object(self, source, argv, env, code,
+                                              error, tmp_path, capsys,
+                                              monkeypatch):
+        path = tmp_path / "f.tvec"
+        if source is not None:
+            path.write_bytes(source)
+        if env is not None:
+            monkeypatch.setenv("TVEC_FUEL", env)
+        argv = [a.format(f=path) for a in argv]
+        got, out, err = run_cli(capsys, *argv, "--json")
+        assert got == code
+        blob = json.loads(out)
+        assert blob["defs"] == []
+        assert blob["error"]["code"] == error
+        assert err.startswith("tvec: ")
+
+    def test_exhausted_stack_is_a_diagnostic(self):
+        # The recursion limit is set after the imports, so only the command
+        # runs short of stack.
+        src = str(Path(tvec.__file__).resolve().parents[1])
+        inherited = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, inherited])))
+        script = ("import sys\n"
+                  "from tvec.cli import main\n"
+                  "sys.setrecursionlimit(50)\n"
+                  f"sys.exit(main(['check', {VEC!r}, '--json']))\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2, proc.stderr
+        blob = json.loads(proc.stdout)
+        assert blob["defs"] == []
+        assert blob["error"]["code"] == "resource-exhausted"
+        assert proc.stderr.startswith("tvec: ")
+        assert proc.stderr.count("\n") == 1
 
 
 # --------------------------------------------------------------------------

@@ -174,7 +174,7 @@ def annotated_terms():
 def test_erase_commutes_with_substitution(t):
     """|t[x := s]| == |t|[x := |s|] for annotated substitution."""
     repl = TSucc(TZero())
-    assert alpha_eq(erase(subst_annotated(t, "a", repl)),
+    assert alpha_eq(erase(subst_annotated(t, "a", repl, erase(repl))),
                     subst(erase(t), "a", erase(repl)))
 
 

@@ -1,6 +1,7 @@
 """Surface syntax: lexing, parsing, printing, and definition resolution."""
 
 import functools
+import importlib
 from dataclasses import fields, is_dataclass
 
 import pytest
@@ -20,7 +21,7 @@ from tvec.oracle import enumerate_terms
 from tvec.syntax import (
     AllTy, App, BVar, Context, EqTy, FVar, IfZeroTy, Lam, NatTy, PiTy, Succ,
     TApp, TAppImp, TCast, TCons, TJoin, TLam, TLamImp, TNil, TQApp, TQLam,
-    TRNat, TRVec, TSucc, TUnfoldZ, TZero, VecTy, Zero, alpha_eq,
+    Span, TRNat, TRVec, TSucc, TUnfoldZ, TZero, VecTy, Zero, alpha_eq,
 )
 from tvec.typecheck import Mode
 
@@ -209,6 +210,26 @@ class TestParseType:
         assert reference_parser.parse_type(src) == \
             PiTy("b", NAT, VecTy(NAT, BVar(0)))
 
+    def test_failed_parenthesised_type_is_tried_once(self, monkeypatch):
+        # Each `(` here opens a term that fails as `( type )` and is read
+        # again as an equation side; retrying every nested attempt made
+        # 98,303 calls to `type_` at n = 16.
+        calls = 0
+        type_ = tvec.frontend._Parser.type_
+
+        def counted(self):
+            nonlocal calls
+            calls += 1
+            return type_(self)
+
+        monkeypatch.setattr(tvec.frontend._Parser, "type_", counted)
+        n = 16
+        src = "Vec Nat " + "(nil[" * n + "Nat" + "])" * n
+        with pytest.raises(ParseError) as exc:
+            parse_type(src)
+        assert exc.value.diagnostic.span == Span(93, 94)
+        assert calls <= 256
+
 
 class TestBinding:
     """Names bind as they are parsed, with no pass over finished bodies."""
@@ -390,6 +411,22 @@ class TestFileParsing:
                 return fn(*args)
             return wrapper
 
+        # `erase` calls itself through its module's global, so a call made
+        # while the depth is 0 is a top-level one, whoever made it
+        erase_module = importlib.import_module("tvec.erase")
+        erase, depth, top_level = erase_module.erase, 0, 0
+
+        def erase_counted(t):
+            nonlocal depth, top_level
+            top_level += depth == 0
+            depth += 1
+            try:
+                return erase(t)
+            finally:
+                depth -= 1
+
+        monkeypatch.setattr(erase_module, "erase", erase_counted)
+        monkeypatch.setattr(tvec.frontend, "erase", erase_counted)
         for name in ("erase", "subst_annotated"):
             monkeypatch.setattr(tvec.frontend, name,
                                 counted(getattr(tvec.frontend, name)))
@@ -400,6 +437,7 @@ class TestFileParsing:
         assert resolved.defs[-1].body == parse_term(str(n - 1))
         # one erasure per def and one substitution per reference
         assert calls <= 2 * n
+        assert top_level == n
 
     def test_later_defs_may_not_be_referenced_early(self):
         src = "def x : Nat = y\ndef y : Nat = 0"
