@@ -3,11 +3,11 @@
 Each command returns one `Report`: exit status, `--json` payload, stdout
 text and stderr note.  A failure that ends a command early raises
 `_Failure` instead, and `main` turns it into the common error payload.
-`main` alone writes the report, so once argparse has accepted the
-command line, `--json` puts one JSON object on stdout whatever happens,
-bad fuel, an out-of-range `--size` and exhausted stack or memory
-included.  Human diagnostics go to stderr either way; only
-`eval --trace` writes there as it runs, one line per step.
+`main` alone writes the report, so `--json` puts one JSON object on
+stdout whatever happens: a command line that argparse rejects, bad
+fuel, an out-of-range `--size` and exhausted stack or memory included.
+Human diagnostics go to stderr either way; only `eval --trace` writes
+there as it runs, one line per step.
 
 Exit codes are disjoint by construction: 0 is success, 1 is a failed
 check, evaluation, or self-test, and 2 is anything that prevented the
@@ -55,8 +55,19 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="machine-readable report on stdout")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises its usage errors as `_Failure`, so that `main` reports them
+    under `--json` too; subcommand parsers inherit the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise _Failure(EXIT_USAGE,
+                       {"code": "usage-error", "message": message},
+                       f"{self.prog}: error: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="tvec",
         description="Type checker and evaluator for .tvec files.")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -286,9 +297,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    fuel = None
+    argv = sys.argv[1:] if argv is None else argv
+    args = fuel = None
     try:
+        args = _build_parser().parse_args(argv)
         fuel = _fuel_from(args)
         report = _COMMANDS[args.command](args, fuel)
     except (_Failure, RecursionError, MemoryError) as err:
@@ -298,15 +310,19 @@ def main(argv: list[str] | None = None) -> int:
             err = _Failure(EXIT_USAGE, {"code": "resource-exhausted",
                                         "message": message},
                            f"tvec: {message}")
-        mode = err.mode or _mode_from(args)
+        mode = err.mode or (_mode_from(args) if args is not None else None)
         report = Report(err.status, {
             "defs": [], "mode": mode.value if mode else None, "fuel": fuel,
             "error": err.error}, note=err.note)
-    out = json.dumps(report.payload, indent=2) if args.json else report.text
+    rejected = args is None     # argparse rejected the command line
+    as_json = "--json" in argv if rejected else args.json
+    out = json.dumps(report.payload, indent=2) if as_json else report.text
     if out:
         print(out)
     if report.note:
         print(report.note, file=sys.stderr)
+    if rejected and not as_json:
+        sys.exit(report.status)     # as argparse itself would
     return report.status
 
 

@@ -99,6 +99,22 @@ class TestCheck:
         assert code == 1
         assert json.loads(out)["error"]["code"] == "unknown-name"
 
+    def test_diagnostic_at_a_bound_variable_has_its_span(self, tmp_path,
+                                                         capsys):
+        src = tmp_path / "bound.tvec"
+        text = "def f : Pi x : Vec Nat 0. Nat = fun x : Vec Nat 0 => S x\n"
+        src.write_text(text)
+        assert text[55:56] == "x"
+        code, out, err = run_cli(capsys, "check", str(src))
+        assert code == 1
+        assert "successor argument has the wrong type\n    at 55..56\n" \
+            in err
+        code, out, err = run_cli(capsys, "check", str(src), "--json")
+        assert code == 1
+        diag = json.loads(out)["defs"][0]["diagnostic"]
+        assert diag["span"] == {"start": 55, "end": 56}
+        assert (diag["expected"], diag["actual"]) == ("Nat", "Vec Nat 0")
+
     def test_mode_override_rejects_implicits(self, capsys):
         code, out, err = run_cli(capsys, "check", VEC,
                                  "--mode", "large-elim")
@@ -338,6 +354,34 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["check"], "the following arguments are required: path"),
+        (["check", VEC, "--fuel", "abc"],
+         "argument --fuel: invalid int value: 'abc'"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ], ids=["missing-path", "fuel-not-an-int", "unknown-command"])
+    def test_argparse_errors_under_json(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        plain = capsys.readouterr()
+        assert plain.out == ""
+        assert plain.err.startswith("usage: tvec")
+        code, out, err = run_cli(capsys, *argv, "--json")
+        assert code == 2
+        assert err == plain.err
+        blob = json.loads(out)
+        assert (blob["defs"], blob["mode"], blob["fuel"]) == ([], None, None)
+        assert blob["error"]["code"] == "usage-error"
+        assert blob["error"]["message"].startswith(message)
+        assert err.endswith(f"error: {blob['error']['message']}\n")
+
+    def test_help_is_unchanged_by_json(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--help", "--json"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: tvec check")
 
     def test_fuel_env_var_is_honored(self, capsys, monkeypatch):
         monkeypatch.setenv("TVEC_FUEL", "3")

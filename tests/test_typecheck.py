@@ -2,17 +2,26 @@
 
 import pytest
 
+import reference_checker
+import tvec.frontend
+import tvec.syntax
+import tvec.typecheck
+from conftest import EXAMPLES
 from tvec.corpus import (
-    append_body, append_ty, num, p1_body, p1_ty, plus_body, plus_ty,
+    append_body, append_ty, base_corpus, ext_assumptions, ext_corpus, num,
+    p1_body, p1_ty, plus_body, plus_ty,
 )
 from tvec.erase import erase
+from tvec.frontend import parse, parse_term, pretty, resolve_defs
+from tvec.oracle import enumerate_terms
 from tvec.syntax import (
-    AllTy, BVar, Context, EqTy, FVar, NatTy, PiTy, Succ, TApp, TAppImp,
-    TCast, TCons, TJoin, TLam, TLamImp, TNil, TQLam, TRNat, TRVec, TSucc,
-    TZero, VecTy, Zero, alpha_eq,
+    AllTy, BVar, Context, EqTy, FVar, NatTy, PiTy, Span, Succ, TApp, TAppImp,
+    TCast, TCons, TJoin, TLam, TLamImp, TNil, TQLam, TRNat, TSucc, TZero,
+    VecTy, Zero, alpha_eq, node_count,
 )
 from tvec.typecheck import (
-    BASE_RULES, Checker, Failure, Inferred, check_against, infer,
+    BASE_RULES, Checker, Diagnostic, Failure, Inferred, Mode, check_against,
+    infer,
 )
 
 NAT = NatTy()
@@ -184,3 +193,147 @@ class TestCheckerBookkeeping:
         assert blob["code"] == "join-distinct"
         assert [c["severity"] for c in blob["children"]] == ["note", "note"]
         assert "distinct normal forms" in diag.render()
+
+
+class TestLazyDiagnostics:
+    def test_types_are_printed_only_when_read(self, monkeypatch):
+        calls = 0
+        real = tvec.frontend.pretty
+
+        def counted(node):
+            nonlocal calls
+            calls += 1
+            return real(node)
+
+        monkeypatch.setattr(tvec.frontend, "pretty", counted)
+        res = check_against(Context(), TZero(), VecTy(NAT, Zero()))
+        assert isinstance(res, Failure)
+        assert calls == 0
+        diag = res.diagnostic
+        assert (diag.expected, diag.actual) == ("Vec Nat 0", "Nat")
+        assert calls == 2
+        assert diag.to_json()["expected"] == "Vec Nat 0"
+        assert "actual:   Nat" in diag.render()
+        assert calls == 2
+
+    def test_text_and_node_diagnostics_are_equal(self):
+        by_node = Diagnostic("check", "m", Span(0, 0), expected=NAT,
+                             actual=VecTy(NAT, Zero()))
+        by_text = Diagnostic("check", "m", Span(0, 0), expected="Nat",
+                             actual="Vec Nat 0")
+        assert by_node == by_text
+        assert Diagnostic("check", "m", Span(0, 0)).expected is None
+
+
+# --------------------------------------------------------------------------
+# the environment checker against the opening one
+
+
+TWO_VARIABLES = Context().extend("a", NAT).extend("b", VecTy(NAT, Zero()))
+
+
+def _outcome(diag: Diagnostic) -> tuple:
+    return (diag.rule, diag.code, diag.message, diag.severity,
+            diag.expected, diag.actual,
+            tuple(_outcome(c) for c in diag.children))
+
+
+def _spans(diag: Diagnostic) -> list[Span]:
+    return [diag.span, *(s for c in diag.children for s in _spans(c))]
+
+
+def assert_same_check(ctx, t, expected=None, *, mode=Mode.BASE):
+    """Both checkers agree on `t`: verdict, type up to alpha, diagnostic and
+    rule hits.  A span may differ only where the reference has none."""
+    new = Checker(mode=mode)
+    ref = reference_checker.Checker(mode=mode)
+    if expected is None:
+        got, want = new.infer(ctx, t), ref.infer(ctx, t)
+    else:
+        got = new.check_against(ctx, t, expected)
+        want = ref.check_against(ctx, t, expected)
+    assert type(got) is type(want), (pretty(t), got, want)
+    if isinstance(want, Inferred):
+        assert alpha_eq(got.type, want.type), pretty(t)
+    else:
+        assert _outcome(got.diagnostic) == _outcome(want.diagnostic), \
+            pretty(t)
+        for mine, theirs in zip(_spans(got.diagnostic),
+                                _spans(want.diagnostic)):
+            assert mine == theirs or theirs == Span(0, 0), pretty(t)
+    assert new.rule_hits == ref.rule_hits, pretty(t)
+
+
+class TestReferenceChecker:
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("ctx", [Context(), TWO_VARIABLES],
+                             ids=["closed", "two-variables"])
+    def test_enumerated_terms(self, mode, ctx):
+        # The parsed form carries spans, so the span rule is exercised too.
+        for t in enumerate_terms(6, mode, ctx):
+            assert_same_check(ctx, parse_term(pretty(t)), mode=mode)
+
+    def test_corpus(self):
+        for d in base_corpus():
+            assert_same_check(Context(), d.body, d.ty)
+        for d in ext_corpus():
+            assert_same_check(ext_assumptions(), d.body, d.ty,
+                              mode=Mode.LARGE_ELIM)
+
+    @pytest.mark.parametrize("path", sorted(
+        [*EXAMPLES.glob("*.tvec"),
+         *(EXAMPLES.parent / "perfbench" / "programs").glob("*.tvec")]),
+        ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_program_files(self, path):
+        resolved = resolve_defs(parse(path.read_text(encoding="utf-8")))
+        assert resolved.defs
+        for d in resolved.defs:
+            assert_same_check(resolved.assumptions, d.body, d.ty,
+                              mode=resolved.mode)
+            assert_same_check(resolved.assumptions, d.body,
+                              mode=resolved.mode)
+
+    @pytest.mark.parametrize("src", [
+        "fun x : Vec Nat 0 => S x",
+        "fun x : Nat => fun y : Vec Nat x => cons y y",
+        "ifun l : Nat => fun v : Vec Nat l => join v (S l)",
+        "ifun l : Nat => S l",
+        "fun n : Nat => rnat [x. Vec Nat x] nil[Nat] 0 n",
+    ])
+    def test_failures_under_binders(self, src):
+        assert_same_check(Context(), parse_term(src))
+
+
+class TestCheckingWork:
+    """Checking walks each binder body once, not once per enclosing binder."""
+
+    def test_nested_binders_over_joins(self, monkeypatch):
+        def tree(depth: int, leaf: int):
+            if depth == 0:
+                return BVar(leaf // 2 % 50), leaf + 1
+            lhs, leaf = tree(depth - 1, leaf)
+            rhs, leaf = tree(depth - 1, leaf)
+            return TJoin(lhs, rhs), leaf
+
+        t, _ = tree(9, 0)
+        for _ in range(50):
+            t = TLam("x", NAT, t)
+        size = node_count(t)
+        assert size == 1123
+
+        visits = 0
+
+        def counting(fn):
+            def counted(*args):
+                nonlocal visits
+                visits += 1
+                return fn(*args)
+            return counted
+
+        for module in (tvec.syntax, tvec.typecheck):
+            for name in ("map_vars", "_collect_free"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name,
+                                        counting(getattr(module, name)))
+        assert isinstance(Checker().infer(Context(), t), Inferred)
+        assert visits <= 5 * size
