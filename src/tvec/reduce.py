@@ -47,17 +47,18 @@ Subterms found normal (call-by-value: found to be values) are remembered
 by identity for the rest of the call, so the copies a contraction makes
 of them are never scanned again.
 
-Binders are opened on the way down with names from a per-call counter,
-checked against the free names of the input (collected the first time a
-binder is opened), and closed on the way up.  `_open` and `_close` walk
-with explicit stacks too, so no part of the reducer recurses: depth is
-bounded by memory, not by the interpreter's recursion limit.
+No names are made.  An abstraction is a frame like any other, the machine
+counts the abstractions on its stack, and a beta step instantiates the
+body's de Bruijn indices in one walk that shifts the argument and lowers
+the indices of those abstractions (see `contract`).  The walk keeps an
+explicit stack too, so no part of the reducer recurses: depth is bounded
+by memory, not by the interpreter's recursion limit.
 
-Cost model.  A step costs the contraction itself (a substitution walks
-the abstraction's body) plus the frames pushed and popped to reach the
-next redex; entering a binder walks its body once to open it and once to
-close it.  On the benchmark families (`plus n n`, `append` of length-n
-vectors) the cost per step is flat in n for all three strategies.
+Cost model.  A step costs the contraction itself (the walk of the body)
+plus the frames pushed and popped to reach the next redex; a binder is
+one frame like any other node.  On the benchmark families (`plus n n`,
+`append` of length-n vectors) the cost per step is flat in n for all
+three strategies.
 
 Step-count contract.  The engine contracts exactly the redexes, in exactly
 the order, that the plain definitions contract: "find the LO (or RI, or
@@ -71,9 +72,8 @@ them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from .syntax import (
     App, BVar, Cons, FVar, Join, Lam, Nil, QApp, QLam, RNat, RVec, Succ,
@@ -170,13 +170,13 @@ _VALUE_LEAVES = frozenset({Lam, Zero, Nil, Join, QLam})
 
 
 # --------------------------------------------------------------------------
-# binder operations without recursion
+# contraction and the engine, none of which recurses
 
 
 def _map_vars(t: UnannTerm, leaf) -> UnannTerm:
-    """Rebuild t with `leaf(v, depth)` in place of every variable v, where
-    depth counts the abstractions above v.  Subterms that do not change
-    are shared, and t itself comes back if nothing changes."""
+    """Rebuild t with `leaf(v, depth)` in place of every bound variable v,
+    where depth counts the abstractions above v.  Subterms that do not
+    change are shared, and t itself comes back if nothing changes."""
     stack: list[list] = []   # [node, children, slot, changed, depth]
     depth = 0
     while True:
@@ -189,7 +189,7 @@ def _map_vars(t: UnannTerm, leaf) -> UnannTerm:
                 depth += 1
             t = kids[0]
             continue
-        if tp is BVar or tp is FVar:
+        if tp is BVar:
             t = leaf(t, depth)
         while stack:
             fr = stack[-1]
@@ -210,56 +210,36 @@ def _map_vars(t: UnannTerm, leaf) -> UnannTerm:
             return t
 
 
-def _open(t: UnannTerm, repl: UnannTerm) -> UnannTerm:
-    """`open1` without recursion: the outermost bound variable becomes
-    `repl`, which must be locally closed."""
-    return _map_vars(
-        t, lambda v, d: repl if type(v) is BVar and v.index == d else v)
+def contract(t: UnannTerm, outer: int = 0) -> UnannTerm | None:
+    """Contract the redex at the root, if there is one.
 
-
-def _close(t: UnannTerm, name: str) -> UnannTerm:
-    """`close1` without recursion: the free variable `name` becomes the
-    outermost bound variable."""
-    return _map_vars(
-        t, lambda v, d: BVar(d, span=v.span)
-        if type(v) is FVar and v.name == name else v)
-
-
-def _free_names(t: UnannTerm) -> set[str]:
-    names: set[str] = set()
-    todo = [t]
-    while todo:
-        t = todo.pop()
-        if type(t) is FVar:
-            names.add(t.name)
-        else:
-            kids_of = _KIDS.get(type(t))
-            if kids_of is not None:
-                todo.extend(kids_of(t))
-    return names
-
-
-def _fresh_names(t: UnannTerm) -> Iterator[str]:
-    """Names for opening binders: a counter, skipping the free names of t,
-    which are collected when the first name is asked for."""
-    avoid = _free_names(t)
-    for count in itertools.count(1):
-        name = f"%{count}"
-        if name not in avoid:
-            yield name
-
-
-# --------------------------------------------------------------------------
-# contraction and the engine
-
-
-def contract(t: UnannTerm) -> UnannTerm | None:
-    """Contract the redex at the root, if there is one."""
+    `outer` is the number of abstractions around t.  A beta step
+    `(fun x => b) a` renumbers the de Bruijn indices of b (de Bruijn,
+    "Lambda calculus notation with nameless dummies", 1972).  At depth d
+    in b, index d (x) becomes a with its indices into the `outer`
+    abstractions raised by d; indices d+1 .. d+outer, which point at
+    those abstractions, drop by one; indices past them are loose and
+    stay.  At the default 0 this is locally nameless opening.
+    """
     tp = type(t)
     if tp is App:
-        fn = t.fn
+        fn, arg = t.fn, t.arg
         if type(fn) is Lam:
-            return _open(fn.body, t.arg)
+            copies = {0: arg}   # a shifted past d binders, shared per d
+
+            def leaf(v: BVar, d: int) -> UnannTerm:
+                i = v.index
+                if i == d:
+                    if outer and d not in copies:
+                        copies[d] = _map_vars(
+                            arg, lambda w, e: BVar(w.index + d, span=w.span)
+                            if e <= w.index < e + outer else w)
+                    return copies.get(d, arg)
+                if d < i <= d + outer:
+                    return BVar(i - 1, span=v.span)
+                return v
+
+            return _map_vars(fn.body, leaf)
     elif tp is RNat:
         scrut = t.scrut
         if type(scrut) is Zero:
@@ -282,21 +262,6 @@ def contract(t: UnannTerm) -> UnannTerm | None:
     return None
 
 
-def _is_normal(t: UnannTerm) -> bool:
-    """True iff t holds no redex.  Opening a binder cannot create one, so
-    this needs no opening."""
-    todo = [t]
-    while todo:
-        t = todo.pop()
-        tp = type(t)
-        if tp in _HEADS and _is_redex(t):
-            return False
-        kids_of = _KIDS.get(tp)
-        if kids_of is not None:
-            todo.extend(kids_of(t))
-    return True
-
-
 def _is_redex(t: UnannTerm) -> bool:
     """True iff the node t (an application, recursor or quasi-implicit
     application) is a redex."""
@@ -309,11 +274,9 @@ def _is_redex(t: UnannTerm) -> bool:
 def _plug(t: UnannTerm, stack: list[list]) -> UnannTerm:
     """The whole term: t at the focus, the frames rebuilt around it.  The
     stack is left as it is."""
-    for node, kids, slot, changed, name, opened in reversed(stack):
+    for node, kids, slot, changed in reversed(stack):
         if t is kids[slot] and not changed:
             t = node
-        elif name is not None:
-            t = Lam(node.hint, _close(t, name), span=node.span)
         else:
             kids = list(kids)
             kids[slot] = t
@@ -327,9 +290,8 @@ _LO, _RI, _CBV = "lo", "ri", "cbv"
 def _run(t: UnannTerm, fuel: int, mode: str, on_step: StepHook | None):
     lo, ri, cbv = mode is _LO, mode is _RI, mode is _CBV
     done: dict[int, UnannTerm] = {}   # id -> node found normal / a value
-    # frames: [node, children, slot, changed, binder name, opened body]
-    stack: list[list] = []
-    names = _fresh_names(t)
+    stack: list[list] = []   # frames: [node, children, slot, changed]
+    outer = 0                # abstractions on the stack
     steps = 0
     down = True
     while True:
@@ -348,16 +310,11 @@ def _run(t: UnannTerm, fuel: int, mode: str, on_step: StepHook | None):
                 continue
             if not (lo and tp in _HEADS and _is_redex(t)):
                 kids = kids_of(t)
+                slot = len(kids) - 1 if ri else 0
+                stack.append([t, kids, slot, False])
                 if tp is Lam:
-                    name = next(names)
-                    body = _open(kids[0], FVar(name))
-                    kids[0] = body
-                    stack.append([t, kids, 0, False, name, body])
-                    t = body
-                else:
-                    slot = len(kids) - 1 if ri else 0
-                    stack.append([t, kids, slot, False, None, None])
-                    t = kids[slot]
+                    outer += 1
+                t = kids[slot]
                 continue
         else:
             # Going up: t is normal (LO, RI) or a value (call-by-value).
@@ -377,12 +334,9 @@ def _run(t: UnannTerm, fuel: int, mode: str, on_step: StepHook | None):
             stack.pop()
             node = fr[0]
             tp = type(node)
-            if not fr[3]:
-                t = node
-            elif tp is Lam:
-                t = Lam(node.hint, _close(kids[0], fr[4]), span=node.span)
-            else:
-                t = _BUILD[tp](node, kids)
+            if tp is Lam:
+                outer -= 1
+            t = _BUILD[tp](node, kids) if fr[3] else node
             if lo or tp not in _HEADS or not _is_redex(t):
                 if cbv and tp in _HEADS:
                     return Stuck(_plug(t, stack), _STUCK[tp], steps)
@@ -393,7 +347,7 @@ def _run(t: UnannTerm, fuel: int, mode: str, on_step: StepHook | None):
         # turns into a redex; then go down into the last contractum.
         while True:
             steps += 1
-            t = contract(t)
+            t = contract(t, outer)
             if on_step is not None:
                 on_step(steps, _plug(t, stack))
             if steps == fuel:
@@ -421,10 +375,7 @@ def normalize(t: UnannTerm, fuel: int = DEFAULT_FUEL,
     """Reduce t to a normal form, or report fuel exhaustion."""
     if fuel <= 0:
         raise ValueError("fuel must be positive")
-    mode = _MODES[strategy]
-    if _is_normal(t):
-        return NormalForm(t, 0)
-    return _run(t, fuel, mode, on_step)
+    return _run(t, fuel, _MODES[strategy], on_step)
 
 
 def joinable(a: UnannTerm, b: UnannTerm,
@@ -463,6 +414,4 @@ def eval_cbv(t: UnannTerm, fuel: int = DEFAULT_FUEL, *,
     """Run call-by-value to a value, a stuck state, or out of fuel."""
     if fuel <= 0:
         raise ValueError("fuel must be positive")
-    if is_value(t):
-        return Value(t, 0)
     return _run(t, fuel, _CBV, on_step)

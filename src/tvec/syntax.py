@@ -21,14 +21,15 @@ many extra binder levels that child sits under (`SCOPES`).  One walker,
 what changes; `open_at`, `close_at`, `subst` and erasure's index lowering
 (`erase._release`) are each a leaf function over it.  The folds
 `free_vars` and `node_count` walk the same children.  The reducer opens
-and closes binders with its own walker, which does not recurse
-(`reduce._open`/`_close`).  The parser closes nothing: it binds names as
-it reads them.  The checker opens no term either: it checks a binder
-body under an environment of names.  It opens and closes types only:
-`open1`/`open2` instantiate a codomain or a motive, and `close1` closes
-the type of a binder body and the recursor step types.  Besides the
-checker, the oracle opens a codomain at `0` (`canonical_shape`), and the
-corpus closes the terms it builds from names (`close1`/`close_at`).
+no binder: a beta step instantiates indices with its own walker, which
+does not recurse (`reduce.contract`).  The parser closes nothing: it
+binds names as it reads them.  The checker opens no term either: it
+checks a binder body under an environment of names.  It opens and closes
+types only: `open1`/`open2` instantiate a codomain or a motive, and
+`close1` closes the type of a binder body and the recursor step types.
+Besides the checker, the oracle opens a codomain at `0`
+(`canonical_shape`), and the corpus closes the terms it builds from
+names (`close1`/`close_at`).
 """
 
 from __future__ import annotations

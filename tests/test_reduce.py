@@ -49,6 +49,22 @@ class TestContract:
     def test_qapp_shell(self):
         assert contract(QApp(QLam(Zero()))) == Zero()
 
+    # under enclosing abstractions: fun w => (fun y => fun z => y w) w
+    def test_beta_under_outer_binders(self):
+        body = Lam("z", App(BVar(1), BVar(2)))
+        # y lands under z, so w in the argument is shifted past it; w in
+        # the body now sits one binder closer to its abstraction
+        assert contract(App(Lam("y", body), BVar(0)), 1) == Lam(
+            "z", App(BVar(1), BVar(1)))
+        # at outer 0 the same indices are loose: opening leaves them alone
+        assert contract(App(Lam("y", body), BVar(0))) == Lam(
+            "z", App(BVar(0), BVar(2)))
+
+    def test_beta_shares_the_argument(self):
+        arg = App(FVar("f"), Zero())
+        out = contract(App(Lam("x", Lam("z", App(BVar(1), BVar(1)))), arg))
+        assert out.body.fn is arg and out.body.arg is arg
+
     def test_non_redexes(self):
         for t in (Zero(), FVar("x"), App(Zero(), Zero()),
                   RNat(Zero(), Zero(), FVar("n"))):

@@ -14,6 +14,7 @@ import sys
 import pytest
 
 import reference_reduce as ref
+from tvec import reduce
 from tvec.corpus import append_demo_body, append_u, four_body, plus_u, unum
 from tvec.erase import erase
 from tvec.frontend import pretty
@@ -101,8 +102,8 @@ class TestEnumeration:
         for t in terms:
             assert_agrees_everywhere(strategy, t)
 
-    # free variables: stuck reasons name them, and binders must be opened
-    # with names that avoid them
+    # free variables: stuck reasons name them, and the reference opens
+    # binders with names that avoid them
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
     def test_open_size_6(self, mode, strategy):
@@ -187,6 +188,31 @@ class TestFamilies:
         assert want.steps == 11 and want.term == _uvec([1, 2, 3, 4, 5])
 
 
+def _binders(k, body):
+    """fun x1 ... fun xk => body."""
+    for i in range(k, 0, -1):
+        body = Lam(f"x{i}", body)
+    return body
+
+
+class TestBinders:
+    """Redexes under several abstractions: the argument is shifted past
+    the binders it lands under, indices of the enclosing abstractions are
+    lowered, and loose indices stay."""
+
+    # fun x1 ... fun xk => (fun y => fun z => z y w) (xk w), where w is x1
+    # or an index loose past every binder
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("loose", [False, True], ids=["x1", "loose"])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_redex_under_k_binders(self, k, loose, strategy):
+        w = k if loose else k - 1   # the index of w just under the k binders
+        fn = Lam("y", Lam("z", App(App(BVar(0), BVar(1)), BVar(w + 2))))
+        t = _binders(k, App(fn, App(BVar(0), BVar(w))))
+        want = assert_agrees_everywhere(strategy, t)
+        assert want.steps == (0 if strategy == "cbv" else 1)
+
+
 # --------------------------------------------------------------------------
 # deep terms: no recursion anywhere in the engine
 
@@ -204,6 +230,11 @@ def _vector(t):
         elems.append(_numeral(t.head))
         t = t.tail
     return elems if isinstance(t, Nil) else None
+
+
+def _nested_redex(n):
+    """fun x1 ... fun xn => (fun y => S y) x1."""
+    return _binders(n, App(Lam("y", Succ(BVar(0))), BVar(n - 1)))
 
 
 @pytest.fixture
@@ -230,6 +261,35 @@ class TestDeep:
         assert isinstance(out, Value if strategy == "cbv" else NormalForm)
         assert out.steps == 4003
         assert _vector(out.term) == a + b
+
+    def test_nested_binders_1000(self, strategy):
+        out = engine(strategy, _nested_redex(1000), DEFAULT_FUEL)
+        assert isinstance(out, Value if strategy == "cbv" else NormalForm)
+        body = out.term
+        for _ in range(1000):   # `==` on the whole result would recurse
+            assert type(body) is Lam
+            body = body.body
+        if strategy == "cbv":
+            assert out.steps == 0
+            assert body == App(Lam("y", Succ(BVar(0))), BVar(999))
+        else:
+            assert out.steps == 1 and body == Succ(BVar(999))
+
+    def test_nested_binders_work_is_flat(self, strategy, monkeypatch):
+        calls = []
+        walk = reduce._map_vars
+
+        def counted(*args):
+            calls.append(None)
+            return walk(*args)
+
+        monkeypatch.setattr(reduce, "_map_vars", counted)
+        counts = []
+        for n in (200, 800):
+            calls.clear()
+            engine(strategy, _nested_redex(n), DEFAULT_FUEL)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_fuel_exhausted_mid_run(self, strategy):
         out = engine(strategy, plus_u(unum(1000), unum(1000)), 2000)
