@@ -11,8 +11,6 @@ locally closed.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .syntax import (
     AnnTerm, App, BVar, Cons, FVar, Join, Lam, Nil, Node, QApp, QLam, RNat,
     RVec, Succ, TApp, TAppImp, TCast, TCons, TFoldS, TFoldZ, TJoin, TLam,
@@ -98,12 +96,16 @@ def subst_annotated(t: AnnTerm, name: str, repl: AnnTerm,
         if not scopes:
             return t
         ann = type(t).ANN
-        changes = {}
+        kids = None
+        i = 0
         for fname in scopes:
             child = getattr(t, fname)
             new = go(child) if fname in ann else subst(child, name, repl_erased)
             if new is not child:
-                changes[fname] = new
-        return replace(t, **changes) if changes else t
+                if kids is None:
+                    kids = t.children()
+                kids[i] = new
+            i += 1
+        return t if kids is None else t.rebuild(kids)
 
     return go(t)

@@ -73,7 +73,7 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, get_args
 
 from .syntax import (
     App, BVar, Cons, FVar, Join, Lam, Nil, QApp, QLam, RNat, RVec, Succ,
@@ -121,29 +121,10 @@ StepHook = Callable[[int, UnannTerm], None]
 
 
 # --------------------------------------------------------------------------
-# node tables: children in constructor order, and rebuilding from them
+# node tables: children in constructor order (`Node.children`) for the
+# types that have any; a frame rebuilds its node with `Node.rebuild`
 
-_KIDS = {
-    App: lambda t: [t.fn, t.arg],
-    Lam: lambda t: [t.body],
-    Succ: lambda t: [t.pred],
-    RNat: lambda t: [t.base, t.step, t.scrut],
-    Cons: lambda t: [t.head, t.tail],
-    RVec: lambda t: [t.base, t.step, t.scrut],
-    QLam: lambda t: [t.body],
-    QApp: lambda t: [t.fn],
-}
-
-_BUILD = {
-    App: lambda t, k: App(k[0], k[1], span=t.span),
-    Lam: lambda t, k: Lam(t.hint, k[0], span=t.span),
-    Succ: lambda t, k: Succ(k[0], span=t.span),
-    RNat: lambda t, k: RNat(k[0], k[1], k[2], span=t.span),
-    Cons: lambda t, k: Cons(k[0], k[1], span=t.span),
-    RVec: lambda t, k: RVec(k[0], k[1], k[2], span=t.span),
-    QLam: lambda t, k: QLam(k[0], span=t.span),
-    QApp: lambda t, k: QApp(k[0], span=t.span),
-}
+_KIDS = {tp: tp.children for tp in get_args(UnannTerm) if tp.SCOPES}
 
 # Node types that can be redexes.
 _HEADS = frozenset({App, RNat, RVec, QApp})
@@ -205,7 +186,7 @@ def _map_vars(t: UnannTerm, leaf) -> UnannTerm:
                 break
             stack.pop()
             node = fr[0]
-            t = _BUILD[type(node)](node, kids) if fr[3] else node
+            t = node.rebuild(kids) if fr[3] else node
         else:
             return t
 
@@ -280,7 +261,7 @@ def _plug(t: UnannTerm, stack: list[list]) -> UnannTerm:
         else:
             kids = list(kids)
             kids[slot] = t
-            t = _BUILD[type(node)](node, kids)
+            t = node.rebuild(kids)
     return t
 
 
@@ -336,7 +317,7 @@ def _run(t: UnannTerm, fuel: int, mode: str, on_step: StepHook | None):
             tp = type(node)
             if tp is Lam:
                 outer -= 1
-            t = _BUILD[tp](node, kids) if fr[3] else node
+            t = node.rebuild(kids) if fr[3] else node
             if lo or tp not in _HEADS or not _is_redex(t):
                 if cbv and tp in _HEADS:
                     return Stuck(_plug(t, stack), _STUCK[tp], steps)
@@ -361,7 +342,7 @@ def _run(t: UnannTerm, fuel: int, mode: str, on_step: StepHook | None):
                 break
             kids = list(fr[1])
             kids[slot] = t
-            t = _BUILD[type(node)](node, kids)
+            t = node.rebuild(kids)
             stack.pop()
         down = True
 

@@ -30,23 +30,63 @@ types only: `open1`/`open2` instantiate a codomain or a motive, and
 Besides the checker, the oracle opens a codomain at `0`
 (`canonical_shape`), and the corpus closes the terms it builds from
 names (`close1`/`close_at`).
+
+Storage.  Node classes and `Span` are frozen dataclasses with slots
+(`_frozen`); an `__init__` made once per class stores each field through
+its slot descriptor, at half the cost of a plain frozen dataclass, and
+walkers rebuild with `Node.rebuild`.  Nodes must stay frozen, as subterms
+are shared: by the enumerator's cache (`oracle._exact`), by def bodies
+inlined at every use, and by the reducer's memo of normal subterms by `id`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
+from functools import cache, cached_property
 from typing import Callable, ClassVar, Iterator
 
 
-@dataclass(frozen=True)
+_compile = cache(lambda src: compile(src, "<node>", "exec"))   # shared code
+
+
+def _frozen(cls: type) -> type:
+    """Make `cls` a frozen dataclass with slots and a fast `__init__`; with
+    `SCOPES`, also `children()` in that order and `rebuild(kids)`."""
+    doc, cls.__doc__ = cls.__doc__, "-"   # else dataclass calls signature()
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    names = [f.name for f in fields(cls)]
+    kw = [f"{f.name}={f.default!r}" for f in fields(cls) if f.kw_only]
+    sig = ", ".join([f.name for f in fields(cls) if not f.kw_only]
+                    + ["*"] * bool(kw) + kw)
+    cls.__doc__ = doc or f"{cls.__name__}({sig})"
+    kids = list(getattr(cls, "SCOPES", ()))
+    src = [f"def __init__(self, {sig}):",
+           *(f" _{n}(self, {n})" for n in names)]
+    if kids:
+        listed = ", ".join(f"self.{n}" for n in kids)
+        src += [f"def children(self): return [{listed}]",
+                "def rebuild(self, kids):", " new = _new(_cls)",
+                *(f" _{n}(new, kids[{kids.index(n)}])" if n in kids
+                  else f" _{n}(new, self.{n})" for n in names),
+                " return new"]
+    env = {f"_{n}": getattr(cls, n).__set__ for n in names}
+    env.update(_new=object.__new__, _cls=cls)
+    made: dict[str, Callable] = {}
+    exec(_compile("\n".join(src)), env, made)
+    for name, fn in made.items():
+        setattr(cls, name, fn)
+    return cls
+
+
+@_frozen
 class Span:
-    """Half-open [start, end) offsets into the source text."""
+    """Half-open [start, end) source offsets, built like a node (`_frozen`)."""
 
     start: int
     end: int
 
 
-@dataclass(frozen=True)
+@_frozen
 class Node:
     span: Span | None = field(default=None, kw_only=True, compare=False, repr=False)
 
@@ -61,12 +101,12 @@ class Node:
 # variables (shared by all three categories)
 
 
-@dataclass(frozen=True)
+@_frozen
 class FVar(Node):
     name: str
 
 
-@dataclass(frozen=True)
+@_frozen
 class BVar(Node):
     index: int
 
@@ -75,32 +115,32 @@ class BVar(Node):
 # unannotated terms
 
 
-@dataclass(frozen=True)
+@_frozen
 class App(Node):
     fn: "UnannTerm"
     arg: "UnannTerm"
     SCOPES = {"fn": 0, "arg": 0}
 
 
-@dataclass(frozen=True)
+@_frozen
 class Lam(Node):
     hint: str = field(compare=False)
     body: "UnannTerm"
     SCOPES = {"body": 1}
 
 
-@dataclass(frozen=True)
+@_frozen
 class Zero(Node):
     pass
 
 
-@dataclass(frozen=True)
+@_frozen
 class Succ(Node):
     pred: "UnannTerm"
     SCOPES = {"pred": 0}
 
 
-@dataclass(frozen=True)
+@_frozen
 class RNat(Node):
     """Recursor over Nat; the scrutinee is the last argument."""
 
@@ -110,19 +150,19 @@ class RNat(Node):
     SCOPES = {"base": 0, "step": 0, "scrut": 0}
 
 
-@dataclass(frozen=True)
+@_frozen
 class Nil(Node):
     pass
 
 
-@dataclass(frozen=True)
+@_frozen
 class Cons(Node):
     head: "UnannTerm"
     tail: "UnannTerm"
     SCOPES = {"head": 0, "tail": 0}
 
 
-@dataclass(frozen=True)
+@_frozen
 class RVec(Node):
     """Recursor over vectors; the scrutinee is the last argument."""
 
@@ -132,12 +172,12 @@ class RVec(Node):
     SCOPES = {"base": 0, "step": 0, "scrut": 0}
 
 
-@dataclass(frozen=True)
+@_frozen
 class Join(Node):
     """The unique witness of equations; carries no evidence."""
 
 
-@dataclass(frozen=True)
+@_frozen
 class QLam(Node):
     """Quasi-implicit abstraction.  Binds nothing: the body may not use
     the abstracted variable, so no index is introduced."""
@@ -146,7 +186,7 @@ class QLam(Node):
     SCOPES = {"body": 0}
 
 
-@dataclass(frozen=True)
+@_frozen
 class QApp(Node):
     """Quasi-implicit application; supplies no argument."""
 
@@ -158,19 +198,19 @@ class QApp(Node):
 # types
 
 
-@dataclass(frozen=True)
+@_frozen
 class NatTy(Node):
     pass
 
 
-@dataclass(frozen=True)
+@_frozen
 class VecTy(Node):
     elem: "Ty"
     length: "UnannTerm"
     SCOPES = {"elem": 0, "length": 0}
 
 
-@dataclass(frozen=True)
+@_frozen
 class PiTy(Node):
     hint: str = field(compare=False)
     dom: "Ty"
@@ -178,7 +218,7 @@ class PiTy(Node):
     SCOPES = {"dom": 0, "cod": 1}
 
 
-@dataclass(frozen=True)
+@_frozen
 class AllTy(Node):
     """Quasi-implicit product: the bound variable may occur in the
     codomain but not in the (erased) body of its inhabitants."""
@@ -189,7 +229,7 @@ class AllTy(Node):
     SCOPES = {"dom": 0, "cod": 1}
 
 
-@dataclass(frozen=True)
+@_frozen
 class EqTy(Node):
     """Untyped equation between unannotated terms."""
 
@@ -198,7 +238,7 @@ class EqTy(Node):
     SCOPES = {"lhs": 0, "rhs": 0}
 
 
-@dataclass(frozen=True)
+@_frozen
 class IfZeroTy(Node):
     """Large elimination: a type computed from a Nat scrutinee."""
 
@@ -212,7 +252,7 @@ class IfZeroTy(Node):
 # annotated terms
 
 
-@dataclass(frozen=True)
+@_frozen
 class TApp(Node):
     fn: "AnnTerm"
     arg: "AnnTerm"
@@ -220,7 +260,7 @@ class TApp(Node):
     ANN = frozenset({"fn", "arg"})
 
 
-@dataclass(frozen=True)
+@_frozen
 class TAppImp(Node):
     """Implicit application: the argument is erased, only its erasure
     lands in the result type."""
@@ -231,7 +271,7 @@ class TAppImp(Node):
     ANN = frozenset({"fn", "arg"})
 
 
-@dataclass(frozen=True)
+@_frozen
 class TLam(Node):
     hint: str = field(compare=False)
     dom: "Ty"
@@ -240,7 +280,7 @@ class TLam(Node):
     ANN = frozenset({"body"})
 
 
-@dataclass(frozen=True)
+@_frozen
 class TLamImp(Node):
     """Implicit abstraction: erases to its body, which must not use the
     bound variable at the term level."""
@@ -252,19 +292,19 @@ class TLamImp(Node):
     ANN = frozenset({"body"})
 
 
-@dataclass(frozen=True)
+@_frozen
 class TZero(Node):
     pass
 
 
-@dataclass(frozen=True)
+@_frozen
 class TSucc(Node):
     pred: "AnnTerm"
     SCOPES = {"pred": 0}
     ANN = frozenset({"pred"})
 
 
-@dataclass(frozen=True)
+@_frozen
 class TRNat(Node):
     """Nat recursor with motive `x. motive` (one binder)."""
 
@@ -277,13 +317,13 @@ class TRNat(Node):
     ANN = frozenset({"base", "step", "scrut"})
 
 
-@dataclass(frozen=True)
+@_frozen
 class TNil(Node):
     elem: "Ty"
     SCOPES = {"elem": 0}
 
 
-@dataclass(frozen=True)
+@_frozen
 class TCons(Node):
     head: "AnnTerm"
     tail: "AnnTerm"
@@ -291,7 +331,7 @@ class TCons(Node):
     ANN = frozenset({"head", "tail"})
 
 
-@dataclass(frozen=True)
+@_frozen
 class TRVec(Node):
     """Vector recursor with motive `x. y. motive`: x (index 1) is the
     length, y (index 0) the vector."""
@@ -306,7 +346,7 @@ class TRVec(Node):
     ANN = frozenset({"base", "step", "scrut"})
 
 
-@dataclass(frozen=True)
+@_frozen
 class TJoin(Node):
     lhs: "AnnTerm"
     rhs: "AnnTerm"
@@ -314,7 +354,7 @@ class TJoin(Node):
     ANN = frozenset({"lhs", "rhs"})
 
 
-@dataclass(frozen=True)
+@_frozen
 class TCast(Node):
     """Transport along an equation through the motive `x. motive`."""
 
@@ -326,7 +366,7 @@ class TCast(Node):
     ANN = frozenset({"proof", "body"})
 
 
-@dataclass(frozen=True)
+@_frozen
 class TQLam(Node):
     """Quasi-implicit abstraction: binds into the body's annotations and
     type, but the erased body must not use the variable."""
@@ -338,7 +378,7 @@ class TQLam(Node):
     ANN = frozenset({"body"})
 
 
-@dataclass(frozen=True)
+@_frozen
 class TQApp(Node):
     """Quasi-implicit application of fn to an erased witness."""
 
@@ -348,7 +388,7 @@ class TQApp(Node):
     ANN = frozenset({"fn", "witness"})
 
 
-@dataclass(frozen=True)
+@_frozen
 class TFoldZ(Node):
     """Fold a term of the zero branch into `ifzero 0 _ other`."""
 
@@ -358,14 +398,14 @@ class TFoldZ(Node):
     ANN = frozenset({"body"})
 
 
-@dataclass(frozen=True)
+@_frozen
 class TUnfoldZ(Node):
     body: "AnnTerm"
     SCOPES = {"body": 0}
     ANN = frozenset({"body"})
 
 
-@dataclass(frozen=True)
+@_frozen
 class TFoldS(Node):
     """Fold a term of the successor branch into `ifzero (S w) zero_ty _`
     where w is the erased witness."""
@@ -377,7 +417,7 @@ class TFoldS(Node):
     ANN = frozenset({"witness", "body"})
 
 
-@dataclass(frozen=True)
+@_frozen
 class TUnfoldS(Node):
     witness: "AnnTerm"
     body: "AnnTerm"
@@ -418,13 +458,17 @@ def map_vars(t: Node, kind: type[FVar] | type[BVar],
     scopes = type(t).SCOPES
     if not scopes:
         return leaf(t, depth) if type(t) is kind else t
-    changes = {}
+    kids = None   # made on the first change: most walks change nothing
+    i = 0
     for name, extra in scopes.items():
         child = getattr(t, name)
         new = map_vars(child, kind, leaf, depth + extra)
         if new is not child:
-            changes[name] = new
-    return replace(t, **changes) if changes else t
+            if kids is None:
+                kids = t.children()
+            kids[i] = new
+        i += 1
+    return t if kids is None else t.rebuild(kids)
 
 
 def open_at(t: Node, k: int, repl: Node) -> Node:
@@ -505,6 +549,17 @@ def fresh_name(hint: str, avoid: frozenset[str] | set[str]) -> str:
 # contexts
 
 
+def ctx_ok(ctx: Context) -> bool:
+    """Context well-scoping: names are distinct and every type's free
+    variables are bound earlier in the context."""
+    seen: set[str] = set()
+    for name, ty in ctx:
+        if name in seen or not free_vars(ty) <= seen:
+            return False
+        seen.add(name)
+    return True
+
+
 @dataclass(frozen=True)
 class Context:
     """Ordered typing context; later entries may mention earlier names."""
@@ -532,13 +587,4 @@ class Context:
     def __len__(self) -> int:
         return len(self.entries)
 
-
-def ctx_ok(ctx: Context) -> bool:
-    """Context well-scoping: names are distinct and every type's free
-    variables are bound earlier in the context."""
-    seen: set[str] = set()
-    for name, ty in ctx:
-        if name in seen or not free_vars(ty) <= seen:
-            return False
-        seen.add(name)
-    return True
+    ok = cached_property(ctx_ok)   # `infer` asks, mostly of one context

@@ -1,12 +1,15 @@
 """Binding-structure laws: open/close, substitution, alpha equality."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
+import tvec.syntax
 from tvec.syntax import (
     App, BVar, Cons, Context, EqTy, FVar, Join, Lam, NatTy, Nil, PiTy,
     Succ, TJoin, TLam, TSucc, TZero, VecTy, Zero, alpha_eq, close1,
-    ctx_ok, free_vars, fresh_name, node_count, open1, open_at,
+    Node, Span, ctx_ok, free_vars, fresh_name, node_count, open1, open_at,
     open2, subst,
 )
 
@@ -165,3 +168,76 @@ class TestContext:
     def test_domain_in_order(self):
         ctx = Context().extend("a", NatTy()).extend("b", NatTy())
         assert ctx.domain() == ("a", "b")
+
+
+NODE_CLASSES = [c for c in vars(tvec.syntax).values()
+                if isinstance(c, type) and issubclass(c, Node)]
+
+
+def _build(cls, hint, span):
+    """An instance of cls: children are `0`, hints are `hint`."""
+    args = []
+    for f in dataclasses.fields(cls):
+        if f.kw_only:
+            continue
+        if f.name in cls.SCOPES:
+            args.append(Zero())
+        elif not f.compare:
+            args.append(hint)
+        else:
+            args.append({"str": "a", "int": 0}[f.type])
+    return cls(*args, span=span), args
+
+
+class TestNodeContract:
+    """Nodes are frozen, slotted dataclasses: built once, never changed."""
+
+    @pytest.mark.parametrize("cls", NODE_CLASSES + [Span],
+                             ids=lambda c: c.__name__)
+    def test_frozen_slotted_dataclass(self, cls):
+        if cls is Span:
+            t, args = Span(1, 2), [1, 2]
+            twin = Span(1, 2)
+        else:
+            t, args = _build(cls, "x", Span(0, 1))
+            twin, _ = _build(cls, "y", Span(2, 3))
+        assert not hasattr(t, "__dict__")
+        names = [f.name for f in dataclasses.fields(t)]
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, name, getattr(t, name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(t, name)
+        assert t == twin and hash(t) == hash(twin)
+        if args:
+            with pytest.raises(TypeError):
+                cls(*args[:-1])
+        with pytest.raises(TypeError):
+            cls(*args, Zero())
+        with pytest.raises(TypeError):
+            cls(*args, colour="red")
+        assert cls.__match_args__ == tuple(n for n in names if n != "span")
+        if args:
+            C = cls
+            match t:
+                case C(first):
+                    assert first == args[0]
+                case _:
+                    pytest.fail("class pattern did not match")
+        moved = dataclasses.replace(t, **{names[-1]: args[-1]}) \
+            if args else dataclasses.replace(t)
+        assert moved == t and moved is not t
+        assert [getattr(moved, n) for n in names] == \
+            [getattr(t, n) for n in names]
+
+    @pytest.mark.parametrize("cls", [c for c in NODE_CLASSES if c.SCOPES],
+                             ids=lambda c: c.__name__)
+    def test_rebuild_keeps_hints_and_span(self, cls):
+        t, _ = _build(cls, "x", Span(0, 1))
+        kids = t.children()
+        assert kids == [getattr(t, n) for n in cls.SCOPES]
+        new = t.rebuild([Succ(k) for k in kids])
+        assert type(new) is cls and new is not t
+        assert new.children() == [Succ(k) for k in kids]
+        assert new.span is t.span
+        assert repr(new.rebuild(kids)) == repr(t)

@@ -337,3 +337,19 @@ class TestCheckingWork:
                                         counting(getattr(module, name)))
         assert isinstance(Checker().infer(Context(), t), Inferred)
         assert visits <= 5 * size
+
+    def test_context_is_checked_once(self, monkeypatch):
+        ctx = Context().extend("n", NAT).extend("v", VecTy(NAT, FVar("n")))
+        passes = 0
+
+        def counted(t):
+            nonlocal passes
+            passes += 1
+            return free_vars(t)
+
+        free_vars = tvec.syntax.free_vars
+        monkeypatch.setattr(tvec.syntax, "free_vars", counted)
+        checker = Checker()
+        for _ in range(1000):
+            assert isinstance(checker.infer(ctx, FVar("v")), Inferred)
+        assert passes == len(ctx), "one free_vars call per context type"
