@@ -21,20 +21,19 @@ environment variable and then to the built-in default.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from pathlib import Path
 from typing import NamedTuple
 
-from .erase import erase
 from .frontend import (
     ParseError, ResolveError, ResolvedDef, ResolvedFile, parse, pretty,
     resolve_defs,
 )
 from .oracle import ENUM_CAP, run_property_suite
 from .reduce import DEFAULT_FUEL, FuelExhausted, Stuck, eval_cbv, normalize
-from .syntax import free_vars
 from .typecheck import Checker, Diagnostic, Inferred, Mode
 
 EXIT_OK = 0
@@ -66,7 +65,9 @@ class _ArgumentParser(argparse.ArgumentParser):
                        f"{self.prog}: error: {message}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept."""
     ap = _ArgumentParser(
         prog="tvec",
         description="Type checker and evaluator for .tvec files.")
@@ -148,8 +149,9 @@ def _mode_from(args: argparse.Namespace) -> Mode | None:
     return Mode(args.mode) if args.mode else None
 
 
-def _load(args: argparse.Namespace) -> ResolvedFile:
-    """Read, parse, and resolve.
+def _load(args: argparse.Namespace, name: str | None = None) -> ResolvedFile:
+    """Read, parse, and resolve: every definition, or with `name` only
+    those that it needs (see `resolve_defs`).
 
     I/O and syntax errors are exit 2; resolution errors (unknown or
     duplicate names, recursion) mean a syntactically fine file that does
@@ -164,7 +166,7 @@ def _load(args: argparse.Namespace) -> ResolvedFile:
         raise _Failure(EXIT_USAGE, {"code": "io-error", "message": message},
                        f"tvec: {message}")
     try:
-        return resolve_defs(parse(text), _mode_from(args))
+        return resolve_defs(parse(text), _mode_from(args), name)
     except (ParseError, ResolveError) as err:
         status = EXIT_USAGE if isinstance(err, ParseError) else EXIT_FAIL
         raise _Failure(status, err.diagnostic.to_json(),
@@ -216,7 +218,7 @@ def _print_step(step: int, term) -> None:
 
 
 def _cmd_eval(args: argparse.Namespace, fuel: int) -> Report:
-    resolved = _load(args)
+    resolved = _load(args, args.name)
     d = _find_def(args, resolved)
     checker = Checker(fuel, resolved.mode)
     res = checker.check_against(resolved.assumptions, d.body, d.ty)
@@ -225,8 +227,9 @@ def _cmd_eval(args: argparse.Namespace, fuel: int) -> Report:
                        _failed_to_check(args, d.name, res.diagnostic),
                        resolved.mode)
 
-    erasure = erase(d.body)
-    closed = not free_vars(d.body) and not len(resolved.assumptions)
+    erasure = d.erased
+    # a resolved body mentions only assumed names
+    closed = not resolved.assumptions
     on_step = None
     if args.trace:
         _print_step(0, erasure)
@@ -269,9 +272,9 @@ def _cmd_eval(args: argparse.Namespace, fuel: int) -> Report:
 
 
 def _cmd_erase(args: argparse.Namespace, fuel: int) -> Report:
-    resolved = _load(args)
+    resolved = _load(args, args.name)
     d = _find_def(args, resolved)
-    erasure = pretty(erase(d.body))
+    erasure = pretty(d.erased)
     return Report(EXIT_OK, {"def": d.name, "mode": resolved.mode.value,
                             "erasure": erasure}, erasure)
 

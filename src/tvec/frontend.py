@@ -651,9 +651,10 @@ def _tyatom(ty: Node, env: tuple[str, ...]) -> str:
 @dataclass(frozen=True)
 class ResolvedDef:
     name: str
-    ty: Ty          # declared type with earlier defs inlined
-    body: AnnTerm   # body with earlier defs inlined
-    declared: Ty    # the type as written, for reports
+    ty: Ty              # declared type with earlier defs inlined
+    body: AnnTerm       # body with earlier defs inlined
+    erased: UnannTerm   # erase(body)
+    declared: Ty        # the type as written, for reports
     span: Span
 
 
@@ -664,8 +665,53 @@ class ResolvedFile:
     defs: tuple[ResolvedDef, ...]
 
 
-def resolve_defs(source: SourceFile,
-                 mode_override: Mode | None = None) -> ResolvedFile:
+def _names(t: Node, names: set[str], typed: set[str], in_type: bool) -> None:
+    """Add the free names of `t` to `names`, and those at type positions
+    (in a type, or in an annotation of an annotated term) to `typed`."""
+    if isinstance(t, FVar):
+        names.add(t.name)
+        if in_type:
+            typed.add(t.name)
+        return
+    ann = type(t).ANN
+    for field_name in type(t).SCOPES:
+        _names(getattr(t, field_name), names, typed,
+               in_type or field_name not in ann)
+
+
+def _needed(source: SourceFile,
+            name: str) -> tuple[set[str], list[frozenset[str]]]:
+    """The defs to resolve for `name`, and each item's free names.
+
+    The needed defs are those that `name` or a def named at a type
+    position reaches through free names.
+    """
+    mentions: list[frozenset[str]] = []
+    refs: dict[str, frozenset[str]] = {}
+    roots = {name}
+    for item in source.items:
+        names: set[str] = set()
+        typed: set[str] = set()
+        if not isinstance(item, ModeItem):
+            _names(item.ty, names, typed, in_type=True)
+        if isinstance(item, DefItem):
+            _names(item.body, names, typed, in_type=False)
+        mentions.append(frozenset(names))
+        if isinstance(item, DefItem):
+            refs.setdefault(item.name, mentions[-1])
+        roots |= typed
+    needed: set[str] = set()
+    todo = [n for n in roots if n in refs]
+    while todo:
+        n = todo.pop()
+        if n not in needed:
+            needed.add(n)
+            todo.extend(m for m in refs[n] if m in refs)
+    return needed, mentions
+
+
+def resolve_defs(source: SourceFile, mode_override: Mode | None = None,
+                 name: str | None = None) -> ResolvedFile:
     """Inline definitions and collect assumptions.
 
     Each def or assume may reference only earlier defs, earlier assumes,
@@ -676,16 +722,28 @@ def resolve_defs(source: SourceFile,
     Each body is erased once, when its def is resolved, and each item
     substitutes only the earlier defs it mentions, so loading a file costs
     one pass per item and not one per pair of items.
+
+    With `name`, only the defs that are needed are inlined and erased:
+    `name`'s dependency cone, and every def named at a type position (in
+    a declared or assumed type, or in an annotation inside a body)
+    together with its cone.  `defs` then holds just those.  Every other
+    item only has its free names checked.  That raises the same errors at
+    the same items as inlining would, unless a def named at a type
+    position erases to a name that erasure released; if a resolved
+    erasure holds such a name, the whole file is resolved instead.
     """
+    needed = mentions = None
+    if name is not None:
+        needed, mentions = _needed(source, name)
     mode: Mode | None = None
     assumptions: list[tuple[str, Ty]] = []
     assumed: set[str] = set()
+    defined: set[str] = set()
     defs: list[ResolvedDef] = []
-    # Per resolved def, in order: its name, annotated body, erased body,
-    # and the free names of the erased body that were not assumed when it
-    # was resolved.  The last are empty unless erasure released a name.
-    inlinable: list[tuple[str, AnnTerm, UnannTerm, frozenset[str]]] = []
-    position: dict[str, int] = {}
+    # Per resolved def, the free names of its erasure that were not assumed
+    # when it was resolved.  They are empty unless erasure released a name.
+    strays: list[frozenset[str]] = []
+    position: dict[str, int] = {}   # index into `defs`
 
     def fail(message: str, span: Span, code: str):
         raise ResolveError(Diagnostic("resolve", message, span, code=code))
@@ -714,9 +772,9 @@ def resolve_defs(source: SourceFile,
             if i == done:
                 continue
             done = i
-            name, body, erased, stray = inlinable[i]
-            node = (subst_annotated(node, name, body, erased) if annotated
-                    else subst(node, name, erased))
+            d, stray = defs[i], strays[i]
+            node = (subst_annotated(node, d.name, d.body, d.erased)
+                    if annotated else subst(node, d.name, d.erased))
             released = released or bool(stray)
             for n in stray:
                 if position.get(n, -1) > i:
@@ -725,38 +783,54 @@ def resolve_defs(source: SourceFile,
             return node, free_vars(node) - assumed
         return node, frozenset(n for n in names if n not in position)
 
-    for item in source.items:
+    for index, item in enumerate(source.items):
         match item:
             case ModeItem(m, span):
                 if mode is not None:
                     fail("duplicate mode pragma", span, "duplicate-pragma")
                 mode = m
-            case AssumeItem(name, ty, span):
-                if name in assumed or name in position:
-                    fail(f"duplicate name {name}", span, "duplicate-name")
+            case AssumeItem(item_name, ty, span):
+                if item_name in assumed or item_name in defined:
+                    fail(f"duplicate name {item_name}", span,
+                         "duplicate-name")
                 ty, loose = inline(ty, annotated=False)
                 if loose:
-                    fail(f"assume {name} mentions unknown names: "
+                    fail(f"assume {item_name} mentions unknown names: "
                          f"{', '.join(sorted(loose))}", span, "unknown-name")
-                assumptions.append((name, ty))
-                assumed.add(name)
-            case DefItem(name, declared, body, span):
-                if name in assumed or name in position:
-                    fail(f"duplicate name {name}", span, "duplicate-name")
-                ty, ty_loose = inline(declared, annotated=False)
-                body, body_loose = inline(body, annotated=True)
-                loose = ty_loose | body_loose
-                if name in loose:
-                    fail(f"def {name} refers to itself; definitions are "
-                         "non-recursive", span, "recursive-definition")
+                assumptions.append((item_name, ty))
+                assumed.add(item_name)
+            case DefItem(item_name, declared, body, span):
+                if item_name in assumed or item_name in defined:
+                    fail(f"duplicate name {item_name}", span,
+                         "duplicate-name")
+                wanted = needed is None or item_name in needed
+                if wanted:
+                    ty, ty_loose = inline(declared, annotated=False)
+                    body, body_loose = inline(body, annotated=True)
+                    loose = ty_loose | body_loose
+                else:
+                    # the defs named here at type positions are resolved
+                    # and release no name, so inlining would leave exactly the
+                    # names that no earlier item binds
+                    loose = mentions[index] - assumed - defined
+                if item_name in loose:
+                    fail(f"def {item_name} refers to itself; definitions "
+                         "are non-recursive", span, "recursive-definition")
                 if loose:
-                    fail(f"def {name} mentions unknown names: "
+                    fail(f"def {item_name} mentions unknown names: "
                          f"{', '.join(sorted(loose))}", span, "unknown-name")
-                defs.append(ResolvedDef(name, ty, body, declared, span))
+                defined.add(item_name)
+                if not wanted:
+                    continue
                 erased = erase(body)
-                position[name] = len(inlinable)
-                inlinable.append((name, body, erased,
-                                  free_vars(erased) - assumed))
+                stray = free_vars(erased) - assumed
+                if stray and needed is not None:
+                    # only inlining every item follows a released name
+                    return resolve_defs(source, mode_override)
+                position[item_name] = len(defs)
+                defs.append(ResolvedDef(item_name, ty, body, erased,
+                                        declared, span))
+                strays.append(stray)
 
     if mode_override is not None:
         mode = mode_override

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import tvec
+from tvec import cli
 from tvec.cli import main
 from tvec.oracle import ENUM_CAP
 from tvec.reduce import DEFAULT_FUEL
@@ -31,7 +32,12 @@ QUOD = str(QUODLIBET_PATH)
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """Exit status, stdout and stderr of one `main` call; an exit that
+    argparse makes is reported as its `SystemExit`."""
+    try:
+        code = main(list(argv))
+    except SystemExit as stop:
+        code = f"SystemExit({stop.code!r})"
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -477,6 +483,40 @@ class TestErrorPaths:
         assert blob["error"]["code"] == "resource-exhausted"
         assert proc.stderr.startswith("tvec: ")
         assert proc.stderr.count("\n") == 1
+
+
+# --------------------------------------------------------------------------
+# one argument parser per process
+
+
+class TestParserReuse:
+    """`main` builds its argument parser once per process, so no call may
+    depend on what an earlier one parsed."""
+
+    @pytest.mark.parametrize("before, after", [
+        (["eval", VEC, "four", "--trace"], ["eval", VEC, "four"]),
+        (["eval", VEC, "four", "--json"], ["eval", VEC, "four"]),
+        (["check", QUOD, "--json"], ["check", QUOD]),
+        (["check"], ["check", VEC]),
+        (["check", "--json"], ["erase", VEC, "append", "--json"]),
+        (["eval", VEC, "four", "--fuel", "abc"], ["eval", VEC, "four"]),
+        (["--help"], ["check", VEC]),
+        (["eval", "--help"], ["eval", VEC, "appendDemo", "--trace"]),
+    ], ids=["trace", "json", "check-json", "rejected", "rejected-json",
+            "rejected-fuel", "help", "subcommand-help"])
+    def test_a_call_is_as_if_made_first(self, before, after, capsys):
+        firsts = []
+        for argv in (before, after):
+            cli._build_parser.cache_clear()
+            firsts.append(run_cli(capsys, *argv))
+        cli._build_parser.cache_clear()
+        assert [run_cli(capsys, *before), run_cli(capsys, *after)] == firsts
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_a_trace_is_not_carried_over(self, capsys):
+        run_cli(capsys, "eval", VEC, "four", "--trace")
+        assert run_cli(capsys, "eval", VEC, "four") == \
+            (0, "4, Value, 21 steps\n", "")
 
 
 # --------------------------------------------------------------------------

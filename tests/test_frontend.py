@@ -11,11 +11,12 @@ import reference_lexer
 import reference_parser
 import tvec.frontend
 import tvec.syntax
+from cli_transcript import BROKEN, FAMILY
 from conftest import EXAMPLES
 from tvec.erase import erase
 from tvec.frontend import (
-    KEYWORDS, MAX_NUMERAL, ParseError, ResolveError, parse, parse_term,
-    parse_type, pretty, resolve_defs, tokenize,
+    KEYWORDS, MAX_NUMERAL, DefItem, ParseError, ResolveError, parse,
+    parse_term, parse_type, pretty, resolve_defs, tokenize,
 )
 from tvec.oracle import enumerate_terms
 from tvec.syntax import (
@@ -26,6 +27,12 @@ from tvec.syntax import (
 from tvec.typecheck import Mode
 
 NAT = NatTy()
+
+# The hand-written files: the examples and the benchmark's programs.
+CARRIED = sorted(EXAMPLES.glob("*.tvec")) + sorted(
+    (EXAMPLES.parent / "perfbench" / "programs").glob("*.tvec"))
+# Broken files that fail to parse, or exhaust the stack on the way.
+UNPARSED = {"parse_error_after", "deep_numeral_later"}
 
 # Pieces of random source text: every symbol, keywords and fragments of
 # them, comment and identifier punctuation, whitespace (Unicode included),
@@ -401,49 +408,126 @@ class TestFileParsing:
         resolved = resolve_defs(parse(src))
         assert resolved.defs[-1].ty == VecTy(NAT, Zero())
 
-    def test_resolution_work_is_linear(self, monkeypatch):
-        calls = 0
+    @staticmethod
+    def _resolution_work(monkeypatch, src, name=None):
+        """Resolve `src` counting the frontend's `erase` and
+        `subst_annotated` calls, and the top-level `erase` calls."""
+        work = {"erase": 0, "subst_annotated": 0, "top_level_erase": 0}
 
-        def counted(fn):
+        def counted(fn, key):
             def wrapper(*args):
-                nonlocal calls
-                calls += 1
+                work[key] += 1
                 return fn(*args)
             return wrapper
 
         # `erase` calls itself through its module's global, so a call made
         # while the depth is 0 is a top-level one, whoever made it
         erase_module = importlib.import_module("tvec.erase")
-        erase, depth, top_level = erase_module.erase, 0, 0
+        erase, depth = erase_module.erase, 0
 
         def erase_counted(t):
-            nonlocal depth, top_level
-            top_level += depth == 0
+            nonlocal depth
+            work["top_level_erase"] += depth == 0
             depth += 1
             try:
                 return erase(t)
             finally:
                 depth -= 1
 
-        monkeypatch.setattr(erase_module, "erase", erase_counted)
-        monkeypatch.setattr(tvec.frontend, "erase", erase_counted)
-        for name in ("erase", "subst_annotated"):
-            monkeypatch.setattr(tvec.frontend, name,
-                                counted(getattr(tvec.frontend, name)))
+        with monkeypatch.context() as m:
+            m.setattr(erase_module, "erase", erase_counted)
+            m.setattr(tvec.frontend, "erase", erase_counted)
+            for key in ("erase", "subst_annotated"):
+                m.setattr(tvec.frontend, key,
+                          counted(getattr(tvec.frontend, key), key))
+            resolved = resolve_defs(parse(src), None, name)
+        return resolved, work
+
+    CHAIN = "def n0 : Nat = 0\n" + "".join(
+        f"def n{i} : Nat = S n{i - 1}\n" for i in range(1, 200))
+
+    def test_resolution_work_is_linear(self, monkeypatch):
         n = 200
-        src = "def n0 : Nat = 0\n" + "".join(
-            f"def n{i} : Nat = S n{i - 1}\n" for i in range(1, n))
-        resolved = resolve_defs(parse(src))
+        resolved, work = self._resolution_work(monkeypatch, self.CHAIN)
         assert resolved.defs[-1].body == parse_term(str(n - 1))
         # one erasure per def and one substitution per reference
-        assert calls <= 2 * n
-        assert top_level == n
+        assert work["erase"] + work["subst_annotated"] <= 2 * n
+        assert work["top_level_erase"] == n
+
+    def test_resolving_one_def_does_only_its_work(self, monkeypatch):
+        resolved, work = self._resolution_work(monkeypatch, self.CHAIN,
+                                               "n0")
+        assert [d.name for d in resolved.defs] == ["n0"]
+        assert work["top_level_erase"] == 1
+        assert work["subst_annotated"] == 0
+        # the last def needs every other one
+        _, full = self._resolution_work(monkeypatch, self.CHAIN)
+        _, last = self._resolution_work(monkeypatch, self.CHAIN, "n199")
+        assert last == full
 
     def test_later_defs_may_not_be_referenced_early(self):
         src = "def x : Nat = y\ndef y : Nat = 0"
         with pytest.raises(ResolveError) as exc:
             resolve_defs(parse(src))
         assert exc.value.diagnostic.code == "unknown-name"
+
+    @pytest.mark.parametrize("path", CARRIED,
+                             ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_each_def_keeps_its_erasure(self, path):
+        for d in resolve_defs(parse(path.read_text())).defs:
+            assert d.erased == erase(d.body)
+
+
+def _resolution(source, name, whole):
+    """What resolving the whole file, or only for `name`, gives: the
+    error, or the mode, the assumptions and def `name`."""
+    try:
+        resolved = resolve_defs(source, None, None if whole else name)
+    except ResolveError as err:
+        return err.diagnostic.to_json()
+    picked = [d for d in resolved.defs if d.name == name]
+    return resolved.mode, resolved.assumptions, picked
+
+
+def _def_names(source) -> list[str]:
+    return [item.name for item in source.items if isinstance(item, DefItem)]
+
+
+class TestResolveOneDef:
+    """Resolving for one def must agree with resolving the whole file."""
+
+    @pytest.mark.parametrize("text", [
+        *(path.read_text() for path in CARRIED),
+        (EXAMPLES / "vec.tvec").read_text() + FAMILY,
+    ], ids=[*(f"{path.parent.name}/{path.name}" for path in CARRIED),
+            "family"])
+    def test_each_def_as_in_the_whole_file(self, text):
+        source = parse(text)
+        whole = {d.name: d for d in resolve_defs(source).defs}
+        for name in _def_names(source):
+            # `ty`, `body` and `erased` included
+            assert [d for d in resolve_defs(source, None, name).defs
+                    if d.name == name] == [whole[name]]
+
+    @pytest.mark.parametrize("label", sorted(set(BROKEN) - UNPARSED))
+    def test_broken_files_fail_alike(self, label):
+        source = parse(BROKEN[label])
+        for name in [*_def_names(source), "noSuchDef"]:
+            assert _resolution(source, name, whole=False) == \
+                _resolution(source, name, whole=True)
+
+    def test_stray_cascade_resolves_like_the_whole_file(self):
+        source = parse(BROKEN["stray_cascade"])
+        g = resolve_defs(source, None, "g").defs[-1]
+        assert g == resolve_defs(source).defs[-1]
+        assert g.ty == VecTy(NAT, Zero())
+
+    def test_later_fault_is_reported(self):
+        source = parse(BROKEN["later_unknown_in_type"])
+        with pytest.raises(ResolveError) as exc:
+            resolve_defs(source, None, "a")
+        assert exc.value.diagnostic.message == \
+            "def c mentions unknown names: zz"
 
 
 def free_vars_empty(t) -> bool:
