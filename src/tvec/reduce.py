@@ -268,11 +268,11 @@ def _plug(t: UnannTerm, stack: list[list]) -> UnannTerm:
 _LO, _RI, _CBV = "lo", "ri", "cbv"
 
 
-def _run(t: UnannTerm, fuel: int, mode: str, on_step: StepHook | None):
+def _run(t: UnannTerm, fuel: int, mode: str, on_step: StepHook | None,
+         outer: int):  # abstractions around the focus, inside t or not
     lo, ri, cbv = mode is _LO, mode is _RI, mode is _CBV
     done: dict[int, UnannTerm] = {}   # id -> node found normal / a value
     stack: list[list] = []   # frames: [node, children, slot, changed]
-    outer = 0                # abstractions on the stack
     steps = 0
     down = True
     while True:
@@ -352,11 +352,13 @@ _MODES = {LEFTMOST_OUTERMOST: _LO, RIGHTMOST_INNERMOST: _RI}
 
 def normalize(t: UnannTerm, fuel: int = DEFAULT_FUEL,
               strategy: str = LEFTMOST_OUTERMOST, *,
-              on_step: StepHook | None = None) -> NormalizeOutcome:
-    """Reduce t to a normal form, or report fuel exhaustion."""
+              on_step: StepHook | None = None,
+              outer: int = 0) -> NormalizeOutcome:
+    """Reduce t to a normal form, or report fuel exhaustion.  The loose
+    indices of t point at `outer` abstractions around it."""
     if fuel <= 0:
         raise ValueError("fuel must be positive")
-    return _run(t, fuel, _MODES[strategy], on_step)
+    return _run(t, fuel, _MODES[strategy], on_step, outer)
 
 
 def joinable(a: UnannTerm, b: UnannTerm,
@@ -395,4 +397,4 @@ def eval_cbv(t: UnannTerm, fuel: int = DEFAULT_FUEL, *,
     """Run call-by-value to a value, a stuck state, or out of fuel."""
     if fuel <= 0:
         raise ValueError("fuel must be positive")
-    return _run(t, fuel, _CBV, on_step)
+    return _run(t, fuel, _CBV, on_step, 0)

@@ -18,18 +18,18 @@ excluded from equality, so `a == b` on locally closed nodes is exactly
 alpha-equivalence.  Every binding construct declares, per child field, how
 many extra binder levels that child sits under (`SCOPES`).  One walker,
 `map_vars`, follows those levels down to the variables and rebuilds only
-what changes; `open_at`, `close_at`, `subst` and erasure's index lowering
-(`erase._release`) are each a leaf function over it.  The folds
-`free_vars` and `node_count` walk the same children.  The reducer opens
-no binder: a beta step instantiates indices with its own walker, which
-does not recurse (`reduce.contract`).  The parser closes nothing: it
-binds names as it reads them.  The checker opens no term either: it
-checks a binder body under an environment of names.  It opens and closes
-types only: `open1`/`open2` instantiate a codomain or a motive, and
-`close1` closes the type of a binder body and the recursor step types.
-Besides the checker, the oracle opens a codomain at `0`
-(`canonical_shape`), and the corpus closes the terms it builds from
-names (`close1`/`close_at`).
+what changes; `open_at`, `close_at`, `subst`, `instantiate` and erasure's
+index lowering (`erase._release`) are each a leaf function over it.  The
+folds `free_vars` and `node_count` walk the same children.
+
+Only printing names bound variables.  The parser binds names as it reads
+them.  The checker instantiates codomains and motives with `instantiate`,
+which raises a loose argument's indices past the binders it lands under;
+on locally closed arguments it is `open1`/`open2`, and with none it is a
+shift.  The reducer instantiates a beta redex with its own walker, which
+does not recurse (`reduce.contract`).  `open1`, `open2` and `close1`
+remain for the oracle (`canonical_shape`), the corpus, which builds
+terms from names, and the test suite's reference implementations.
 
 Storage.  Node classes and `Span` are frozen dataclasses with slots
 (`_frozen`); an `__init__` made once per class stores each field through
@@ -499,6 +499,27 @@ def close1(t: Node, name: str) -> Node:
 def open2(t: Node, outer: Node, inner: Node) -> Node:
     """Instantiate a two-binder scope: level 1 gets `outer`, level 0 `inner`."""
     return open_at(open_at(t, 1, outer), 0, inner)
+
+
+def instantiate(t: Node, args: tuple[Node, ...], lift: int = 0) -> Node:
+    """Replace each loose index i < len(args) of `t` by `args[i]`, raised
+    past the binders it lands under, and move every other loose index i
+    to i - len(args) + lift.  `t` itself comes back if nothing changes."""
+    n = len(args)
+    raised: dict[tuple[int, int], Node] = {}   # (i, depth) -> args[i] raised
+
+    def leaf(v: BVar, depth: int) -> Node:
+        i = v.index - depth
+        if i < 0 or (i >= n and n == lift):
+            return v
+        if i >= n:
+            return BVar(v.index - n + lift, span=v.span)
+        if not depth:
+            return args[i]
+        if (i, depth) not in raised:
+            raised[i, depth] = instantiate(args[i], (), depth)
+        return raised[i, depth]
+    return map_vars(t, BVar, leaf)
 
 
 def free_vars(t: Node) -> frozenset[str]:

@@ -19,17 +19,17 @@ explicit cast first.  A construct whose rule is not in the mode is a
 `mode-violation`.  Rule attempts are tallied in `rule_hits` so the
 self-test suite can assert coverage.
 
-Binder bodies are checked without opening them.  The pass carries an
-environment `env`, the names given to the enclosing binders, innermost
-first; a bound variable `BVar(i)` stands for `env[i]` and is looked up in
-the context like a free name.  Only what enters a type is named after
-`env` (`_open_env`): binder domains, motives, `nil`/`foldz`/`folds`
-types and the erasures that types embed.  A type comes back with free
-names, and a binder closes the type of its body (`close1`) only if its
-name went into a type.  So each term node is visited once by the pass
-itself, not once per enclosing binder.  Whether a bound variable
-survives erasure is noted as the pass meets it, so the side condition of
-implicit binders erases nothing either.
+Checking makes no names.  Terms and types stay in de Bruijn form: the
+pass keeps the enclosing binders as a stack of `(hint, dom)` pairs, and
+the context holds only the assumptions.  `BVar(i)` has the i-th binder's
+domain for its type, raised past the i + 1 binders between.  A binder
+returns its product around its body's type as it stands; codomains,
+motives and the recursor step types are built by `syntax.instantiate`;
+join sides are normalized under the enclosing binders.  So checking costs
+time linear in binder depth.  Whether a bound variable survives erasure
+is noted by level as the pass meets it, so the side condition of
+implicit binders erases nothing.  Names are made only when a diagnostic
+that points at the binders is read (`_named`).
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from .erase import erase
 from .reduce import DEFAULT_FUEL, FuelExhausted, normalize
@@ -44,8 +46,8 @@ from .syntax import (
     AllTy, AnnTerm, BVar, Cons, Context, EqTy, FVar, IfZeroTy, NatTy, Nil,
     Node, PiTy, Span, Succ, TApp, TAppImp, TCast, TCons, TFoldS, TFoldZ,
     TJoin, TLam, TLamImp, TNil, TQApp, TQLam, TRNat, TRVec, TSucc, TUnfoldS,
-    TUnfoldZ, TZero, Ty, VecTy, Zero, alpha_eq, close1, free_vars,
-    fresh_name, map_vars, open1, open2,
+    TUnfoldZ, TZero, Ty, VecTy, Zero, alpha_eq, free_vars, fresh_name,
+    instantiate, map_vars,
 )
 
 
@@ -69,10 +71,10 @@ RULES = {Mode.BASE: BASE_RULES, Mode.LARGE_ELIM: EXT_RULES}
 
 
 class _Shown:
-    """A `Diagnostic` field that holds a node or its text and reads as the
-    text, pretty-printing a node on first read.  Most diagnostics are
-    never shown (the self-test drops nearly all of its failures), so they
-    keep the node and leave the formatting to whoever reads them."""
+    """A `Diagnostic` field that holds a node, a function that makes its
+    text, or the text, and reads as the text, made on first read.  Most
+    diagnostics are never shown (the self-test drops nearly all of its
+    failures), so they leave the formatting to whoever reads them."""
 
     def __set_name__(self, owner, name: str) -> None:
         self.slot = "_" + name
@@ -83,9 +85,11 @@ class _Shown:
         value = obj.__dict__[self.slot]
         if isinstance(value, Node):
             value = obj.__dict__[self.slot] = _fmt(value)
+        elif callable(value):
+            value = obj.__dict__[self.slot] = value()
         return value
 
-    def __set__(self, obj, value: str | Node | None) -> None:
+    def __set__(self, obj, value: str | Node | Callable | None) -> None:
         obj.__dict__[self.slot] = value
 
 
@@ -95,8 +99,8 @@ class Diagnostic:
     message: str
     span: Span
     code: str = "error"
-    expected: str | Node | None = _Shown()
-    actual: str | Node | None = _Shown()
+    expected: str | Node | Callable | None = _Shown()
+    actual: str | Node | Callable | None = _Shown()
     severity: str = "error"
     children: tuple["Diagnostic", ...] = ()
 
@@ -154,6 +158,19 @@ def _span(node) -> Span:
     return node.span or Span(0, 0)
 
 
+def _named(ctx: Context, root: AnnTerm, env, node: Node) -> str:
+    """The text of `node`, whose loose indices point at the binders `env`
+    ((hint, dom) pairs, outermost first).  Each binder, outermost first,
+    is named by the first of hint, hint', ... that is not a name of `ctx`,
+    a free name of `root` (the checked term) or an outer binder's name."""
+    taken = set(ctx.names() | free_vars(root))
+    names = []
+    for hint, _ in env:
+        names.append(fresh_name(hint, taken))
+        taken.add(names[-1])
+    return _fmt(instantiate(node, tuple(FVar(x) for x in reversed(names))))
+
+
 class Checker:
     """The checker for one mode; it accepts exactly the rules in RULES."""
 
@@ -162,20 +179,16 @@ class Checker:
         self.mode = mode
         self.rules = RULES[mode]
         self.rule_hits: Counter[str] = Counter()
-        # The state of one `infer` call:
-        #   _root   the term it checks;
-        #   _taken  names a binder's name avoids: the context's, the
-        #           term's free names and the enclosing binders' names
-        #           (None until the first binder);
-        #   _kept   how many innermost binders of `env` the current
-        #           position survives erasure for;
-        #   _live   binder names met at such a position;
-        #   _typed  binder names that `_open_env` put into a type.
+        # The state of one `infer` call: its context `_ctx` and term `_root`;
+        # `_env`, the enclosing binders' (hint, dom) pairs, outermost first,
+        # so `BVar(i)` is `_env[-1 - i]`; `_kept`, how many innermost binders
+        # the position survives erasure for; `_live`, the levels (positions
+        # in `_env`) of the binders met at a position that survives erasure.
+        self._ctx = Context()
         self._root: AnnTerm | None = None
-        self._taken: set[str] | None = None
+        self._env: list[tuple[str, Ty]] = []
         self._kept = 0
-        self._live: set[str] = set()
-        self._typed: set[str] = set()
+        self._live: set[int] = set()
 
     # -- public entry points -------------------------------------------
 
@@ -184,11 +197,11 @@ class Checker:
             return Failure(Diagnostic(
                 "context", "context is not well-scoped", Span(0, 0),
                 code="context-ill-scoped"))
-        self._root, self._taken, self._kept = t, None, 0
+        self._ctx, self._root, self._kept = ctx, t, 0
+        self._env.clear()       # a failure leaves its binders behind
         self._live.clear()
-        self._typed.clear()
         try:
-            return Inferred(self._infer(ctx, t, ()))
+            return Inferred(self._infer(t))
         except _CheckError as err:
             return Failure(err.diagnostic)
 
@@ -211,19 +224,34 @@ class Checker:
     def _fail(self, rule: str, node, message: str, *, code: str,
               expected: Ty | None = None, actual: Node | None = None,
               children: tuple[Diagnostic, ...] = ()) -> None:
+        if self._env:           # the nodes may point at the binders
+            named = partial(_named, self._ctx, self._root, tuple(self._env))
+            expected = expected and partial(named, expected)
+            actual = actual and partial(named, actual)
         raise _CheckError(Diagnostic(
             rule, message, _span(node), code=code,
             expected=expected, actual=actual, children=children))
 
-    def _scope_check(self, rule: str, node, ty: Ty, ctx: Context) -> None:
+    def _scope_check(self, rule: str, node, ty: Ty, binders: int = 0) -> None:
+        """An annotation (under `binders` of its own) may mention only the
+        context's names and the enclosing binders."""
         loose = free_vars(ty)
         if loose:
-            loose -= ctx.names()
+            loose -= self._ctx.names()
         if loose:
             names = ", ".join(sorted(loose))
             self._fail(rule, node,
                        f"annotation mentions names not in scope: {names}",
                        code="scope-violation", actual=ty)
+        depth = len(self._env) + binders
+
+        def leaf(v: BVar, d: int) -> Node:
+            if v.index - d >= depth:
+                self._fail(rule, node, "annotation mentions a bound variable "
+                           "past the enclosing binders",
+                           code="scope-violation", actual=ty)
+            return v
+        map_vars(ty, BVar, leaf)
 
     def _expect_alpha(self, rule: str, node, actual: Ty, expected: Ty,
                       what: str) -> None:
@@ -242,25 +270,26 @@ class Checker:
 
     # -- the rules -----------------------------------------------------
 
-    def _infer(self, ctx: Context, t: AnnTerm, env: tuple[str, ...]) -> Ty:
+    def _infer(self, t: AnnTerm) -> Ty:
         match t:
             # ---------------------------------------- x : ctx(x)
             case FVar(name):
                 self._hit("var")
-                ty = ctx.lookup(name)
+                ty = self._ctx.lookup(name)
                 if ty is None:
                     self._fail("var", t, f"unbound variable {name}",
                                code="unbound-variable")
                 return ty
             case BVar(index):
                 self._hit("var")
-                if index >= len(env):
+                level = len(self._env) - 1 - index
+                if level < 0:
                     self._fail("var", t, "dangling bound variable "
                                "(term is not locally closed)",
                                code="unbound-variable")
                 if index < self._kept:
-                    self._live.add(env[index])
-                return ctx.lookup(env[index])
+                    self._live.add(level)
+                return instantiate(self._env[level][1], (), index + 1)
             # ---------------------------------------- 0 : Nat
             case TZero():
                 self._hit("zero")
@@ -269,25 +298,24 @@ class Checker:
             # ---------------------------------------- S t : Nat
             case TSucc(pred):
                 self._hit("succ")
-                pty = self._infer(ctx, pred, env)
+                pty = self._infer(pred)
                 self._expect_alpha("succ", pred, pty, NatTy(),
                                    "successor argument")
                 return NatTy()
             # ---------------------------------------- nil A : Vec A 0
             case TNil(elem):
                 self._hit("nil")
-                elem = self._open_env(elem, env)
-                self._scope_check("nil", t, elem, ctx)
+                self._scope_check("nil", t, elem)
                 return VecTy(elem, Zero())
             # h : A   tl : Vec A n
             # ---------------------------------------- cons h tl : Vec A (S n)
             case TCons(head, tail):
                 self._hit("cons")
-                tail_ty = self._infer(ctx, tail, env)
+                tail_ty = self._infer(tail)
                 if not isinstance(tail_ty, VecTy):
                     self._fail("cons", tail, "cons tail is not a vector",
                                code="shape-mismatch", actual=tail_ty)
-                head_ty = self._infer(ctx, head, env)
+                head_ty = self._infer(head)
                 self._expect_alpha("cons", head, head_ty, tail_ty.elem,
                                    "cons head")
                 return VecTy(tail_ty.elem, Succ(tail_ty.length))
@@ -295,111 +323,109 @@ class Checker:
             # ---------------------------------------- fun x:A => t : Pi x:A. B
             case TLam():
                 self._hit("abs")
-                hint, dom, cod = self._binder("abs", ctx, t, env,
-                                              erased_absent=False)
-                return PiTy(hint, dom, cod)
+                return self._binder("abs", t, PiTy)
             # ctx, x:A |- t : B    x not free in |t|
             # -------------------------------------- ifun x:A => t : All x:A. B
             case TLamImp():
                 self._gate("spec-abs", t, "implicit abstraction")
-                hint, dom, cod = self._binder("spec-abs", ctx, t, env,
-                                              erased_absent=True)
-                return AllTy(hint, dom, cod)
+                return self._binder("spec-abs", t, AllTy)
             # f : Pi x:A. B   a : A
             # ---------------------------------------- f a : B[x := |a|]
             case TApp(fn, arg):
                 self._hit("app")
-                fn_ty = self._infer(ctx, fn, env)
+                fn_ty = self._infer(fn)
                 if not isinstance(fn_ty, PiTy):
                     self._fail("app", fn, "application head is not a function",
                                code="shape-mismatch", actual=fn_ty)
-                arg_ty = self._infer(ctx, arg, env)
+                arg_ty = self._infer(arg)
                 self._expect_alpha("app", arg, arg_ty, fn_ty.dom,
                                    "function argument")
-                return open1(fn_ty.cod, self._open_env(erase(arg), env))
+                return instantiate(fn_ty.cod, (erase(arg),))
             # f : All x:A. B   a : A
             # ---------------------------------------- f @[a] : B[x := |a|]
             case TAppImp(fn, arg):
                 self._gate("spec-app", t, "implicit application")
-                return self._instantiate(
-                    "spec-app", ctx, env, fn, arg,
+                return self._implicit_app(
+                    "spec-app", fn, arg,
                     "implicit application head is not an implicit product",
                     "implicit argument")
             # t : A   t' : B   |t| and |t'| joinable
             # ---------------------------------------- join t t' : |t| = |t'|
             case TJoin(lhs, rhs):
                 self._hit("join")
-                self._infer_erased(ctx, lhs, env)
-                self._infer_erased(ctx, rhs, env)
-                return self._join_type(t, self._open_env(erase(lhs), env),
-                                       self._open_env(erase(rhs), env))
+                self._infer_erased(lhs)
+                self._infer_erased(rhs)
+                return self._join_type(t, erase(lhs), erase(rhs))
             # p : a = b   t : M[x := a]
             # ---------------------------------------- cast x.M p t : M[x := b]
             case TCast(_, motive, proof, body):
                 self._hit("cast")
-                motive = self._open_env(motive, env, 1)
-                self._scope_check("cast", t, motive, ctx)
-                proof_ty = self._infer_erased(ctx, proof, env)
+                self._scope_check("cast", t, motive, 1)
+                proof_ty = self._infer_erased(proof)
                 if not isinstance(proof_ty, EqTy):
                     self._fail("cast", proof, "cast proof is not an equation",
                                code="shape-mismatch", actual=proof_ty)
-                body_ty = self._infer(ctx, body, env)
+                body_ty = self._infer(body)
                 self._expect_alpha("cast", body, body_ty,
-                                   open1(motive, proof_ty.lhs), "cast subject")
-                return open1(motive, proof_ty.rhs)
+                                   instantiate(motive, (proof_ty.lhs,)),
+                                   "cast subject")
+                return instantiate(motive, (proof_ty.rhs,))
             # n : Nat   b : M[0]   s : Pi y:Nat. Pi u:M[y]. M[S y]
             # ---------------------------------------- rnat x.M b s n : M[|n|]
             case TRNat(_, motive, base, step, scrut):
                 self._hit("rnat")
-                motive = self._open_env(motive, env, 1)
-                self._scope_check("rnat", t, motive, ctx)
-                scrut_ty = self._infer(ctx, scrut, env)
+                self._scope_check("rnat", t, motive, 1)
+                scrut_ty = self._infer(scrut)
                 self._expect_alpha("rnat", scrut, scrut_ty, NatTy(),
                                    "recursor scrutinee")
-                base_ty = self._infer(ctx, base, env)
+                base_ty = self._infer(base)
                 self._expect_alpha("rnat", base, base_ty,
-                                   open1(motive, Zero()), "recursor base")
-                step_ty = self._infer(ctx, step, env)
-                self._expect_alpha("rnat", step, step_ty,
-                                   self._rnat_step_ty(ctx, motive),
-                                   "recursor step")
-                return open1(motive, self._open_env(erase(scrut), env))
+                                   instantiate(motive, (Zero(),)),
+                                   "recursor base")
+                step_ty = self._infer(step)
+                # Under y and u, M[y] is M itself and y is index 1.
+                self._expect_alpha("rnat", step, step_ty, PiTy(
+                    "y", NatTy(), PiTy("u", motive, instantiate(
+                        motive, (Succ(BVar(1)),), 2))), "recursor step")
+                return instantiate(motive, (erase(scrut),))
             # v : Vec A n   b : M[0, nil]
             # s : All l:Nat. Pi z:A. Pi v:Vec A l. Pi u:M[l, v]. M[S l, cons z v]
             # ---------------------------------------- rvec x.y.M b s v : M[n, |v|]
             case TRVec(_, _, motive, base, step, scrut):
                 self._hit("rvec")
-                motive = self._open_env(motive, env, 2)
-                self._scope_check("rvec", t, motive, ctx)
-                scrut_ty = self._infer(ctx, scrut, env)
+                self._scope_check("rvec", t, motive, 2)
+                scrut_ty = self._infer(scrut)
                 if not isinstance(scrut_ty, VecTy):
                     self._fail("rvec", scrut,
                                "vector recursor scrutinee is not a vector",
                                code="shape-mismatch", actual=scrut_ty)
-                base_ty = self._infer(ctx, base, env)
+                base_ty = self._infer(base)
                 self._expect_alpha("rvec", base, base_ty,
-                                   open2(motive, Zero(), Nil()),
+                                   instantiate(motive, (Nil(), Zero())),
                                    "recursor base")
-                step_ty = self._infer(ctx, step, env)
-                self._expect_alpha("rvec", step, step_ty,
-                                   self._rvec_step_ty(ctx, motive, scrut_ty.elem),
-                                   "recursor step")
-                return open2(motive, scrut_ty.length,
-                             self._open_env(erase(scrut), env))
+                step_ty = self._infer(step)
+                # Under l, z, v and u; the motive takes (vector, length).
+                a1, a2 = (instantiate(scrut_ty.elem, (), k) for k in (1, 2))
+                self._expect_alpha("rvec", step, step_ty, AllTy(
+                    "l", NatTy(), PiTy("z", a1, PiTy(
+                        "v", VecTy(a2, BVar(1)), PiTy(
+                            "u", instantiate(motive, (BVar(0), BVar(2)), 3),
+                            instantiate(motive, (Cons(BVar(2), BVar(1)),
+                                                 Succ(BVar(3))), 4))))),
+                    "recursor step")
+                return instantiate(motive, (erase(scrut), scrut_ty.length))
             # quasi-implicit and fold/unfold forms: large-elim mode only
             # ctx, x:A |- t : B    x not free in |t|
             # -------------------------------------- qfun x:A => t : All x:A. B
             case TQLam():
                 self._gate("quasi-abs", t, "quasi-implicit abstraction")
-                hint, dom, cod = self._binder("quasi-abs", ctx, t, env,
-                                              erased_absent=True)
-                return AllTy(hint, dom, cod)
+                return self._binder("quasi-abs", t, AllTy)
             # f : All x:A. B   w : A
             # ---------------------------------------- f @-[w] : B[x := |w|]
             case TQApp(fn, witness):
                 self._gate("quasi-app", t, "quasi-implicit application")
-                return self._instantiate(
-                    "quasi-app", ctx, env, fn, witness,
+                return self._implicit_app(
+                    "quasi-app", fn, witness,
                     "quasi-implicit application head is not a "
                     "quasi-implicit product",
                     "quasi-implicit witness")
@@ -407,14 +433,13 @@ class Checker:
             # -------------------------------------- foldz [B] t : ifzero 0 A B
             case TFoldZ(other, body):
                 self._gate("fold-zero", t, "ifzero introduction")
-                other = self._open_env(other, env)
-                self._scope_check("fold-zero", t, other, ctx)
-                return IfZeroTy(Zero(), self._infer(ctx, body, env), other)
+                self._scope_check("fold-zero", t, other)
+                return IfZeroTy(Zero(), self._infer(body), other)
             # t : ifzero 0 A B
             # ---------------------------------------- unfoldz t : A
             case TUnfoldZ(body):
                 self._gate("unfold-zero", t, "ifzero elimination")
-                body_ty = self._infer(ctx, body, env)
+                body_ty = self._infer(body)
                 if not isinstance(body_ty, IfZeroTy):
                     self._fail("unfold-zero", body,
                                "unfoldz subject is not an ifzero type",
@@ -428,27 +453,25 @@ class Checker:
             # ----------------------------- folds [w][A] t : ifzero (S |w|) A B
             case TFoldS(witness, zero_ty, body):
                 self._gate("fold-succ", t, "ifzero introduction")
-                zero_ty = self._open_env(zero_ty, env)
-                self._scope_check("fold-succ", t, zero_ty, ctx)
-                wit_ty = self._infer_erased(ctx, witness, env)
+                self._scope_check("fold-succ", t, zero_ty)
+                wit_ty = self._infer_erased(witness)
                 self._expect_alpha("fold-succ", witness, wit_ty, NatTy(),
                                    "folds witness")
-                body_ty = self._infer(ctx, body, env)
-                return IfZeroTy(Succ(self._open_env(erase(witness), env)),
-                                zero_ty, body_ty)
+                body_ty = self._infer(body)
+                return IfZeroTy(Succ(erase(witness)), zero_ty, body_ty)
             # w : Nat   t : ifzero (S |w|) A B
             # ---------------------------------------- unfolds [w] t : B
             case TUnfoldS(witness, body):
                 self._gate("unfold-succ", t, "ifzero elimination")
-                wit_ty = self._infer_erased(ctx, witness, env)
+                wit_ty = self._infer_erased(witness)
                 self._expect_alpha("unfold-succ", witness, wit_ty, NatTy(),
                                    "unfolds witness")
-                body_ty = self._infer(ctx, body, env)
+                body_ty = self._infer(body)
                 if not isinstance(body_ty, IfZeroTy):
                     self._fail("unfold-succ", body,
                                "unfolds subject is not an ifzero type",
                                code="shape-mismatch", actual=body_ty)
-                scrut = Succ(self._open_env(erase(witness), env))
+                scrut = Succ(erase(witness))
                 if not alpha_eq(body_ty.scrut, scrut):
                     self._fail("unfold-succ", body,
                                "unfolds needs the scrutinee to be literally "
@@ -461,82 +484,52 @@ class Checker:
 
     # -- shared rule bodies ---------------------------------------------
 
-    def _open_env(self, t: Node, env: tuple[str, ...], level: int = 0) -> Node:
-        """Name the loose indices of `t` after `env`.
-
-        Under `level` binders of `t`'s own (a motive has one or two), the
-        index `level + i` becomes `FVar(env[i])`; an index past `env` is
-        left dangling, as opening would leave it.
-        """
-        if not env:
-            return t
-
-        def leaf(v: BVar, depth: int) -> Node:
-            i = v.index - depth
-            if not 0 <= i < len(env):
-                return v
-            self._typed.add(env[i])
-            return FVar(env[i])
-        return map_vars(t, BVar, leaf, level)
-
-    def _infer_erased(self, ctx: Context, t: AnnTerm,
-                      env: tuple[str, ...]) -> Ty:
-        """Infer a child that erasure drops, such as a join side: no bound
-        variable of `env` survives erasure through it."""
+    def _infer_erased(self, t: AnnTerm) -> Ty:
+        """Infer a child that erasure drops, such as a join side: no
+        enclosing binder survives erasure through it."""
         kept, self._kept = self._kept, 0
-        ty = self._infer(ctx, t, env)
+        ty = self._infer(t)
         self._kept = kept
         return ty
 
-    def _binder(self, rule: str, ctx: Context, t, env: tuple[str, ...], *,
-                erased_absent: bool) -> tuple[str, Ty, Ty]:
-        """Check a binder form; returns (hint, dom, closed codomain).
-
-        The body is checked as it is, under `env` extended by the bound
-        variable's name; the name avoids every name in scope and every
-        free name of the term being checked.  Only a name that entered a
-        type can occur in the body's type, so only then is it closed.
-        """
-        dom = self._open_env(t.dom, env)
-        self._scope_check(rule, t, dom, ctx)
-        if self._taken is None:     # the first binder, so `env` is empty
-            self._taken = set(ctx.names() | free_vars(self._root))
-        x = fresh_name(t.hint, self._taken)
-        self._taken.add(x)
+    def _binder(self, rule: str, t, product: type[PiTy | AllTy]) -> Ty:
+        """The `product` of a binder form's domain and its body's type, as
+        it stands.  The variable of an `AllTy` must not survive erasure."""
+        self._scope_check(rule, t, t.dom)
+        level = len(self._env)
+        self._env.append((t.hint, t.dom))
         self._kept += 1
-        body_ty = self._infer(ctx.extend(x, dom), t.body, (x, *env))
+        body_ty = self._infer(t.body)
         self._kept -= 1
-        self._taken.discard(x)
-        if x in self._live:
-            self._live.discard(x)
-            if erased_absent:
+        if level in self._live:
+            self._live.discard(level)
+            if product is AllTy:
+                name = t.hint or _named(self._ctx, self._root, self._env,
+                                        BVar(0))
                 self._fail(rule, t,
-                           f"bound variable {t.hint or x} survives erasure; "
+                           f"bound variable {name} survives erasure; "
                            "it may only occur in annotations",
                            code="erased-occurrence")
-        if x in self._typed:
-            self._typed.discard(x)
-            body_ty = close1(body_ty, x)
-        return t.hint, dom, body_ty
+        self._env.pop()
+        return product(t.hint, t.dom, body_ty)
 
-    def _instantiate(self, rule: str, ctx: Context, env: tuple[str, ...],
-                     fn, arg, head_message: str, what: str) -> Ty:
+    def _implicit_app(self, rule: str, fn, arg, head_message: str,
+                      what: str) -> Ty:
         """Instantiate an implicit or quasi-implicit product."""
-        fn_ty = self._infer(ctx, fn, env)
+        fn_ty = self._infer(fn)
         if not isinstance(fn_ty, AllTy):
             self._fail(rule, fn, head_message,
                        code="shape-mismatch", actual=fn_ty)
-        arg_ty = self._infer_erased(ctx, arg, env)
+        arg_ty = self._infer_erased(arg)
         self._expect_alpha(rule, arg, arg_ty, fn_ty.dom, what)
-        return open1(fn_ty.cod, self._open_env(erase(arg), env))
+        return instantiate(fn_ty.cod, (erase(arg),))
 
     def _join_type(self, t, lhs, rhs) -> Ty:
         """The equation `join t` proves, given the erasures of its sides."""
-        # One normalization per side both decides the rule and explains a
-        # failure.
+        # One normalization per side decides the rule and explains failure.
         forms = []
         for side in (lhs, rhs):
-            out = normalize(side, self.fuel)
+            out = normalize(side, self.fuel, outer=len(self._env))
             if isinstance(out, FuelExhausted):
                 self._fail("join", t,
                            "undecided: fuel exhausted before both sides "
@@ -546,36 +539,18 @@ class Checker:
         left, right = forms
         if alpha_eq(left.term, right.term):
             return EqTy(lhs, rhs)
+        text = (partial(_named, self._ctx, self._root, self._env)
+                if self._env else _fmt)
         self._fail("join", t, "the two sides have distinct normal forms",
                    code="join-distinct",
                    children=(
                        Diagnostic("join",
-                                  f"left normalizes to {_fmt(left.term)}",
+                                  f"left normalizes to {text(left.term)}",
                                   _span(t.lhs), code="note", severity="note"),
                        Diagnostic("join",
-                                  f"right normalizes to {_fmt(right.term)}",
+                                  f"right normalizes to {text(right.term)}",
                                   _span(t.rhs), code="note", severity="note"),
                    ))
-
-    def _rnat_step_ty(self, ctx: Context, motive: Ty) -> Ty:
-        y = fresh_name("y", ctx.names() | free_vars(motive))
-        u_ty = open1(motive, FVar(y))
-        res_ty = open1(motive, Succ(FVar(y)))
-        return PiTy("y", NatTy(), close1(PiTy("u", u_ty, res_ty), y))
-
-    def _rvec_step_ty(self, ctx: Context, motive: Ty, elem: Ty) -> Ty:
-        avoid = set(ctx.names() | free_vars(motive) | free_vars(elem))
-        l = fresh_name("l", avoid)
-        avoid.add(l)
-        z = fresh_name("z", avoid)
-        avoid.add(z)
-        v = fresh_name("v", avoid)
-        u_ty = open2(motive, FVar(l), FVar(v))
-        res_ty = open2(motive, Succ(FVar(l)), Cons(FVar(z), FVar(v)))
-        ty: Ty = PiTy("u", u_ty, res_ty)
-        ty = PiTy("v", VecTy(elem, FVar(l)), close1(ty, v))
-        ty = PiTy("z", elem, close1(ty, z))
-        return AllTy("l", NatTy(), close1(ty, l))
 
 
 def infer(ctx: Context, t: AnnTerm, fuel: int = DEFAULT_FUEL) -> CheckResult:

@@ -1,17 +1,18 @@
-"""Reference checker, independent of the environment in `tvec.typecheck`.
+"""Reference checker, independent of the nameless `tvec.typecheck`.
 
-This is the checker `tvec.typecheck` had before it checked binder bodies
-under an environment of names: at every binder it opens the whole body
+This checker names every binder as it meets it: it opens the whole body
 with a fresh free name (`open1`), picks that name by collecting the free
-names of the body, and for implicit binders erases the opened body again
-to look for the name.  `test_typecheck.py` checks that both checkers give
-the same verdict, alpha-equal types, the same diagnostic and the same
-rule hits.  Two differences are intended.  A diagnostic at a bound
-variable has a span only in `tvec.typecheck`: opening replaces the
-parsed `BVar` by an `FVar` without one, so this checker reports
-`Span(0, 0)` there.  And `tvec.typecheck` names a binder avoiding the
-free names of the whole term, not of the body, which picks the same name
-whenever the term's free names are in the context.
+names of the body, closes the body's type again (`close1`), and for
+implicit binders erases the opened body again to look for the name.
+`tvec.typecheck` keeps every type in de Bruijn form instead, and makes
+names only when a diagnostic is printed.  `test_typecheck.py` checks
+that both checkers give the same verdict, alpha-equal types, the same
+diagnostic text and the same rule hits.  Two differences are intended.
+A diagnostic at a bound variable has a span only in `tvec.typecheck`:
+opening replaces the parsed `BVar` by an `FVar` without one, so this
+checker reports `Span(0, 0)` there.  And `tvec.typecheck` names a binder
+avoiding the free names of the whole term, not of the body, which picks
+the same name whenever the term's free names are in the context.
 """
 
 from __future__ import annotations

@@ -132,6 +132,19 @@ class TestNormalize:
         out = normalize(t)
         assert out.term == FVar("n")
 
+    @pytest.mark.parametrize("strategy",
+                             [LEFTMOST_OUTERMOST, RIGHTMOST_INNERMOST])
+    def test_loose_indices_point_at_outer_abstractions(self, strategy):
+        # Under one abstraction x (index 0 at the root):
+        # (fun y => fun z => y) x  ~>  fun z => x
+        t = App(Lam("y", Lam("z", BVar(1))), BVar(0))
+        out = normalize(t, strategy=strategy, outer=1)
+        assert out.term == Lam("z", BVar(1))
+        # (fun y => fun z => x) 0  ~>  fun z => x
+        t = App(Lam("y", Lam("z", BVar(2))), Zero())
+        out = normalize(t, strategy=strategy, outer=1)
+        assert out.term == Lam("z", BVar(1))
+
 
 class TestJoinable:
     def test_equal_after_reduction(self):

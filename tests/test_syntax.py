@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st
 import tvec.syntax
 from tvec.syntax import (
     App, BVar, Cons, Context, EqTy, FVar, Join, Lam, NatTy, Nil, PiTy,
-    Succ, TJoin, TLam, TSucc, TZero, VecTy, Zero, alpha_eq, close1,
-    Node, Span, ctx_ok, free_vars, fresh_name, node_count, open1, open_at,
-    open2, subst,
+    Succ, TJoin, TLam, TSucc, TZero, VecTy, Zero, alpha_eq, close1, close_at,
+    Node, Span, ctx_ok, free_vars, fresh_name, instantiate, node_count,
+    open1, open_at, open2, subst,
 )
 
 # A reusable closed abstraction: fun x => S x, in de Bruijn form.
@@ -101,6 +101,46 @@ class TestOpenClose:
     def test_close_open_identity_on_fresh(self, t):
         name = fresh_name("z", free_vars(t))
         assert open1(close1(t, name), FVar(name)) == t
+
+
+class TestInstantiate:
+    @given(unann_terms(), unann_terms())
+    def test_is_open1_on_locally_closed_arguments(self, t, a):
+        body = close1(t, "a")
+        assert instantiate(body, (a,)) == open1(body, a)
+
+    @given(unann_terms(), unann_terms(), unann_terms())
+    def test_is_open2_on_locally_closed_arguments(self, t, vec, length):
+        body = close_at(close_at(t, 1, "b"), 0, "a")
+        assert instantiate(body, (vec, length)) == open2(body, length, vec)
+
+    def test_loose_arguments_are_raised_under_binders(self):
+        # fun y => fun z => x y, with x := a term with a loose index
+        body = Lam("y", Lam("z", App(BVar(2), BVar(1))))
+        assert instantiate(body, (App(BVar(0), BVar(3)),)) == \
+            Lam("y", Lam("z", App(App(BVar(2), BVar(5)), BVar(1))))
+
+    def test_other_indices_move_by_lift_minus_arguments(self):
+        t = Lam("y", App(BVar(0), App(BVar(1), BVar(2))))
+        assert instantiate(t, (Zero(),), 2) == \
+            Lam("y", App(BVar(0), App(Zero(), BVar(3))))
+        assert instantiate(t, (Zero(), Nil())) == \
+            Lam("y", App(BVar(0), App(Zero(), Nil())))
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_no_arguments_is_the_shift(self, k):
+        t = Lam("y", App(BVar(0), Cons(BVar(1), BVar(3))))
+        assert instantiate(t, (), k) == \
+            Lam("y", App(BVar(0), Cons(BVar(1 + k), BVar(3 + k))))
+
+    @pytest.mark.parametrize("t, args, lift", [
+        (Lam("y", App(BVar(0), FVar("f"))), (Zero(),), 0),
+        (Lam("y", App(BVar(0), BVar(1))), (), 0),
+        (Lam("y", App(BVar(0), BVar(2))), (Zero(),), 1),
+        (PiTy("x", NatTy(), VecTy(NatTy(), BVar(0))), (Zero(),), 0),
+    ])
+    def test_unchanged_term_comes_back_itself(self, t, args, lift):
+        assert instantiate(t, args, lift) is t
 
 
 class TestSubstitution:

@@ -1,5 +1,8 @@
 """Base-mode checking: one syntax-directed rule per construct."""
 
+import sys
+from collections import Counter
+
 import pytest
 
 import reference_checker
@@ -128,6 +131,22 @@ class TestRuleNegative:
         assert diag.rule == rule
         assert diag.code == code
 
+    @pytest.mark.parametrize("t", [
+        TLam("x", VecTy(NAT, BVar(0)), BVar(0)),
+        TLam("n", NAT, TNil(VecTy(NAT, BVar(1)))),
+        TRNat("x", VecTy(NAT, BVar(1)), TZero(), TZero(), TZero()),
+    ])
+    def test_annotation_index_past_the_binders(self, t):
+        diag = failure(Context(), t)
+        assert (diag.code, diag.message) == (
+            "scope-violation",
+            "annotation mentions a bound variable past the enclosing binders")
+
+    def test_annotation_may_mention_enclosing_binders(self):
+        t = TLam("n", NAT, TNil(VecTy(NAT, BVar(0))))
+        assert inferred(Context(), t) == \
+            PiTy("n", NAT, VecTy(VecTy(NAT, BVar(0)), Zero()))
+
     def test_join_zero_succ_zero_rejected(self):
         # there must be no proof of 0 = S 0
         diag = failure(Context(), TJoin(TZero(), TSucc(TZero())))
@@ -216,6 +235,14 @@ class TestLazyDiagnostics:
         assert "actual:   Nat" in diag.render()
         assert calls == 2
 
+    def test_binders_are_named_only_when_read(self, monkeypatch):
+        calls = counting(monkeypatch, ("fresh_name",))
+        diag = failure(Context(), parse_term(
+            "fun x : Nat => fun y : Vec Nat x => S y"))
+        assert calls["fresh_name"] == 0
+        assert diag.actual == "Vec Nat x"
+        assert calls["fresh_name"] == 2
+
     def test_text_and_node_diagnostics_are_equal(self):
         by_node = Diagnostic("check", "m", Span(0, 0), expected=NAT,
                              actual=VecTy(NAT, Zero()))
@@ -299,13 +326,82 @@ class TestReferenceChecker:
         "ifun l : Nat => fun v : Vec Nat l => join v (S l)",
         "ifun l : Nat => S l",
         "fun n : Nat => rnat [x. Vec Nat x] nil[Nat] 0 n",
+        # shadowed hints
+        "fun x : Nat => fun x : Vec Nat x => S x",
+        # hints that are the context's names
+        "fun a : Nat => fun b : Vec Nat a => S b",
+        "fun b : Nat => fun a : Nat => join (S a) (S (S b))",
+        # notes that print bound names
+        "fun x : Nat => fun y : Nat => join (S x) y",
+        "fun x : Nat => fun y : Nat => "
+        "join ((fun z : Nat => fun w : Nat => z) x) (fun w : Nat => y)",
+        # a step type that mentions an enclosing binder
+        "fun n : Nat => fun v : Vec (Vec Nat n) n => "
+        "rvec [l. w. Vec (Vec Nat n) l] nil[Vec Nat n] "
+        "(fun k : Nat => k) v",
     ])
     def test_failures_under_binders(self, src):
-        assert_same_check(Context(), parse_term(src))
+        for ctx in (Context(), TWO_VARIABLES):
+            assert_same_check(ctx, parse_term(src))
+
+    @pytest.mark.parametrize("ctx", [Context(), TWO_VARIABLES],
+                             ids=["closed", "two-variables"])
+    @pytest.mark.parametrize("t", [
+        TLamImp("", NAT, TSucc(BVar(0))),
+        TLam("x", NAT, TLamImp("", NAT, TSucc(BVar(0)))),
+        TLam("", NAT, TLamImp("", NAT, TSucc(BVar(0)))),
+        TLam("", NAT, TLam("", VecTy(NAT, BVar(0)), TSucc(BVar(0)))),
+    ], ids=["ifun", "under-x", "under-unnamed", "unnamed-dependent"])
+    def test_binders_without_hints(self, ctx, t):
+        assert_same_check(ctx, t)
+
+
+def dependent_chain(n: int):
+    """fun x0 : Nat => fun x1 : Vec Nat x0 => ... => x(n-1)"""
+    t = BVar(0)
+    for k in reversed(range(n)):
+        t = TLam(f"x{k}", VecTy(NAT, BVar(0)) if k else NAT, t)
+    return t
+
+
+def shadowing(n: int):
+    """fun x : Nat => ... => fun x : Nat => x, with n binders"""
+    t = BVar(0)
+    for _ in range(n):
+        t = TLam("x", NAT, t)
+    return t
+
+
+@pytest.fixture
+def deep_recursion():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, 20_000))
+    yield
+    sys.setrecursionlimit(old)
+
+
+def counting(monkeypatch, names):
+    """Count the calls of the functions `names` in `tvec.syntax` and
+    `tvec.typecheck`, recursive calls included."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    for module in (tvec.syntax, tvec.typecheck):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    return calls
 
 
 class TestCheckingWork:
-    """Checking walks each binder body once, not once per enclosing binder."""
+    """Checking walks each binder body once, not once per enclosing binder,
+    and makes no names."""
 
     def test_nested_binders_over_joins(self, monkeypatch):
         def tree(depth: int, leaf: int):
@@ -321,22 +417,31 @@ class TestCheckingWork:
         size = node_count(t)
         assert size == 1123
 
-        visits = 0
-
-        def counting(fn):
-            def counted(*args):
-                nonlocal visits
-                visits += 1
-                return fn(*args)
-            return counted
-
-        for module in (tvec.syntax, tvec.typecheck):
-            for name in ("map_vars", "_collect_free"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name,
-                                        counting(getattr(module, name)))
+        visits = counting(monkeypatch, ("map_vars", "_collect_free"))
         assert isinstance(Checker().infer(Context(), t), Inferred)
-        assert visits <= 5 * size
+        assert visits.total() <= 5 * size
+
+    @pytest.mark.usefixtures("deep_recursion")
+    @pytest.mark.parametrize("family", [dependent_chain, shadowing])
+    def test_deep_binders_cost_linear_work(self, family, monkeypatch):
+        n = 800
+        t = family(n)
+        calls = counting(monkeypatch,
+                         ("map_vars", "_collect_free", "fresh_name"))
+        res = Checker().infer(Context(), t)
+        assert isinstance(res, Inferred)
+        assert calls["map_vars"] + calls["_collect_free"] <= 10 * n
+        assert calls["fresh_name"] == 0
+        # Pi over the same domains, down to the innermost domain raised
+        # past its own binder
+        ty = VecTy(NAT, BVar(1)) if family is dependent_chain else NAT
+        binders = []
+        while isinstance(t, TLam):
+            binders.append(t)
+            t = t.body
+        for b in reversed(binders):
+            ty = PiTy(b.hint, b.dom, ty)
+        assert res.type == ty
 
     def test_context_is_checked_once(self, monkeypatch):
         ctx = Context().extend("n", NAT).extend("v", VecTy(NAT, FVar("n")))
