@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from .erase import erase
 from .syntax import (
     AllTy, AnnTerm, App, Cons, Context, EqTy, FVar, IfZeroTy, NatTy, PiTy,
-    Succ, TApp, TAppImp, TCast, TCons, TFoldS, TFoldZ, TJoin, TLam, TLamImp,
-    TNil, TQApp, TQLam, TRNat, TRVec, TSucc, TUnfoldS, TUnfoldZ, TZero, Ty,
-    UnannTerm, VecTy, Zero, close_at, close1,
+    Succ, TAppImp, TCast, TFoldS, TFoldZ, TJoin, TLam, TLamImp, TNil, TQApp,
+    TQLam, TRNat, TRVec, TUnfoldS, TUnfoldZ, Ty, UnannTerm, VecTy, Zero,
+    close_at, close1,
 )
 
 NAT = NatTy()
@@ -46,18 +46,14 @@ class CorpusDef:
 
 
 def num(n: int) -> AnnTerm:
-    """The annotated numeral: an S tower over zero."""
-    t: AnnTerm = TZero()
-    for _ in range(n):
-        t = TSucc(t)
-    return t
-
-
-def unum(n: int) -> UnannTerm:
-    t: UnannTerm = Zero()
+    """The numeral n: an S tower over zero, annotated and erased alike."""
+    t: AnnTerm = Zero()
     for _ in range(n):
         t = Succ(t)
     return t
+
+
+unum = num   # the erased numeral is the same term
 
 
 def lam(name: str, dom: Ty, body: AnnTerm) -> AnnTerm:
@@ -86,7 +82,7 @@ def cast(name: str, motive: Ty, proof: AnnTerm, body: AnnTerm) -> AnnTerm:
 
 def app(fn: AnnTerm, *args: AnnTerm) -> AnnTerm:
     for a in args:
-        fn = TApp(fn, a)
+        fn = App(fn, a)
     return fn
 
 
@@ -103,7 +99,7 @@ def vec(length: UnannTerm) -> Ty:
 def vec_lit(*elems: int) -> AnnTerm:
     t: AnnTerm = TNil(NAT)
     for e in reversed(elems):
-        t = TCons(num(e), t)
+        t = Cons(num(e), t)
     return t
 
 
@@ -117,7 +113,7 @@ def plus_ty() -> Ty:
 
 def plus_body() -> AnnTerm:
     # plus m n recurses on m, returning n in the base case.
-    step = lam("y", NAT, lam("u", NAT, TSucc(FVar("u"))))
+    step = lam("y", NAT, lam("u", NAT, Succ(FVar("u"))))
     return lam("m", NAT, lam("n", NAT,
                TRNat("x", NAT, FVar("n"), step, FVar("m"))))
 
@@ -134,7 +130,7 @@ def p1_ty() -> Ty:
 
 def p1_body() -> AnnTerm:
     l2 = FVar("l2")
-    return ilam("l2", NAT, TJoin(l2, app(plus_body(), TZero(), l2)))
+    return ilam("l2", NAT, TJoin(l2, app(plus_body(), Zero(), l2)))
 
 
 def p2_ty() -> Ty:
@@ -146,8 +142,8 @@ def p2_ty() -> Ty:
 def p2_body() -> AnnTerm:
     l, l2 = FVar("l"), FVar("l2")
     return ilam("l", NAT, ilam("l2", NAT,
-                TJoin(TSucc(app(plus_body(), l, l2)),
-                      app(plus_body(), TSucc(l), l2))))
+                TJoin(Succ(app(plus_body(), l, l2)),
+                      app(plus_body(), Succ(l), l2))))
 
 
 # --------------------------------------------------------------------------
@@ -171,7 +167,7 @@ def append_body() -> AnnTerm:
                         lam("r", vec(plus_u(FVar("l"), l2)),
                             cast("w", vec(FVar("w")),
                                  iapp(p2_body(), FVar("l"), l2),
-                                 TCons(FVar("x"), FVar("r")))))))
+                                 Cons(FVar("x"), FVar("r")))))))
     motive = vec(plus_u(FVar("x"), l2))
     rec = TRVec("x", "y", close_at(close_at(motive, 0, "y"), 1, "x"),
                 base, step, FVar("v1"))
@@ -232,8 +228,8 @@ def append_assoc_ty() -> Ty:
 
 
 def append_assoc_body() -> AnnTerm:
-    base = TJoin(_assoc_left_ann(TZero(), TNil(NAT)),
-                 _assoc_right_ann(TZero(), TNil(NAT)))
+    base = TJoin(_assoc_left_ann(Zero(), TNil(NAT)),
+                 _assoc_right_ann(Zero(), TNil(NAT)))
 
     # In the step case the goal follows from the induction hypothesis r
     # by peeling one cons off each side: a join proves the left side
@@ -241,15 +237,15 @@ def append_assoc_body() -> AnnTerm:
     # (cons x <right of r>), and a second join closes the gap to the
     # right side of the goal.
     x, v1p = FVar("x"), FVar("v1'")
-    goal_l = _assoc_left_ann(TSucc(FVar("l")), TCons(x, v1p))
-    goal_r = _assoc_right_ann(TSucc(FVar("l")), TCons(x, v1p))
+    goal_l = _assoc_left_ann(Succ(FVar("l")), Cons(x, v1p))
+    goal_r = _assoc_right_ann(Succ(FVar("l")), Cons(x, v1p))
     ih_l = _assoc_left_ann(FVar("l"), v1p)
     ih_r = _assoc_right_ann(FVar("l"), v1p)
 
-    peel_left = TJoin(goal_l, TCons(x, ih_l))
+    peel_left = TJoin(goal_l, Cons(x, ih_l))
     rewrite = cast("w", EqTy(erase(goal_l), Cons(FVar("x"), FVar("w"))),
                    FVar("r"), peel_left)
-    peel_right = TJoin(TCons(x, ih_r), goal_r)
+    peel_right = TJoin(Cons(x, ih_r), goal_r)
     step_body = cast("w", EqTy(erase(goal_l), FVar("w")),
                      peel_right, rewrite)
     step = ilam("l", NAT,
@@ -287,7 +283,7 @@ def v3_body() -> AnnTerm:
 
 
 def append_demo_ty() -> Ty:
-    return vec(plus_u(unum(2), unum(3)))
+    return vec(plus_u(num(2), num(3)))
 
 
 def append_demo_body() -> AnnTerm:
@@ -304,8 +300,8 @@ def base_corpus() -> tuple[CorpusDef, ...]:
         CorpusDef("append_assoc", append_assoc_ty(), append_assoc_body()),
         CorpusDef("two", NAT, two_body()),
         CorpusDef("four", NAT, four_body()),
-        CorpusDef("v2", vec(unum(2)), v2_body()),
-        CorpusDef("v3", vec(unum(3)), v3_body()),
+        CorpusDef("v2", vec(num(2)), v2_body()),
+        CorpusDef("v3", vec(num(3)), v3_body()),
         CorpusDef("appendDemo", append_demo_ty(), append_demo_body()),
     )
 
@@ -342,7 +338,7 @@ def stuck_fn_body() -> AnnTerm:
 
 
 def stuck_app_body() -> AnnTerm:
-    return TApp(stuck_fn_from(FVar("p")), num(0))
+    return App(stuck_fn_from(FVar("p")), num(0))
 
 
 def quod_all_ty() -> Ty:
@@ -350,7 +346,7 @@ def quod_all_ty() -> Ty:
 
 
 def quod_all_body() -> AnnTerm:
-    return qlam("q", absurd_eq(), TApp(stuck_fn_from(FVar("q")), num(0)))
+    return qlam("q", absurd_eq(), App(stuck_fn_from(FVar("q")), num(0)))
 
 
 def via_witness_body() -> AnnTerm:

@@ -7,54 +7,55 @@ abstractions erase to their bare bodies; for well-typed terms the bound
 variable cannot occur in the erased body, and for arbitrary terms any
 leftover occurrence is released as a fresh free name so the result stays
 locally closed.
+
+Variables, application, zero, successor and `cons` carry no annotation,
+so erasure returns an annotation-free subterm (a numeral, a vector
+literal, `f (g 0)`) as it is: the result shares it, not a copy of it.
 """
 
 from __future__ import annotations
 
 from .syntax import (
     AnnTerm, App, BVar, Cons, FVar, Join, Lam, Nil, Node, QApp, QLam, RNat,
-    RVec, Succ, TApp, TAppImp, TCast, TCons, TFoldS, TFoldZ, TJoin, TLam,
-    TLamImp, TNil, TQApp, TQLam, TRNat, TRVec, TSucc, TUnfoldS, TUnfoldZ,
-    TZero, UnannTerm, Zero, free_vars, fresh_name, map_vars, subst,
+    RVec, Succ, TAppImp, TCast, TFoldS, TFoldZ, TJoin, TLam, TLamImp, TNil,
+    TQApp, TQLam, TRNat, TRVec, TUnfoldS, TUnfoldZ, UnannTerm, Zero,
+    free_vars, fresh_name, map_vars, subst,
 )
 
 
 def erase(t: AnnTerm) -> UnannTerm:
     match t:
-        case FVar() | BVar():
+        case FVar() | BVar() | Zero():
             return t
-        case TApp(fn, arg):
-            return App(erase(fn), erase(arg), span=t.span)
-        case TAppImp(fn, _):
-            return erase(fn)
+        case App(fn, arg):
+            f, a = erase(fn), erase(arg)
+            return t if f is fn and a is arg else App(f, a, span=t.span)
+        case Succ(pred):
+            p = erase(pred)
+            return t if p is pred else Succ(p, span=t.span)
+        case Cons(head, tail):
+            h, tl = erase(head), erase(tail)
+            return t if h is head and tl is tail else Cons(h, tl, span=t.span)
         case TLam(hint, _, body):
             return Lam(hint, erase(body), span=t.span)
-        case TLamImp(hint, _, body):
-            return _release(erase(body), hint)
-        case TZero():
-            return Zero(span=t.span)
-        case TSucc(pred):
-            return Succ(erase(pred), span=t.span)
         case TRNat(_, _, base, step, scrut):
             return RNat(erase(base), erase(step), erase(scrut), span=t.span)
         case TNil(_):
             return Nil(span=t.span)
-        case TCons(head, tail):
-            return Cons(erase(head), erase(tail), span=t.span)
         case TRVec(_, _, _, base, step, scrut):
             return RVec(erase(base), erase(step), erase(scrut), span=t.span)
         case TJoin(_, _):
             return Join(span=t.span)
-        case TCast(_, _, _, body):
-            return erase(body)
-        case TQLam(hint, _, body):
-            return QLam(_release(erase(body), hint), span=t.span)
         case TQApp(fn, _):
             return QApp(erase(fn), span=t.span)
-        case TFoldZ(_, body) | TUnfoldZ(body):
-            return erase(body)
-        case TFoldS(_, _, body) | TUnfoldS(_, body):
-            return erase(body)
+        case TAppImp(fn, _):
+            return erase(fn)
+        case TCast() | TFoldZ() | TUnfoldZ() | TFoldS() | TUnfoldS():
+            return erase(t.body)
+        case TLamImp(hint, _, body):
+            return _release(erase(body), hint)
+        case TQLam(hint, _, body):
+            return QLam(_release(erase(body), hint), span=t.span)
     raise TypeError(f"not an annotated term: {t!r}")
 
 

@@ -67,10 +67,10 @@ from typing import NamedTuple
 from .erase import erase, subst_annotated
 from .syntax import (
     AllTy, AnnTerm, App, BVar, Cons, Context, EqTy, FVar, IfZeroTy, Join,
-    Lam, NatTy, Nil, Node, PiTy, QApp, QLam, RNat, RVec, Span, Succ, TApp,
-    TAppImp, TCast, TCons, TFoldS, TFoldZ, TJoin, TLam, TLamImp, TNil,
-    TQApp, TQLam, TRNat, TRVec, TSucc, TUnfoldS, TUnfoldZ, TZero, Ty,
-    UnannTerm, VecTy, Zero, free_vars, fresh_name, subst,
+    Lam, NatTy, Nil, Node, PiTy, QApp, QLam, RNat, RVec, Span, Succ,
+    TAppImp, TCast, TFoldS, TFoldZ, TJoin, TLam, TLamImp, TNil, TQApp,
+    TQLam, TRNat, TRVec, TUnfoldS, TUnfoldZ, Ty, UnannTerm, VecTy, Zero,
+    free_vars, fresh_name, subst,
 )
 from .typecheck import Diagnostic, Mode
 
@@ -356,7 +356,7 @@ class _Parser:
             tok = self.peek()
             if tok.kind in _ATOM_STARTS:
                 arg = self.atom()
-                t = TApp(t, arg, span=Span(start, self._prev_end()))
+                t = App(t, arg, span=Span(start, self._prev_end()))
             elif tok.kind == "@[":
                 self.next()
                 arg = self.term()
@@ -375,12 +375,12 @@ class _Parser:
         kind = tok.kind
         if kind == "S":
             self.next()
-            return TSucc(self.atom(), span=Span(tok.start, self._prev_end()))
+            return Succ(self.atom(), span=Span(tok.start, self._prev_end()))
         if kind == "cons":
             self.next()
             head = self.atom()
             tail = self.atom()
-            return TCons(head, tail, span=Span(tok.start, self._prev_end()))
+            return Cons(head, tail, span=Span(tok.start, self._prev_end()))
         if kind == "join":
             self.next()
             lhs = self.atom()
@@ -448,7 +448,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "zero":
             self.next()
-            return TZero(span=tok.span)
+            return Zero(span=tok.span)
         if tok.kind == "number":
             self.next()
             try:
@@ -458,9 +458,9 @@ class _Parser:
             if n > MAX_NUMERAL:
                 self._err(f"numeral is larger than {MAX_NUMERAL}", tok)
             span = tok.span
-            t: AnnTerm = TZero(span=span)
+            t: AnnTerm = Zero(span=span)
             for _ in range(n):
-                t = TSucc(t, span=span)
+                t = Succ(t, span=span)
             return t
         if tok.kind == "ident":
             self.next()
@@ -517,10 +517,10 @@ def pretty(node: Node) -> str:
 
 def _numeral(t: Node) -> int | None:
     n = 0
-    while isinstance(t, (TSucc, Succ)):
+    while isinstance(t, Succ):
         t = t.pred
         n += 1
-    if isinstance(t, (TZero, Zero)):
+    if isinstance(t, Zero):
         return n
     return None
 
@@ -550,7 +550,7 @@ def _term(t: Node, env: tuple[str, ...]) -> str:
 
 def _apply(t: Node, env: tuple[str, ...]) -> str:
     match t:
-        case TApp(fn, arg) | App(fn, arg):
+        case App(fn, arg):
             return f"{_apply(fn, env)} {_atom(arg, env)}"
         case TAppImp(fn, arg):
             return f"{_apply(fn, env)} @[{_term(arg, env)}]"
@@ -558,28 +558,23 @@ def _apply(t: Node, env: tuple[str, ...]) -> str:
             return f"{_apply(fn, env)} @-[{_term(arg, env)}]"
         case QApp(fn):
             return f"{_apply(fn, env)} @-[]"
-        case TSucc(p) | Succ(p) if _numeral(t) is None:
+        case Succ(p) if _numeral(t) is None:
             return f"S {_atom(p, env)}"
-        case TCons(h, tl):
-            return f"cons {_atom(h, env)} {_atom(tl, env)}"
         case Cons(h, tl):
             return f"cons {_atom(h, env)} {_atom(tl, env)}"
         case TJoin(l, r):
             return f"join {_atom(l, env)} {_atom(r, env)}"
         case TRNat(hint, motive, base, step, scrut):
-            name = fresh_name(hint, free_vars(motive) | set(env))
-            menv = (name,) + env
+            name, menv = _bind(hint, motive, env)
             return (f"rnat [{name}. {_ty(motive, menv)}] {_atom(base, env)} "
                     f"{_atom(step, env)} {_atom(scrut, env)}")
         case TRVec(lh, vh, motive, base, step, scrut):
-            lname = fresh_name(lh, free_vars(motive) | set(env))
-            vname = fresh_name(vh, free_vars(motive) | set(env) | {lname})
-            menv = (vname, lname) + env
+            lname, lenv = _bind(lh, motive, env)
+            vname, menv = _bind(vh, motive, lenv)
             return (f"rvec [{lname}. {vname}. {_ty(motive, menv)}] "
                     f"{_atom(base, env)} {_atom(step, env)} {_atom(scrut, env)}")
         case TCast(hint, motive, proof, body):
-            name = fresh_name(hint, free_vars(motive) | set(env))
-            menv = (name,) + env
+            name, menv = _bind(hint, motive, env)
             return (f"cast [{name}. {_ty(motive, menv)}] "
                     f"{_atom(proof, env)} {_atom(body, env)}")
         case TFoldZ(other, body):

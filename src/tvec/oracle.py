@@ -45,11 +45,11 @@ from .reduce import (
     Stuck, Value, eval_cbv, joinable, normalize,
 )
 from .syntax import (
-    AllTy, AnnTerm, BVar, Cons, Context, EqTy, FVar, IfZeroTy, Join, Lam,
-    NatTy, Nil, PiTy, QLam, Succ, TApp, TAppImp, TCast, TCons, TFoldS,
-    TFoldZ, TJoin, TLam, TLamImp, TNil, TQApp, TQLam, TRNat, TRVec, TSucc,
-    TUnfoldS, TUnfoldZ, TZero, Ty, UnannTerm, VecTy, Zero, alpha_eq,
-    free_vars, node_count, open1, subst,
+    AllTy, AnnTerm, App, BVar, Cons, Context, EqTy, FVar, IfZeroTy, Join,
+    Lam, NatTy, Nil, PiTy, QLam, Succ, TAppImp, TCast, TFoldS, TFoldZ,
+    TJoin, TLam, TLamImp, TNil, TQApp, TQLam, TRNat, TRVec, TUnfoldS,
+    TUnfoldZ, Ty, UnannTerm, VecTy, Zero, alpha_eq, free_vars, node_count,
+    open1, subst,
 )
 from .typecheck import RULES, Checker, Inferred, Mode
 
@@ -105,7 +105,7 @@ def _exact(n: int, depth: int, mode: Mode,
     ext = mode is Mode.LARGE_ELIM
     out: list[AnnTerm] = []
     if n == 1:
-        out.append(TZero())
+        out.append(Zero())
         out.extend(FVar(name) for name in names)
         out.extend(BVar(i) for i in range(depth))
         return tuple(out)
@@ -115,7 +115,7 @@ def _exact(n: int, depth: int, mode: Mode,
         return _exact(k, depth + 1 if deeper else depth, mode, names)
 
     for t in exact(rest):
-        out.append(TSucc(t))
+        out.append(Succ(t))
         if ext:
             out.append(TUnfoldZ(t))
     for ty, k in _SIZED_TYPES:
@@ -124,8 +124,8 @@ def _exact(n: int, depth: int, mode: Mode,
     for i, j in _splits2(rest):
         for a in exact(i):
             for b in exact(j):
-                out.append(TCons(a, b))
-                out.append(TApp(a, b))
+                out.append(Cons(a, b))
+                out.append(App(a, b))
                 out.append(TJoin(a, b))
                 if ext:
                     out.append(TQApp(a, b))
@@ -475,7 +475,7 @@ def _run_p3(closed: list[tuple[str, AnnTerm, Ty]],
 
 def _run_p4(terms: list[AnnTerm]) -> PropertyResult:
     probe = Succ(FVar("b"))
-    probe_ann = TSucc(TZero())
+    probe_ann = Succ(Zero())
     probe_erased = erase(probe_ann)
     failures: list[Counterexample] = []
     for t in terms:

@@ -354,8 +354,13 @@ def normalize(t: UnannTerm, fuel: int = DEFAULT_FUEL,
               strategy: str = LEFTMOST_OUTERMOST, *,
               on_step: StepHook | None = None,
               outer: int = 0) -> NormalizeOutcome:
-    """Reduce t to a normal form, or report fuel exhaustion.  The loose
-    indices of t point at `outer` abstractions around it."""
+    """Reduce t to a normal form, or report fuel exhaustion.
+
+    Every loose index of t must point at one of the `outer` abstractions
+    around it.  A deeper index is not rejected: it is a constant that a
+    beta step leaves as it stands, so a binder may capture it, as the
+    opening in `tests/reference_reduce.py` does, whose results the engine
+    tests pin.  `outer = 0`, the default, suits locally closed terms."""
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     return _run(t, fuel, _MODES[strategy], on_step, outer)

@@ -12,6 +12,9 @@ Three syntactic categories share one node infrastructure:
     carry type annotations, recursors carry motives, plus cast/join and the
     fold/unfold forms of the extension)
 
+The two term categories share `FVar`, `BVar`, `App`, `Zero`, `Succ` and
+`Cons`: these carry no annotation, so erasure leaves them as they are.
+
 Bound variables are de Bruijn indices (`BVar`), free variables are names
 (`FVar`).  Binder name hints are kept for printing and diagnostics but are
 excluded from equality, so `a == b` on locally closed nodes is exactly
@@ -93,7 +96,8 @@ class Node:
     # child field name -> number of binder levels the child is under
     SCOPES: ClassVar[dict[str, int]] = {}
     # child fields that are annotated-term positions (used by erasure-aware
-    # substitution; empty on type and unannotated-term nodes)
+    # substitution); empty on types and on unannotated-only terms, while the
+    # constructs shared with annotated terms list every child
     ANN: ClassVar[frozenset[str]] = frozenset()
 
 
@@ -112,7 +116,7 @@ class BVar(Node):
 
 
 # --------------------------------------------------------------------------
-# unannotated terms
+# unannotated terms (App, Zero, Succ and Cons are annotated terms too)
 
 
 @_frozen
@@ -120,6 +124,7 @@ class App(Node):
     fn: "UnannTerm"
     arg: "UnannTerm"
     SCOPES = {"fn": 0, "arg": 0}
+    ANN = frozenset({"fn", "arg"})
 
 
 @_frozen
@@ -138,6 +143,7 @@ class Zero(Node):
 class Succ(Node):
     pred: "UnannTerm"
     SCOPES = {"pred": 0}
+    ANN = frozenset({"pred"})
 
 
 @_frozen
@@ -160,6 +166,7 @@ class Cons(Node):
     head: "UnannTerm"
     tail: "UnannTerm"
     SCOPES = {"head": 0, "tail": 0}
+    ANN = frozenset({"head", "tail"})
 
 
 @_frozen
@@ -253,14 +260,6 @@ class IfZeroTy(Node):
 
 
 @_frozen
-class TApp(Node):
-    fn: "AnnTerm"
-    arg: "AnnTerm"
-    SCOPES = {"fn": 0, "arg": 0}
-    ANN = frozenset({"fn", "arg"})
-
-
-@_frozen
 class TAppImp(Node):
     """Implicit application: the argument is erased, only its erasure
     lands in the result type."""
@@ -293,18 +292,6 @@ class TLamImp(Node):
 
 
 @_frozen
-class TZero(Node):
-    pass
-
-
-@_frozen
-class TSucc(Node):
-    pred: "AnnTerm"
-    SCOPES = {"pred": 0}
-    ANN = frozenset({"pred"})
-
-
-@_frozen
 class TRNat(Node):
     """Nat recursor with motive `x. motive` (one binder)."""
 
@@ -321,14 +308,6 @@ class TRNat(Node):
 class TNil(Node):
     elem: "Ty"
     SCOPES = {"elem": 0}
-
-
-@_frozen
-class TCons(Node):
-    head: "AnnTerm"
-    tail: "AnnTerm"
-    SCOPES = {"head": 0, "tail": 0}
-    ANN = frozenset({"head", "tail"})
 
 
 @_frozen
@@ -436,8 +415,8 @@ UnannTerm = (
 Ty = NatTy | VecTy | PiTy | AllTy | EqTy | IfZeroTy
 
 AnnTerm = (
-    FVar | BVar | TApp | TAppImp | TLam | TLamImp | TZero | TSucc | TRNat
-    | TNil | TCons | TRVec | TJoin | TCast | TQLam | TQApp | TFoldZ
+    FVar | BVar | App | TAppImp | TLam | TLamImp | Zero | Succ | TRNat
+    | TNil | Cons | TRVec | TJoin | TCast | TQLam | TQApp | TFoldZ
     | TUnfoldZ | TFoldS | TUnfoldS
 )
 

@@ -43,11 +43,10 @@ from typing import Callable
 from .erase import erase
 from .reduce import DEFAULT_FUEL, FuelExhausted, normalize
 from .syntax import (
-    AllTy, AnnTerm, BVar, Cons, Context, EqTy, FVar, IfZeroTy, NatTy, Nil,
-    Node, PiTy, Span, Succ, TApp, TAppImp, TCast, TCons, TFoldS, TFoldZ,
-    TJoin, TLam, TLamImp, TNil, TQApp, TQLam, TRNat, TRVec, TSucc, TUnfoldS,
-    TUnfoldZ, TZero, Ty, VecTy, Zero, alpha_eq, free_vars, fresh_name,
-    instantiate, map_vars,
+    AllTy, AnnTerm, App, BVar, Cons, Context, EqTy, FVar, IfZeroTy, NatTy,
+    Nil, Node, PiTy, Span, Succ, TAppImp, TCast, TFoldS, TFoldZ, TJoin,
+    TLam, TLamImp, TNil, TQApp, TQLam, TRNat, TRVec, TUnfoldS, TUnfoldZ, Ty,
+    VecTy, Zero, alpha_eq, free_vars, fresh_name, instantiate, map_vars,
 )
 
 
@@ -291,12 +290,12 @@ class Checker:
                     self._live.add(level)
                 return instantiate(self._env[level][1], (), index + 1)
             # ---------------------------------------- 0 : Nat
-            case TZero():
+            case Zero():
                 self._hit("zero")
                 return NatTy()
             # t : Nat
             # ---------------------------------------- S t : Nat
-            case TSucc(pred):
+            case Succ(pred):
                 self._hit("succ")
                 pty = self._infer(pred)
                 self._expect_alpha("succ", pred, pty, NatTy(),
@@ -309,7 +308,7 @@ class Checker:
                 return VecTy(elem, Zero())
             # h : A   tl : Vec A n
             # ---------------------------------------- cons h tl : Vec A (S n)
-            case TCons(head, tail):
+            case Cons(head, tail):
                 self._hit("cons")
                 tail_ty = self._infer(tail)
                 if not isinstance(tail_ty, VecTy):
@@ -331,7 +330,7 @@ class Checker:
                 return self._binder("spec-abs", t, AllTy)
             # f : Pi x:A. B   a : A
             # ---------------------------------------- f a : B[x := |a|]
-            case TApp(fn, arg):
+            case App(fn, arg):
                 self._hit("app")
                 fn_ty = self._infer(fn)
                 if not isinstance(fn_ty, PiTy):

@@ -24,9 +24,9 @@ from tvec.frontend import pretty
 from tvec.reduce import DEFAULT_FUEL, FuelExhausted, normalize
 from tvec.syntax import (
     AllTy, AnnTerm, BVar, Cons, Context, EqTy, FVar, IfZeroTy, NatTy, Nil,
-    PiTy, Span, Succ, TApp, TAppImp, TCast, TCons, TFoldS, TFoldZ, TJoin, TLam,
-    TLamImp, TNil, TQApp, TQLam, TRNat, TRVec, TSucc, TUnfoldS, TUnfoldZ,
-    TZero, Ty, VecTy, Zero, alpha_eq, close1, ctx_ok, free_vars, fresh_name,
+    PiTy, Span, Succ, App, TAppImp, TCast, TFoldS, TFoldZ, TJoin, TLam,
+    TLamImp, TNil, TQApp, TQLam, TRNat, TRVec, TUnfoldS, TUnfoldZ,
+    Ty, VecTy, Zero, alpha_eq, close1, ctx_ok, free_vars, fresh_name,
     open1, open2,
 )
 from tvec.typecheck import (
@@ -134,12 +134,12 @@ class Checker:
                            "(term is not locally closed)",
                            code="unbound-variable")
             # ---------------------------------------- 0 : Nat
-            case TZero():
+            case Zero():
                 self._hit("zero")
                 return NatTy()
             # t : Nat
             # ---------------------------------------- S t : Nat
-            case TSucc(pred):
+            case Succ(pred):
                 self._hit("succ")
                 pty = self._infer(ctx, pred)
                 self._expect_alpha("succ", pred, pty, NatTy(),
@@ -152,7 +152,7 @@ class Checker:
                 return VecTy(elem, Zero())
             # h : A   tl : Vec A n
             # ---------------------------------------- cons h tl : Vec A (S n)
-            case TCons(head, tail):
+            case Cons(head, tail):
                 self._hit("cons")
                 tail_ty = self._infer(ctx, tail)
                 if not isinstance(tail_ty, VecTy):
@@ -177,7 +177,7 @@ class Checker:
                 return AllTy(hint, dom, cod)
             # f : Pi x:A. B   a : A
             # ---------------------------------------- f a : B[x := |a|]
-            case TApp(fn, arg):
+            case App(fn, arg):
                 self._hit("app")
                 fn_ty = self._infer(ctx, fn)
                 if not isinstance(fn_ty, PiTy):

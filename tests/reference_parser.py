@@ -18,9 +18,9 @@ from tvec.frontend import (
     AssumeItem, DefItem, Item, ModeItem, tokenize,
 )
 from tvec.syntax import (
-    AllTy, AnnTerm, EqTy, FVar, IfZeroTy, NatTy, PiTy, Span, TApp, TAppImp,
-    TCast, TCons, TFoldS, TFoldZ, TJoin, TLam, TLamImp, TNil, TQApp, TQLam,
-    TRNat, TRVec, TSucc, TUnfoldS, TUnfoldZ, TZero, Ty, VecTy, close_at,
+    AllTy, AnnTerm, EqTy, FVar, IfZeroTy, NatTy, PiTy, Span, App, TAppImp,
+    TCast, Cons, TFoldS, TFoldZ, TJoin, TLam, TLamImp, TNil, TQApp, TQLam,
+    TRNat, TRVec, Succ, TUnfoldS, TUnfoldZ, Zero, Ty, VecTy, close_at,
     close1,
 )
 from tvec.typecheck import Diagnostic, Mode
@@ -177,7 +177,7 @@ class _Parser:
             tok = self.peek()
             if tok.kind in _ATOM_STARTS:
                 arg = self.atom()
-                t = TApp(t, arg, span=Span(start, self._prev_end()))
+                t = App(t, arg, span=Span(start, self._prev_end()))
             elif tok.kind == "@[":
                 self.next()
                 arg = self.term()
@@ -196,12 +196,12 @@ class _Parser:
         kind = tok.kind
         if kind == "S":
             self.next()
-            return TSucc(self.atom(), span=Span(tok.start, self._prev_end()))
+            return Succ(self.atom(), span=Span(tok.start, self._prev_end()))
         if kind == "cons":
             self.next()
             head = self.atom()
             tail = self.atom()
-            return TCons(head, tail, span=Span(tok.start, self._prev_end()))
+            return Cons(head, tail, span=Span(tok.start, self._prev_end()))
         if kind == "join":
             self.next()
             lhs = self.atom()
@@ -281,7 +281,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "zero":
             self.next()
-            return TZero(span=tok.span)
+            return Zero(span=tok.span)
         if tok.kind == "number":
             self.next()
             try:
@@ -291,9 +291,9 @@ class _Parser:
             if n > MAX_NUMERAL:
                 self._err(f"numeral is larger than {MAX_NUMERAL}", tok)
             span = tok.span
-            t: AnnTerm = TZero(span=span)
+            t: AnnTerm = Zero(span=span)
             for _ in range(n):
-                t = TSucc(t, span=span)
+                t = Succ(t, span=span)
             return t
         if tok.kind == "ident":
             self.next()

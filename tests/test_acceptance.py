@@ -24,7 +24,7 @@ from tvec.reduce import (
 )
 from tvec.syntax import (
     App, BVar, Cons, Context, FVar, Lam, NatTy, Nil, QLam, Succ, TJoin,
-    TSucc, TZero, VecTy, Zero, alpha_eq, free_vars,
+    VecTy, Zero, alpha_eq, free_vars,
 )
 from tvec.typecheck import BASE_RULES, EXT_RULES, Checker, Inferred, Mode
 
@@ -69,7 +69,7 @@ def test_criterion_2_equality_semantics_exact_booleans():
     assert joinable(l2, corpus.plus_u(Zero(), l2)) is True
     assert joinable(Zero(), Succ(Zero())) is False
     res = Checker(mode=Mode.BASE).infer(
-        Context(), TJoin(TZero(), TSucc(TZero())))
+        Context(), TJoin(Zero(), Succ(Zero())))
     assert not isinstance(res, Inferred)
     assert res.diagnostic.code == "join-distinct"
 

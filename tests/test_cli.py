@@ -23,7 +23,7 @@ import tvec
 from tvec import cli
 from tvec.cli import main
 from tvec.oracle import ENUM_CAP
-from tvec.reduce import DEFAULT_FUEL
+from tvec.reduce import DEFAULT_FUEL, Stuck
 
 from conftest import QUODLIBET_PATH, VEC_PATH
 
@@ -167,6 +167,27 @@ class TestEval:
         assert code == 0
         assert out == "0 0, Stuck, 1 steps\n"
         assert "application head is not an abstraction" in err
+
+    @pytest.mark.parametrize("json_flag", [False, True])
+    def test_stuck_closed_definition_is_a_kernel_bug(self, capsys,
+                                                     monkeypatch, json_flag):
+        # a closed well-typed definition cannot get stuck; if the evaluator
+        # says it did, the command fails and blames the kernel
+        monkeypatch.setattr(cli, "eval_cbv", lambda t, fuel, on_step=None:
+                            Stuck(t, "stuck on purpose", 0))
+        argv = ["eval", VEC, "four"] + ["--json"] * json_flag
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        note = ("stuck closed term: evaluation of a well-typed closed "
+                "definition must not get stuck, so either the definition "
+                "or the kernel is wrong")
+        assert err == f"tvec: {note}\n"
+        if json_flag:
+            report = json.loads(out)
+            assert report["note"] == note
+            assert report["closed"] is True and report["kind"] == "Stuck"
+        else:
+            assert out.endswith(", Stuck, 0 steps\n")
 
     def test_fuel_exhaustion_fails_loudly(self, capsys):
         code, out, err = run_cli(capsys, "eval", VEC, "four", "--fuel", "3")

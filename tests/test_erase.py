@@ -11,12 +11,13 @@ from hypothesis import given, strategies as st
 
 from tvec.corpus import append_body, num, plus_body, quod_all_body
 from tvec.erase import _release, erase, subst_annotated
+from tvec.frontend import parse_term
 from tvec.oracle import enumerate_terms
 from tvec.syntax import (
     App, BVar, Cons, EqTy, FVar, Join, Lam, NatTy, Nil, PiTy, QApp, QLam,
-    RNat, RVec, Succ, TApp, TAppImp, TCast, TCons, TFoldS, TFoldZ, TJoin,
-    TLam, TLamImp, TNil, TQApp, TQLam, TRNat, TRVec, TSucc, TUnfoldS,
-    TUnfoldZ, TZero, VecTy, Zero, alpha_eq, free_vars, subst,
+    RNat, RVec, Succ, TAppImp, TCast, TFoldS, TFoldZ, TJoin,
+    TLam, TLamImp, TNil, TQApp, TQLam, TRNat, TRVec, TUnfoldS,
+    TUnfoldZ, VecTy, Zero, alpha_eq, free_vars, subst,
 )
 from tvec.typecheck import Mode
 
@@ -24,47 +25,82 @@ NAT = NatTy()
 
 
 @pytest.mark.parametrize("annotated, erased", [
-    (TZero(), Zero()),
-    (TSucc(TZero()), Succ(Zero())),
+    (Zero(), Zero()),
+    (Succ(Zero()), Succ(Zero())),
     (TNil(NAT), Nil()),
-    (TCons(TZero(), TNil(NAT)), Cons(Zero(), Nil())),
-    (TJoin(TZero(), TZero()), Join()),
+    (Cons(Zero(), TNil(NAT)), Cons(Zero(), Nil())),
+    (TJoin(Zero(), Zero()), Join()),
     (TLam("x", NAT, BVar(0)), Lam("x", BVar(0))),
-    (TApp(FVar("f"), TZero()), App(FVar("f"), Zero())),
-    (TRNat("x", NAT, TZero(), FVar("s"), FVar("n")),
+    (App(FVar("f"), Zero()), App(FVar("f"), Zero())),
+    (TRNat("x", NAT, Zero(), FVar("s"), FVar("n")),
      RNat(Zero(), FVar("s"), FVar("n"))),
-    (TRVec("x", "y", NAT, TZero(), FVar("s"), FVar("v")),
+    (TRVec("x", "y", NAT, Zero(), FVar("s"), FVar("v")),
      RVec(Zero(), FVar("s"), FVar("v"))),
 ])
 def test_structural_clauses(annotated, erased):
     assert erase(annotated) == erased
 
 
+ANNOTATION_FREE = (FVar, BVar, App, Zero, Succ, Cons)
+
+
+def annotation_free(t) -> bool:
+    return isinstance(t, ANNOTATION_FREE) and all(
+        annotation_free(getattr(t, f)) for f in type(t).SCOPES)
+
+
+class TestSharing:
+    """Annotations are all that erasure drops, so a subterm without any
+    comes back as the same object, not as a copy."""
+
+    @pytest.mark.parametrize("text", ["7", "f (g 0)", "cons 0 (cons 1 x)"])
+    def test_annotation_free_term_is_returned(self, text):
+        t = parse_term(text)
+        assert erase(t) is t
+
+    def test_body_of_a_lambda_is_shared(self):
+        t = parse_term("fun x : Nat => f 3")
+        assert erase(t).body is t.body
+
+    def test_only_the_annotated_spine_is_rebuilt(self):
+        t = parse_term("cons (f 2) (cons (g @[0]) nil[Nat])")
+        e = erase(t)
+        assert e is not t and e.head is t.head
+        assert e.tail.head == FVar("g")
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_every_annotation_free_term_is_returned(self, mode):
+        free = [t for t in enumerate_terms(6, mode) if annotation_free(t)]
+        assert len(free) > 50
+        for t in free:
+            assert erase(t) is t
+
+
 class TestVanishingForms:
     """Forms that leave no trace in the erasure."""
 
     def test_cast_erases_to_its_subject(self):
-        t = TCast("w", VecTy(NAT, BVar(0)), FVar("p"), TZero())
+        t = TCast("w", VecTy(NAT, BVar(0)), FVar("p"), Zero())
         assert erase(t) == Zero()
 
     def test_implicit_abstraction_erases_to_body(self):
-        t = TLamImp("l", NAT, TSucc(TZero()))
+        t = TLamImp("l", NAT, Succ(Zero()))
         assert erase(t) == Succ(Zero())
 
     def test_implicit_application_erases_to_function(self):
-        t = TAppImp(FVar("f"), TZero())
+        t = TAppImp(FVar("f"), Zero())
         assert erase(t) == FVar("f")
 
     def test_folds_and_unfolds_erase_to_subject(self):
-        assert erase(TFoldZ(NAT, TZero())) == Zero()
-        assert erase(TUnfoldZ(TZero())) == Zero()
-        assert erase(TFoldS(num(1), NAT, TZero())) == Zero()
-        assert erase(TUnfoldS(num(1), TZero())) == Zero()
+        assert erase(TFoldZ(NAT, Zero())) == Zero()
+        assert erase(TUnfoldZ(Zero())) == Zero()
+        assert erase(TFoldS(num(1), NAT, Zero())) == Zero()
+        assert erase(TUnfoldS(num(1), Zero())) == Zero()
 
     def test_implicit_body_may_not_mention_binder_after_erasure(self):
         # ifun l => S l erases to S l with l free: the binder is gone,
         # so the occurrence must be released as a fresh free name
-        t = TLamImp("l", NAT, TSucc(BVar(0)))
+        t = TLamImp("l", NAT, Succ(BVar(0)))
         e = erase(t)
         assert isinstance(e, Succ)
         assert isinstance(e.pred, FVar)
@@ -76,16 +112,16 @@ class TestDroppedBinders:
 
     def test_outer_variable_under_implicit_binder(self):
         # fun x => ifun y => S x   erases to   fun x => S x
-        t = TLam("x", NAT, TLamImp("y", NAT, TSucc(BVar(1))))
+        t = TLam("x", NAT, TLamImp("y", NAT, Succ(BVar(1))))
         assert erase(t) == Lam("x", Succ(BVar(0)))
 
     def test_outer_variable_under_quasi_implicit_binder(self):
         # fun x => qfun y => S x   erases to   fun x => qfun => S x
-        t = TLam("x", NAT, TQLam("y", NAT, TSucc(BVar(1))))
+        t = TLam("x", NAT, TQLam("y", NAT, Succ(BVar(1))))
         assert erase(t) == Lam("x", QLam(Succ(BVar(0))))
 
     def test_dropped_variable_is_released_under_an_outer_binder(self):
-        t = TLam("x", NAT, TLamImp("y", NAT, TApp(BVar(0), BVar(1))))
+        t = TLam("x", NAT, TLamImp("y", NAT, App(BVar(0), BVar(1))))
         assert erase(t) == Lam("x", App(FVar("y"), BVar(0)))
 
     def test_indices_bound_inside_the_body_stay(self):
@@ -115,7 +151,7 @@ class TestQuasiImplicit:
     """The large-elimination mode keeps a one-node shell."""
 
     def test_qlam_erases_to_shell(self):
-        t = TQLam("q", EqTy(Succ(Zero()), Zero()), TApp(TZero(), TZero()))
+        t = TQLam("q", EqTy(Succ(Zero()), Zero()), App(Zero(), Zero()))
         assert erase(t) == QLam(App(Zero(), Zero()))
 
     def test_qapp_erases_to_shell_application(self):
@@ -149,19 +185,19 @@ class TestFreeVariables:
         assert free_vars(t) == frozenset({"n"})
 
     def test_erasure_can_only_drop_free_vars(self):
-        t = TCast("w", NAT, FVar("p"), TZero())
+        t = TCast("w", NAT, FVar("p"), Zero())
         assert free_vars(erase(t)) <= free_vars(t)
 
 
 def annotated_terms():
     leaves = st.sampled_from(
-        [TZero(), TNil(NAT), FVar("a"), FVar("b"), TJoin(TZero(), TZero())])
+        [Zero(), TNil(NAT), FVar("a"), FVar("b"), TJoin(Zero(), Zero())])
     return st.recursive(
         leaves,
         lambda sub: st.one_of(
-            sub.map(TSucc),
-            st.tuples(sub, sub).map(lambda p: TApp(*p)),
-            st.tuples(sub, sub).map(lambda p: TCons(*p)),
+            sub.map(Succ),
+            st.tuples(sub, sub).map(lambda p: App(*p)),
+            st.tuples(sub, sub).map(lambda p: Cons(*p)),
             st.tuples(sub, sub).map(lambda p: TCast("w", NAT, *p)),
             st.tuples(sub, sub).map(lambda p: TAppImp(*p)),
             sub.map(lambda b: TLam("x", NAT, b)),
@@ -173,7 +209,7 @@ def annotated_terms():
 @given(annotated_terms())
 def test_erase_commutes_with_substitution(t):
     """|t[x := s]| == |t|[x := |s|] for annotated substitution."""
-    repl = TSucc(TZero())
+    repl = Succ(Zero())
     assert alpha_eq(erase(subst_annotated(t, "a", repl, erase(repl))),
                     subst(erase(t), "a", erase(repl)))
 

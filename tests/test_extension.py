@@ -18,8 +18,8 @@ from tvec.erase import erase
 from tvec.reduce import Stuck, Value, eval_cbv
 from tvec.syntax import (
     AllTy, App, BVar, Context, IfZeroTy, NatTy, PiTy, QLam, Succ,
-    TApp, TAppImp, TFoldS, TFoldZ, TJoin, TLam, TLamImp, TQApp,
-    TQLam, TSucc, TUnfoldS, TUnfoldZ, TZero, Zero, alpha_eq, free_vars,
+    TAppImp, TFoldS, TFoldZ, TJoin, TLam, TLamImp, TQApp,
+    TQLam, TUnfoldS, TUnfoldZ, Zero, alpha_eq, free_vars,
 )
 from tvec.typecheck import (
     BASE_RULES, EXT_RULES, RULES, Checker, Failure, Inferred, Mode,
@@ -44,7 +44,7 @@ def failure(ctx, t):
 class TestFoldUnfold:
     def test_fold_zero(self):
         # foldz [B] t moves t : A into ifzero 0 A B
-        t = TFoldZ(NAT_TO_NAT, TZero())
+        t = TFoldZ(NAT_TO_NAT, Zero())
         assert inferred(Context(), t) == IfZeroTy(Zero(), NAT, NAT_TO_NAT)
 
     def test_unfold_zero_roundtrip(self):
@@ -62,7 +62,7 @@ class TestFoldUnfold:
 
     def test_unfold_zero_demands_literal_zero_scrutinee(self):
         # folds produces scrutinee S |w|; unfoldz must refuse it
-        t = TUnfoldZ(TFoldS(num(0), NAT, TZero()))
+        t = TUnfoldZ(TFoldS(num(0), NAT, Zero()))
         diag = failure(Context(), t)
         assert diag.rule == "unfold-zero"
         assert diag.code == "scrutinee-mismatch"
@@ -70,24 +70,24 @@ class TestFoldUnfold:
     def test_unfold_succ_matches_witness_syntactically(self):
         # scrutinee is S 1 but the unfolding witness erases to 0:
         # no normalization bridges the gap, only an explicit cast can
-        t = TUnfoldS(num(0), TFoldS(num(1), NAT, TZero()))
+        t = TUnfoldS(num(0), TFoldS(num(1), NAT, Zero()))
         diag = failure(Context(), t)
         assert diag.rule == "unfold-succ"
         assert diag.code == "scrutinee-mismatch"
 
     def test_unfold_needs_ifzero_type(self):
-        assert failure(Context(), TUnfoldZ(TZero())).code == "shape-mismatch"
+        assert failure(Context(), TUnfoldZ(Zero())).code == "shape-mismatch"
         assert failure(
-            Context(), TUnfoldS(num(0), TZero())).code == "shape-mismatch"
+            Context(), TUnfoldS(num(0), Zero())).code == "shape-mismatch"
 
 
 class TestQuasiImplicit:
     def test_quasi_abs_types_as_product(self):
-        t = TQLam("q", absurd_eq(), TZero())
+        t = TQLam("q", absurd_eq(), Zero())
         assert inferred(Context(), t) == AllTy("q", absurd_eq(), NAT)
 
     def test_quasi_abs_bound_var_must_erase_away(self):
-        t = TQLam("q", NAT, TSucc(BVar(0)))
+        t = TQLam("q", NAT, Succ(BVar(0)))
         assert failure(Context(), t).code == "erased-occurrence"
 
     def test_quasi_app_instantiates(self):
@@ -95,13 +95,13 @@ class TestQuasiImplicit:
         assert inferred(ctx, via_witness_body()) == NAT
 
     def test_quasi_app_head_shape(self):
-        diag = failure(Context(), TQApp(TZero(), TZero()))
+        diag = failure(Context(), TQApp(Zero(), Zero()))
         assert diag.rule == "quasi-app" and diag.code == "shape-mismatch"
 
     def test_implicit_forms_are_mode_violations(self):
         assert failure(
-            Context(), TLamImp("l", NAT, TZero())).code == "mode-violation"
-        t = TAppImp(TLam("x", NAT, BVar(0)), TZero())
+            Context(), TLamImp("l", NAT, Zero())).code == "mode-violation"
+        t = TAppImp(TLam("x", NAT, BVar(0)), Zero())
         assert failure(Context(), t).code == "mode-violation"
 
 
@@ -142,26 +142,26 @@ class TestStuckButTyped:
 
     def test_the_absurdity_is_not_provable(self):
         # without the assumption, join cannot produce 1 = 0
-        diag = failure(Context(), TJoin(TSucc(TZero()), TZero()))
+        diag = failure(Context(), TJoin(Succ(Zero()), Zero()))
         assert diag.code == "join-distinct"
 
 
 # Each mode-only construct in the mode that lacks it: (mode, term, rule,
 # construct name in the message).
 WRONG_MODE = [
-    (Mode.LARGE_ELIM, TLamImp("l", NAT, TZero()), "spec-abs",
+    (Mode.LARGE_ELIM, TLamImp("l", NAT, Zero()), "spec-abs",
      "implicit abstraction"),
-    (Mode.LARGE_ELIM, TAppImp(TLam("x", NAT, BVar(0)), TZero()), "spec-app",
+    (Mode.LARGE_ELIM, TAppImp(TLam("x", NAT, BVar(0)), Zero()), "spec-app",
      "implicit application"),
-    (Mode.BASE, TQLam("q", NAT, TZero()), "quasi-abs",
+    (Mode.BASE, TQLam("q", NAT, Zero()), "quasi-abs",
      "quasi-implicit abstraction"),
-    (Mode.BASE, TQApp(TZero(), TZero()), "quasi-app",
+    (Mode.BASE, TQApp(Zero(), Zero()), "quasi-app",
      "quasi-implicit application"),
-    (Mode.BASE, TFoldZ(NAT, TZero()), "fold-zero", "ifzero introduction"),
-    (Mode.BASE, TUnfoldZ(TZero()), "unfold-zero", "ifzero elimination"),
-    (Mode.BASE, TFoldS(TZero(), NAT, TZero()), "fold-succ",
+    (Mode.BASE, TFoldZ(NAT, Zero()), "fold-zero", "ifzero introduction"),
+    (Mode.BASE, TUnfoldZ(Zero()), "unfold-zero", "ifzero elimination"),
+    (Mode.BASE, TFoldS(Zero(), NAT, Zero()), "fold-succ",
      "ifzero introduction"),
-    (Mode.BASE, TUnfoldS(TZero(), TZero()), "unfold-succ",
+    (Mode.BASE, TUnfoldS(Zero(), Zero()), "unfold-succ",
      "ifzero elimination"),
 ]
 
@@ -191,7 +191,7 @@ class TestModeDispatch:
 
     def test_shared_rules_unchanged(self):
         # the structural fragment behaves identically in both modes
-        t = TApp(TLam("x", NAT, TSucc(BVar(0))), num(1))
+        t = App(TLam("x", NAT, Succ(BVar(0))), num(1))
         base = Checker(mode=Mode.BASE).infer(Context(), t)
         ext = Checker(mode=Mode.LARGE_ELIM).infer(Context(), t)
         assert isinstance(base, Inferred) and isinstance(ext, Inferred)

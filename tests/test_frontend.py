@@ -21,8 +21,8 @@ from tvec.frontend import (
 from tvec.oracle import enumerate_terms
 from tvec.syntax import (
     AllTy, App, BVar, Context, EqTy, FVar, IfZeroTy, Lam, NatTy, PiTy, Succ,
-    TApp, TAppImp, TCast, TCons, TJoin, TLam, TLamImp, TNil, TQApp, TQLam,
-    Span, TRNat, TRVec, TSucc, TUnfoldZ, TZero, VecTy, Zero, alpha_eq,
+    TAppImp, TCast, Cons, TJoin, TLam, TLamImp, TNil, TQApp, TQLam,
+    Span, TRNat, TRVec, TUnfoldZ, VecTy, Zero, alpha_eq,
 )
 from tvec.typecheck import Mode
 
@@ -118,37 +118,37 @@ class TestLexer:
 
 class TestParseTerm:
     @pytest.mark.parametrize("src, expected", [
-        ("zero", TZero()),
-        ("0", TZero()),
-        ("3", TSucc(TSucc(TSucc(TZero())))),
-        ("S 0", TSucc(TZero())),
+        ("zero", Zero()),
+        ("0", Zero()),
+        ("3", Succ(Succ(Succ(Zero())))),
+        ("S 0", Succ(Zero())),
         ("nil[Nat]", TNil(NAT)),
-        ("cons 0 nil[Nat]", TCons(TZero(), TNil(NAT))),
-        ("join 0 0", TJoin(TZero(), TZero())),
+        ("cons 0 nil[Nat]", Cons(Zero(), TNil(NAT))),
+        ("join 0 0", TJoin(Zero(), Zero())),
         ("fun x : Nat => x", TLam("x", NAT, BVar(0))),
         ("ifun l : Nat => join 0 0",
-         TLamImp("l", NAT, TJoin(TZero(), TZero()))),
+         TLamImp("l", NAT, TJoin(Zero(), Zero()))),
         ("qfun q : 1 = 0 => 0",
-         TQLam("q", EqTy(Succ(Zero()), Zero()), TZero())),
-        ("f x", TApp(FVar("f"), FVar("x"))),
-        ("f @[0]", TAppImp(FVar("f"), TZero())),
+         TQLam("q", EqTy(Succ(Zero()), Zero()), Zero())),
+        ("f x", App(FVar("f"), FVar("x"))),
+        ("f @[0]", TAppImp(FVar("f"), Zero())),
         ("f @-[p]", TQApp(FVar("f"), FVar("p"))),
         ("unfoldz x", TUnfoldZ(FVar("x"))),
         ("cast [w. Vec Nat w] p nil[Nat]",
          TCast("w", VecTy(NAT, BVar(0)), FVar("p"), TNil(NAT))),
         ("rnat [x. Nat] 0 s n",
-         TRNat("x", NAT, TZero(), FVar("s"), FVar("n"))),
+         TRNat("x", NAT, Zero(), FVar("s"), FVar("n"))),
         ("rvec [x. y. Nat] 0 s v",
-         TRVec("x", "y", NAT, TZero(), FVar("s"), FVar("v"))),
-        ("\u0663", TSucc(TSucc(TSucc(TZero())))),  # Arabic-Indic three
-        ("0" * 30 + "2", TSucc(TSucc(TZero()))),
+         TRVec("x", "y", NAT, Zero(), FVar("s"), FVar("v"))),
+        ("\u0663", Succ(Succ(Succ(Zero())))),  # Arabic-Indic three
+        ("0" * 30 + "2", Succ(Succ(Zero()))),
     ])
     def test_forms(self, src, expected):
         assert alpha_eq(parse_term(src), expected)
 
     def test_application_is_left_associative(self):
         assert parse_term("f x y") == \
-            TApp(TApp(FVar("f"), FVar("x")), FVar("y"))
+            App(App(FVar("f"), FVar("x")), FVar("y"))
 
     def test_binders_close_their_variable(self):
         t = parse_term("fun x : Nat => fun y : Nat => x")
@@ -276,7 +276,7 @@ class TestBinding:
 
     def test_inner_binder_shadows_outer(self):
         t = parse_term("fun x : Nat => fun y : Nat => fun x : Nat => x y")
-        assert t.body.body.body == TApp(BVar(0), BVar(1))
+        assert t.body.body.body == App(BVar(0), BVar(1))
 
 
 class TestPretty:
@@ -299,14 +299,14 @@ class TestPretty:
         assert pretty(parse_term("S (S (S 0))")) == "3"
 
     def test_shadowed_binders_are_renamed_apart(self):
-        t = TLam("x", NAT, TLam("x", NAT, TApp(BVar(1), BVar(0))))
+        t = TLam("x", NAT, TLam("x", NAT, App(BVar(1), BVar(0))))
         printed = pretty(t)
         assert printed == "fun x : Nat => fun x' : Nat => x x'"
         assert alpha_eq(parse_term(printed), t)
 
     def test_binder_avoids_capturing_free_names(self):
         # fun x => x' where x' is free: the binder cannot print as x'
-        t = TLam("x'", NAT, TApp(BVar(0), FVar("x'")))
+        t = TLam("x'", NAT, App(BVar(0), FVar("x'")))
         reparsed = parse_term(pretty(t))
         assert alpha_eq(reparsed, t)
 
@@ -407,6 +407,26 @@ class TestFileParsing:
         """
         resolved = resolve_defs(parse(src))
         assert resolved.defs[-1].ty == VecTy(NAT, Zero())
+
+    def test_def_reached_twice_is_substituted_once(self, monkeypatch):
+        # `g`'s type names `b` itself and, through the name that `f`'s
+        # erasure releases, again: `b` is queued twice and inlined once.
+        src = """
+        def f : Nat = ifun b : Nat => b
+        def b : Nat = 0
+        def g : f = b = join 0 0
+        """
+        substituted = []
+        subst = tvec.frontend.subst
+
+        def counted(t, name, repl):
+            substituted.append(name)
+            return subst(t, name, repl)
+
+        monkeypatch.setattr(tvec.frontend, "subst", counted)
+        resolved = resolve_defs(parse(src))
+        assert resolved.defs[-1].ty == EqTy(Zero(), Zero())
+        assert substituted == ["f", "b"]
 
     @staticmethod
     def _resolution_work(monkeypatch, src, name=None):

@@ -19,9 +19,9 @@ from tvec.oracle import (
 from tvec.reduce import FuelExhausted
 from tvec.syntax import (
     AllTy, App, BVar, Cons, Context, EqTy, FVar, IfZeroTy, Join, Lam,
-    NatTy, Nil, PiTy, QLam, Succ, TApp, TAppImp, TCast, TCons, TFoldS,
+    NatTy, Nil, PiTy, QLam, Succ, TAppImp, TCast, TFoldS,
     TFoldZ, TJoin, TLam, TLamImp, TNil, TQApp, TQLam, TRNat, TRVec,
-    TSucc, TUnfoldS, TUnfoldZ, TZero, VecTy, Zero, free_vars, node_count,
+    TUnfoldS, TUnfoldZ, VecTy, Zero, free_vars, node_count,
 )
 from tvec.typecheck import Checker, Mode
 
@@ -38,12 +38,12 @@ def brute(n, depth, mode, names):
     """Every annotated term of exactly n nodes, the slow obvious way."""
     ext = mode is Mode.LARGE_ELIM
     if n == 1:
-        return ({TZero()} | {FVar(x) for x in names}
+        return ({Zero()} | {FVar(x) for x in names}
                 | {BVar(i) for i in range(depth)})
     acc = set()
     rest = n - 1
     for t in brute(rest, depth, mode, names):
-        acc.add(TSucc(t))
+        acc.add(Succ(t))
         if ext:
             acc.add(TUnfoldZ(t))
     for ty in ANNOTATION_TYPES:
@@ -54,8 +54,8 @@ def brute(n, depth, mode, names):
         rights = brute(rest - i, depth, mode, names)
         for a in lefts:
             for b in rights:
-                acc.add(TCons(a, b))
-                acc.add(TApp(a, b))
+                acc.add(Cons(a, b))
+                acc.add(App(a, b))
                 acc.add(TJoin(a, b))
                 if ext:
                     acc.add(TQApp(a, b))
@@ -94,12 +94,12 @@ def brute(n, depth, mode, names):
 
 class TestEnumeration:
     def test_size_one_is_zero_alone(self):
-        assert list(enumerate_terms(1)) == [TZero()]
+        assert list(enumerate_terms(1)) == [Zero()]
 
     @pytest.mark.parametrize("term, size", [
-        (TSucc(TZero()), 2),
+        (Succ(Zero()), 2),
         (TNil(NAT), 2),
-        (TJoin(TZero(), TZero()), 3),
+        (TJoin(Zero(), Zero()), 3),
         (TLam("x", NAT, BVar(0)), 3),
     ])
     def test_known_members_appear(self, term, size):
@@ -135,7 +135,7 @@ class TestEnumeration:
         ctx = Context().extend("a", NAT)
         terms = list(enumerate_terms(2, mode=Mode.BASE, ctx=ctx))
         assert FVar("a") in terms
-        assert TSucc(FVar("a")) in terms
+        assert Succ(FVar("a")) in terms
         assert all(free_vars(t) <= {"a"} for t in terms)
 
     @pytest.mark.parametrize("bad", [0, -1, ENUM_CAP + 1])

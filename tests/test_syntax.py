@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 import tvec.syntax
 from tvec.syntax import (
     App, BVar, Cons, Context, EqTy, FVar, Join, Lam, NatTy, Nil, PiTy,
-    Succ, TJoin, TLam, TSucc, TZero, VecTy, Zero, alpha_eq, close1, close_at,
+    Succ, TJoin, TLam, VecTy, Zero, alpha_eq, close1, close_at,
     Node, Span, ctx_ok, free_vars, fresh_name, instantiate, node_count,
     open1, open_at, open2, subst,
 )
@@ -91,7 +91,7 @@ class TestOpenClose:
     def test_motive_scope_in_recursor(self):
         # the annotated recursor's motive has one binder level of its own
         from tvec.syntax import TRNat
-        r = TRNat("x", VecTy(NatTy(), BVar(0)), TZero(), TZero(), BVar(0))
+        r = TRNat("x", VecTy(NatTy(), BVar(0)), Zero(), Zero(), BVar(0))
         opened = open_at(r, 0, FVar("k"))
         assert opened.motive == VecTy(NatTy(), BVar(0)), \
             "the motive binds its own index, the outer opening skips it"
@@ -176,7 +176,7 @@ class TestMeasures:
     @pytest.mark.parametrize("t, n", [
         (Zero(), 1),
         (Succ(Zero()), 2),
-        (TJoin(TZero(), TSucc(TZero())), 4),
+        (TJoin(Zero(), Succ(Zero())), 4),
         (TLam("x", NatTy(), BVar(0)), 3),
         (VecTy(NatTy(), Zero()), 3),
     ])

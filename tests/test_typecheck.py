@@ -18,8 +18,8 @@ from tvec.erase import erase
 from tvec.frontend import parse, parse_term, pretty, resolve_defs
 from tvec.oracle import enumerate_terms
 from tvec.syntax import (
-    AllTy, BVar, Context, EqTy, FVar, NatTy, PiTy, Span, Succ, TApp, TAppImp,
-    TCast, TCons, TJoin, TLam, TLamImp, TNil, TQLam, TRNat, TSucc, TZero,
+    AllTy, BVar, Context, EqTy, FVar, NatTy, PiTy, Span, Succ, App, TAppImp,
+    TCast, Cons, TJoin, TLam, TLamImp, TNil, TQLam, TRNat,
     VecTy, Zero, alpha_eq, node_count,
 )
 from tvec.typecheck import (
@@ -44,13 +44,13 @@ def failure(ctx, t):
 
 class TestRulePositive:
     @pytest.mark.parametrize("t, ty", [
-        (TZero(), NAT),
+        (Zero(), NAT),
         (num(3), NAT),
         (TNil(NAT), VecTy(NAT, Zero())),
-        (TCons(TZero(), TNil(NAT)), VecTy(NAT, Succ(Zero()))),
+        (Cons(Zero(), TNil(NAT)), VecTy(NAT, Succ(Zero()))),
         (TLam("x", NAT, BVar(0)), PiTy("x", NAT, NAT)),
-        (TApp(TLam("x", NAT, BVar(0)), TZero()), NAT),
-        (TJoin(TZero(), TZero()), EqTy(Zero(), Zero())),
+        (App(TLam("x", NAT, BVar(0)), Zero()), NAT),
+        (TJoin(Zero(), Zero()), EqTy(Zero(), Zero())),
     ])
     def test_closed(self, t, ty):
         assert alpha_eq(inferred(Context(), t), ty)
@@ -62,17 +62,17 @@ class TestRulePositive:
     def test_application_substitutes_erasure_into_codomain(self):
         # f : Pi n:Nat. Vec Nat n, so f 2 : Vec Nat 2
         ctx = Context().extend("f", PiTy("n", NAT, VecTy(NAT, BVar(0))))
-        got = inferred(ctx, TApp(FVar("f"), num(2)))
+        got = inferred(ctx, App(FVar("f"), num(2)))
         assert got == VecTy(NAT, erase(num(2)))
 
     def test_implicit_abstraction(self):
         # ifun l => join: l never reaches the erasure
-        t = TLamImp("l", NAT, TJoin(TZero(), TZero()))
+        t = TLamImp("l", NAT, TJoin(Zero(), Zero()))
         assert inferred(Context(), t) == AllTy("l", NAT,
                                                EqTy(Zero(), Zero()))
 
     def test_implicit_application(self):
-        t = TAppImp(TLamImp("l", NAT, TJoin(TZero(), TZero())), num(7))
+        t = TAppImp(TLamImp("l", NAT, TJoin(Zero(), Zero())), num(7))
         assert inferred(Context(), t) == EqTy(Zero(), Zero())
 
     def test_implicit_binder_may_appear_in_annotations(self):
@@ -85,8 +85,8 @@ class TestRulePositive:
 
     def test_rnat(self):
         # rnat [x. Nat] 0 (fun y => fun u => S u) 2 : Nat
-        step = TLam("y", NAT, TLam("u", NAT, TSucc(BVar(0))))
-        t = TRNat("x", NAT, TZero(), step, num(2))
+        step = TLam("y", NAT, TLam("u", NAT, Succ(BVar(0))))
+        t = TRNat("x", NAT, Zero(), step, num(2))
         assert inferred(Context(), t) == NAT
 
     def test_rnat_dependent_motive(self):
@@ -94,7 +94,7 @@ class TestRulePositive:
         ctx = Context().extend("n", NAT)
         step = TLam("y", NAT,
                     TLam("u", VecTy(NAT, BVar(0)),
-                         TCons(TZero(), BVar(0))))
+                         Cons(Zero(), BVar(0))))
         t = TRNat("x", VecTy(NAT, BVar(0)), TNil(NAT), step, FVar("n"))
         assert inferred(ctx, t) == VecTy(NAT, FVar("n"))
 
@@ -115,16 +115,16 @@ class TestRuleNegative:
     @pytest.mark.parametrize("ctx, t, rule, code", [
         (Context(), FVar("ghost"), "var", "unbound-variable"),
         (Context(), BVar(0), "var", "unbound-variable"),
-        (Context(), TSucc(TNil(NAT)), "succ", "type-mismatch"),
-        (Context(), TCons(TZero(), TZero()), "cons", "shape-mismatch"),
-        (Context(), TApp(TZero(), TZero()), "app", "shape-mismatch"),
-        (Context(), TApp(TLam("x", NAT, BVar(0)), TNil(NAT)),
+        (Context(), Succ(TNil(NAT)), "succ", "type-mismatch"),
+        (Context(), Cons(Zero(), Zero()), "cons", "shape-mismatch"),
+        (Context(), App(Zero(), Zero()), "app", "shape-mismatch"),
+        (Context(), App(TLam("x", NAT, BVar(0)), TNil(NAT)),
          "app", "type-mismatch"),
-        (Context(), TJoin(TZero(), TSucc(TZero())), "join", "join-distinct"),
-        (Context(), TCast("w", NAT, TZero(), TZero()),
+        (Context(), TJoin(Zero(), Succ(Zero())), "join", "join-distinct"),
+        (Context(), TCast("w", NAT, Zero(), Zero()),
          "cast", "shape-mismatch"),
         (Context(), TNil(VecTy(NAT, FVar("n"))), "nil", "scope-violation"),
-        (Context(), TQLam("q", NAT, TZero()), "quasi-abs", "mode-violation"),
+        (Context(), TQLam("q", NAT, Zero()), "quasi-abs", "mode-violation"),
     ])
     def test_codes(self, ctx, t, rule, code):
         diag = failure(ctx, t)
@@ -134,7 +134,7 @@ class TestRuleNegative:
     @pytest.mark.parametrize("t", [
         TLam("x", VecTy(NAT, BVar(0)), BVar(0)),
         TLam("n", NAT, TNil(VecTy(NAT, BVar(1)))),
-        TRNat("x", VecTy(NAT, BVar(1)), TZero(), TZero(), TZero()),
+        TRNat("x", VecTy(NAT, BVar(1)), Zero(), Zero(), Zero()),
     ])
     def test_annotation_index_past_the_binders(self, t):
         diag = failure(Context(), t)
@@ -149,7 +149,7 @@ class TestRuleNegative:
 
     def test_join_zero_succ_zero_rejected(self):
         # there must be no proof of 0 = S 0
-        diag = failure(Context(), TJoin(TZero(), TSucc(TZero())))
+        diag = failure(Context(), TJoin(Zero(), Succ(Zero())))
         assert diag.code == "join-distinct"
         notes = [c.message for c in diag.children]
         assert any("left normalizes to 0" in m for m in notes)
@@ -160,29 +160,29 @@ class TestRuleNegative:
         checker = Checker(fuel=3)
         res = checker.infer(
             Context(),
-            TJoin(TApp(TApp(plus_body(), num(2)), num(2)), num(4)))
+            TJoin(App(App(plus_body(), num(2)), num(2)), num(4)))
         assert isinstance(res, Failure)
         assert res.diagnostic.code == "fuel-exhausted"
 
     def test_implicit_binder_must_not_survive_erasure(self):
-        t = TLamImp("l", NAT, TSucc(BVar(0)))
+        t = TLamImp("l", NAT, Succ(BVar(0)))
         diag = failure(Context(), t)
         assert diag.rule == "spec-abs"
         assert diag.code == "erased-occurrence"
 
     def test_ill_scoped_context_is_rejected_up_front(self):
         ctx = Context().extend("v", VecTy(NAT, FVar("n")))
-        diag = failure(ctx, TZero())
+        diag = failure(ctx, Zero())
         assert diag.code == "context-ill-scoped"
 
     def test_rnat_base_must_match_motive_at_zero(self):
-        t = TRNat("x", VecTy(NAT, BVar(0)), TZero(),
+        t = TRNat("x", VecTy(NAT, BVar(0)), Zero(),
                   TLam("y", NAT, TLam("u", NAT, BVar(0))), num(1))
         diag = failure(Context(), t)
         assert diag.rule == "rnat" and diag.code == "type-mismatch"
 
     def test_check_against_reports_both_types(self):
-        res = check_against(Context(), TZero(), VecTy(NAT, Zero()))
+        res = check_against(Context(), Zero(), VecTy(NAT, Zero()))
         assert isinstance(res, Failure)
         assert res.diagnostic.code == "type-mismatch"
         assert res.diagnostic.expected == "Vec Nat 0"
@@ -192,14 +192,14 @@ class TestRuleNegative:
 class TestCheckerBookkeeping:
     def test_rule_hits_count_attempts(self):
         checker = Checker()
-        checker.infer(Context(), TApp(TLam("x", NAT, BVar(0)), TZero()))
+        checker.infer(Context(), App(TLam("x", NAT, BVar(0)), Zero()))
         assert checker.rule_hits["app"] == 1
         assert checker.rule_hits["abs"] == 1
         assert checker.rule_hits["zero"] == 1
 
     def test_failed_attempts_still_count(self):
         checker = Checker()
-        checker.infer(Context(), TJoin(TZero(), TSucc(TZero())))
+        checker.infer(Context(), TJoin(Zero(), Succ(Zero())))
         assert checker.rule_hits["join"] == 1
 
     def test_base_rule_set(self):
@@ -207,7 +207,7 @@ class TestCheckerBookkeeping:
         assert {"spec-abs", "spec-app", "rvec"} <= BASE_RULES
 
     def test_diagnostics_serialize(self):
-        diag = failure(Context(), TJoin(TZero(), TSucc(TZero())))
+        diag = failure(Context(), TJoin(Zero(), Succ(Zero())))
         blob = diag.to_json()
         assert blob["code"] == "join-distinct"
         assert [c["severity"] for c in blob["children"]] == ["note", "note"]
@@ -225,7 +225,7 @@ class TestLazyDiagnostics:
             return real(node)
 
         monkeypatch.setattr(tvec.frontend, "pretty", counted)
-        res = check_against(Context(), TZero(), VecTy(NAT, Zero()))
+        res = check_against(Context(), Zero(), VecTy(NAT, Zero()))
         assert isinstance(res, Failure)
         assert calls == 0
         diag = res.diagnostic
@@ -347,10 +347,10 @@ class TestReferenceChecker:
     @pytest.mark.parametrize("ctx", [Context(), TWO_VARIABLES],
                              ids=["closed", "two-variables"])
     @pytest.mark.parametrize("t", [
-        TLamImp("", NAT, TSucc(BVar(0))),
-        TLam("x", NAT, TLamImp("", NAT, TSucc(BVar(0)))),
-        TLam("", NAT, TLamImp("", NAT, TSucc(BVar(0)))),
-        TLam("", NAT, TLam("", VecTy(NAT, BVar(0)), TSucc(BVar(0)))),
+        TLamImp("", NAT, Succ(BVar(0))),
+        TLam("x", NAT, TLamImp("", NAT, Succ(BVar(0)))),
+        TLam("", NAT, TLamImp("", NAT, Succ(BVar(0)))),
+        TLam("", NAT, TLam("", VecTy(NAT, BVar(0)), Succ(BVar(0)))),
     ], ids=["ifun", "under-x", "under-unnamed", "unnamed-dependent"])
     def test_binders_without_hints(self, ctx, t):
         assert_same_check(ctx, t)
