@@ -151,7 +151,8 @@ def _mode_from(args: argparse.Namespace) -> Mode | None:
 
 def _load(args: argparse.Namespace, name: str | None = None) -> ResolvedFile:
     """Read, parse, and resolve: every definition, or with `name` only
-    those that it needs (see `resolve_defs`).
+    those that it needs (see `resolve_defs`).  A resolved item mentions
+    only assumed names and released `#` names, which the checker rejects.
 
     I/O and syntax errors are exit 2; resolution errors (unknown or
     duplicate names, recursion) mean a syntactically fine file that does
@@ -228,7 +229,7 @@ def _cmd_eval(args: argparse.Namespace, fuel: int) -> Report:
                        resolved.mode)
 
     erasure = d.erased
-    # a resolved body mentions only assumed names
+    # a checked body mentions only assumed names
     closed = not resolved.assumptions
     on_step = None
     if args.trace:

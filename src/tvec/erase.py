@@ -6,7 +6,10 @@ types and is defined on ill-typed terms too.  Implicit and quasi-implicit
 abstractions erase to their bare bodies; for well-typed terms the bound
 variable cannot occur in the erased body, and for arbitrary terms any
 leftover occurrence is released as a fresh free name so the result stays
-locally closed.
+locally closed.  A released name is the hint followed by `#` (`b#`, then
+`b#'`, ...; `x#` for an empty hint).  No identifier contains `#`, so no
+def, assumption or binder can capture a released name, and the checker
+rejects any type, annotation or context that still mentions one.
 
 Variables, application, zero, successor and `cons` carry no annotation,
 so erasure returns an annotation-free subterm (a numeral, a vector
@@ -64,8 +67,9 @@ def _release(body: UnannTerm, hint: str) -> UnannTerm:
 
     Indices that point past the dropped binder move down by one.  If the
     erased body still mentions the dropped variable itself (only possible
-    for ill-typed terms), that occurrence is released under a name that
-    captures nothing.  The body itself comes back if nothing changes.
+    for ill-typed terms), that occurrence is released under a `#` name
+    that no other free name of the body takes.  The body itself comes back
+    if nothing changes.
     """
     released: FVar | None = None
 
@@ -76,7 +80,7 @@ def _release(body: UnannTerm, hint: str) -> UnannTerm:
         if v.index > k:
             return BVar(v.index - 1, span=v.span)
         if released is None:
-            released = FVar(fresh_name(hint, free_vars(body)))
+            released = FVar(fresh_name((hint or "x") + "#", free_vars(body)))
         return released
 
     return map_vars(body, BVar, leaf)

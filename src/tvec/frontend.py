@@ -42,14 +42,15 @@ the spot, since types embed unannotated terms only.
 Names bind as they are parsed: the parser keeps the binder names in scope,
 and an identifier becomes `BVar(k)`, k being the distance to the innermost
 binder of that name, or an `FVar` if no binder in scope has that name.  No
-finished body is walked again.  So a name that erasure releases from an
-ill-typed implicit binder stays free, even under a binder of that name.
+finished body is walked again.  A name that erasure releases from an
+ill-typed implicit binder (`b#`) is no identifier, so no binder takes it.
 
 Definitions are transparent, non-recursive abbreviations: resolution
 substitutes each earlier def into later items, annotated bodies into term
 positions and erased bodies into type positions.  `assume` introduces a
-context binding for everything after it; apart from assumed names and
-their own binders, resolved items must be closed.
+context binding for everything after it.  A resolved item mentions only
+assumed names, its own binders and released `#` names, which no def or
+assumption can take and which the checker rejects.
 
 The pretty-printer inverts the grammar with minimal parentheses and is
 the source of the textual forms used in diagnostics and reports.  Erased
@@ -61,7 +62,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 from .erase import erase, subst_annotated
@@ -515,14 +515,13 @@ def pretty(node: Node) -> str:
     return _term(node, ())
 
 
-def _numeral(t: Node) -> int | None:
+def _numeral(t: Node) -> tuple[int, Node]:
+    """The height of the `S` tower at `t`, and the node it stands on."""
     n = 0
     while isinstance(t, Succ):
         t = t.pred
         n += 1
-    if isinstance(t, Zero):
-        return n
-    return None
+    return n, t
 
 
 def _bind(hint: str, body: Node, env: tuple[str, ...]) -> tuple[str, tuple[str, ...]]:
@@ -558,8 +557,12 @@ def _apply(t: Node, env: tuple[str, ...]) -> str:
             return f"{_apply(fn, env)} @-[{_term(arg, env)}]"
         case QApp(fn):
             return f"{_apply(fn, env)} @-[]"
-        case Succ(p) if _numeral(t) is None:
-            return f"S {_atom(p, env)}"
+        case Succ() | Zero():
+            # decided once per tower: once per level is quadratic
+            n, base = _numeral(t)
+            if isinstance(base, Zero):
+                return str(n)
+            return "S (" * (n - 1) + f"S {_atom(base, env)}" + ")" * (n - 1)
         case Cons(h, tl):
             return f"cons {_atom(h, env)} {_atom(tl, env)}"
         case TJoin(l, r):
@@ -597,10 +600,10 @@ def _apply(t: Node, env: tuple[str, ...]) -> str:
 
 
 def _atom(t: Node, env: tuple[str, ...]) -> str:
-    n = _numeral(t)
-    if n is not None:
-        return str(n)
     match t:
+        case Succ() | Zero():
+            text = _apply(t, env)
+            return text if text.isdecimal() else f"({text})"
         case FVar(name):
             return name
         case BVar(index):
@@ -660,49 +663,26 @@ class ResolvedFile:
     defs: tuple[ResolvedDef, ...]
 
 
-def _names(t: Node, names: set[str], typed: set[str], in_type: bool) -> None:
-    """Add the free names of `t` to `names`, and those at type positions
-    (in a type, or in an annotation of an annotated term) to `typed`."""
-    if isinstance(t, FVar):
-        names.add(t.name)
-        if in_type:
-            typed.add(t.name)
-        return
-    ann = type(t).ANN
-    for field_name in type(t).SCOPES:
-        _names(getattr(t, field_name), names, typed,
-               in_type or field_name not in ann)
+def _mentions(item: Item) -> tuple[frozenset[str], frozenset[str]]:
+    """The free names of an item's type and of its body."""
+    ty = frozenset() if isinstance(item, ModeItem) else free_vars(item.ty)
+    return ty, (free_vars(item.body) if isinstance(item, DefItem)
+                else frozenset())
 
 
 def _needed(source: SourceFile,
-            name: str) -> tuple[set[str], list[frozenset[str]]]:
-    """The defs to resolve for `name`, and each item's free names.
-
-    The needed defs are those that `name` or a def named at a type
-    position reaches through free names.
-    """
-    mentions: list[frozenset[str]] = []
-    refs: dict[str, frozenset[str]] = {}
-    roots = {name}
-    for item in source.items:
-        names: set[str] = set()
-        typed: set[str] = set()
-        if not isinstance(item, ModeItem):
-            _names(item.ty, names, typed, in_type=True)
-        if isinstance(item, DefItem):
-            _names(item.body, names, typed, in_type=False)
-        mentions.append(frozenset(names))
-        if isinstance(item, DefItem):
-            refs.setdefault(item.name, mentions[-1])
-        roots |= typed
-    needed: set[str] = set()
-    todo = [n for n in roots if n in refs]
-    while todo:
-        n = todo.pop()
-        if n not in needed:
-            needed.add(n)
-            todo.extend(m for m in refs[n] if m in refs)
-    return needed, mentions
+            mentions: list[tuple[frozenset[str], frozenset[str]]],
+            name: str) -> set[str]:
+    """The names that `name` and the assumed types reach through the
+    items' free names, the defs to resolve among them.  In a file that
+    resolves, items name only earlier items: one backward pass will do."""
+    needed = {name}
+    for item, (ty_names, body_names) in zip(reversed(source.items),
+                                            reversed(mentions)):
+        if isinstance(item, AssumeItem) or (isinstance(item, DefItem)
+                                            and item.name in needed):
+            needed |= ty_names | body_names
+    return needed
 
 
 def resolve_defs(source: SourceFile, mode_override: Mode | None = None,
@@ -710,124 +690,64 @@ def resolve_defs(source: SourceFile, mode_override: Mode | None = None,
     """Inline definitions and collect assumptions.
 
     Each def or assume may reference only earlier defs, earlier assumes,
-    and its own binders.  Def bodies substitute in annotated at term
-    positions and erased at type positions; a leftover free name is an
+    and its own binders; any other free name of its type or body is an
     unknown reference, or a recursive one if it names the def itself.
 
-    Each body is erased once, when its def is resolved, and each item
-    substitutes only the earlier defs it mentions, so loading a file costs
-    one pass per item and not one per pair of items.
+    A resolved item mentions only assumed names and the `#` names that
+    erasure releases (see `tvec.erase`), which no def can take and which
+    the checker rejects.  So each item substitutes just the earlier defs
+    it names, in any order, and each body is erased once, when its def is
+    resolved: one pass per item, not one per pair of items.
 
-    With `name`, only the defs that are needed are inlined and erased:
-    `name`'s dependency cone, and every def named at a type position (in
-    a declared or assumed type, or in an annotation inside a body)
-    together with its cone.  `defs` then holds just those.  Every other
-    item only has its free names checked.  That raises the same errors at
-    the same items as inlining would, unless a def named at a type
-    position erases to a name that erasure released; if a resolved
-    erasure holds such a name, the whole file is resolved instead.
+    With `name`, only the defs that `name` or an assumed type reaches are
+    inlined and erased, and `defs` holds just those.  Every item has its
+    names checked either way, so the errors are those of the whole file.
     """
-    needed = mentions = None
-    if name is not None:
-        needed, mentions = _needed(source, name)
+    mentions = [_mentions(item) for item in source.items]
+    needed = None if name is None else _needed(source, mentions, name)
     mode: Mode | None = None
     assumptions: list[tuple[str, Ty]] = []
-    assumed: set[str] = set()
-    defined: set[str] = set()
-    defs: list[ResolvedDef] = []
-    # Per resolved def, the free names of its erasure that were not assumed
-    # when it was resolved.  They are empty unless erasure released a name.
-    strays: list[frozenset[str]] = []
-    position: dict[str, int] = {}   # index into `defs`
+    bound: set[str] = set()     # the names of the earlier defs and assumes
+    resolved: dict[str, ResolvedDef] = {}
 
     def fail(message: str, span: Span, code: str):
         raise ResolveError(Diagnostic("resolve", message, span, code=code))
 
-    def inline(node: Node, annotated: bool) -> tuple[Node, frozenset[str]]:
-        """`node` with earlier defs substituted in, and its free names
-        other than assumed ones.
+    def inline(node: Node, names: frozenset[str], annotated: bool) -> Node:
+        """`node` with the earlier defs among its free `names` inlined."""
+        for n in names:
+            d = resolved.get(n)
+            if d is not None:
+                node = (subst_annotated(node, n, d.body, d.erased)
+                        if annotated else subst(node, n, d.erased))
+        return node
 
-        A resolved annotated body mentions only assumed names, so it is
-        enough to substitute the defs that occur in `node`, and they leave
-        no free name behind that needs a walk to find.  An erased body can
-        also mention a name that erasure released from an implicit binder
-        (only in an ill-typed body); if a later def took that name, it is
-        substituted too.  Going in definition order gives the same term as
-        substituting every earlier def in turn.
-        """
-        names = free_vars(node) - assumed
-        todo = [position[n] for n in names if n in position]
-        if not todo:
-            return node, names
-        heapify(todo)
-        done = -1
-        released = False
-        while todo:
-            i = heappop(todo)
-            if i == done:
-                continue
-            done = i
-            d, stray = defs[i], strays[i]
-            node = (subst_annotated(node, d.name, d.body, d.erased)
-                    if annotated else subst(node, d.name, d.erased))
-            released = released or bool(stray)
-            for n in stray:
-                if position.get(n, -1) > i:
-                    heappush(todo, position[n])
-        if released:
-            return node, free_vars(node) - assumed
-        return node, frozenset(n for n in names if n not in position)
+    for item, (ty_names, body_names) in zip(source.items, mentions):
+        if isinstance(item, ModeItem):
+            if mode is not None:
+                fail("duplicate mode pragma", item.span, "duplicate-pragma")
+            mode = item.mode
+            continue
+        item_name, span = item.name, item.span
+        if item_name in bound:
+            fail(f"duplicate name {item_name}", span, "duplicate-name")
+        loose = (ty_names | body_names) - bound
+        kind = "def" if isinstance(item, DefItem) else "assume"
+        if kind == "def" and item_name in loose:
+            fail(f"def {item_name} refers to itself; definitions are "
+                 "non-recursive", span, "recursive-definition")
+        if loose:
+            fail(f"{kind} {item_name} mentions unknown names: "
+                 f"{', '.join(sorted(loose))}", span, "unknown-name")
+        bound.add(item_name)
+        if kind == "assume":
+            assumptions.append(
+                (item_name, inline(item.ty, ty_names, annotated=False)))
+        elif needed is None or item_name in needed:
+            body = inline(item.body, body_names, annotated=True)
+            resolved[item_name] = ResolvedDef(
+                item_name, inline(item.ty, ty_names, annotated=False), body,
+                erase(body), item.ty, span)
 
-    for index, item in enumerate(source.items):
-        match item:
-            case ModeItem(m, span):
-                if mode is not None:
-                    fail("duplicate mode pragma", span, "duplicate-pragma")
-                mode = m
-            case AssumeItem(item_name, ty, span):
-                if item_name in assumed or item_name in defined:
-                    fail(f"duplicate name {item_name}", span,
-                         "duplicate-name")
-                ty, loose = inline(ty, annotated=False)
-                if loose:
-                    fail(f"assume {item_name} mentions unknown names: "
-                         f"{', '.join(sorted(loose))}", span, "unknown-name")
-                assumptions.append((item_name, ty))
-                assumed.add(item_name)
-            case DefItem(item_name, declared, body, span):
-                if item_name in assumed or item_name in defined:
-                    fail(f"duplicate name {item_name}", span,
-                         "duplicate-name")
-                wanted = needed is None or item_name in needed
-                if wanted:
-                    ty, ty_loose = inline(declared, annotated=False)
-                    body, body_loose = inline(body, annotated=True)
-                    loose = ty_loose | body_loose
-                else:
-                    # the defs named here at type positions are resolved
-                    # and release no name, so inlining would leave exactly the
-                    # names that no earlier item binds
-                    loose = mentions[index] - assumed - defined
-                if item_name in loose:
-                    fail(f"def {item_name} refers to itself; definitions "
-                         "are non-recursive", span, "recursive-definition")
-                if loose:
-                    fail(f"def {item_name} mentions unknown names: "
-                         f"{', '.join(sorted(loose))}", span, "unknown-name")
-                defined.add(item_name)
-                if not wanted:
-                    continue
-                erased = erase(body)
-                stray = free_vars(erased) - assumed
-                if stray and needed is not None:
-                    # only inlining every item follows a released name
-                    return resolve_defs(source, mode_override)
-                position[item_name] = len(defs)
-                defs.append(ResolvedDef(item_name, ty, body, erased,
-                                        declared, span))
-                strays.append(stray)
-
-    if mode_override is not None:
-        mode = mode_override
-    return ResolvedFile(mode or Mode.BASE, Context(tuple(assumptions)),
-                        tuple(defs))
+    return ResolvedFile(mode_override or mode or Mode.BASE,
+                        Context(tuple(assumptions)), tuple(resolved.values()))

@@ -42,7 +42,7 @@ from .corpus import base_corpus, ext_assumptions, ext_corpus
 from .erase import erase, subst_annotated
 from .reduce import (
     DEFAULT_FUEL, FuelExhausted, LEFTMOST_OUTERMOST, RIGHTMOST_INNERMOST,
-    Stuck, Value, eval_cbv, joinable, normalize,
+    Stuck, eval_cbv, joinable, normalize,
 )
 from .syntax import (
     AllTy, AnnTerm, App, BVar, Cons, Context, EqTy, FVar, IfZeroTy, Join,

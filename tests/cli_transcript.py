@@ -119,6 +119,15 @@ assume h : Pi b : Nat. Vec Nat (ifun b : Nat => b)
 def a : Nat = 0
 def k : Pi b : Nat. Vec Nat (ifun b : Nat => b) = fun b : Nat => nil [Nat]
 """,
+    # `f` releases `b#`, not the assumed `b`, so `g` does not take `h`'s
+    # type `Vec Nat b`
+    "released_meets_assumption": """
+def a : Nat = 0
+assume b : Nat
+assume h : Vec Nat b
+def f : Nat = ifun b : Nat => b
+def g : Vec Nat f = h
+""",
     "ill_typed_later": """
 def a : Nat = 0
 def bad : Nat = nil [Nat]

@@ -13,7 +13,7 @@ from tvec import corpus
 from tvec.erase import erase
 from tvec.frontend import parse, pretty, resolve_defs
 from tvec.reduce import Value, eval_cbv, normalize
-from tvec.syntax import Cons, Context, Nil, Zero, alpha_eq, free_vars
+from tvec.syntax import Cons, Nil, Zero, alpha_eq, free_vars
 from tvec.typecheck import Checker, Inferred, Mode
 
 from conftest import QUODLIBET_PATH, VEC_PATH

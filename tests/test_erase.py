@@ -14,7 +14,7 @@ from tvec.erase import _release, erase, subst_annotated
 from tvec.frontend import parse_term
 from tvec.oracle import enumerate_terms
 from tvec.syntax import (
-    App, BVar, Cons, EqTy, FVar, Join, Lam, NatTy, Nil, PiTy, QApp, QLam,
+    App, BVar, Cons, Context, EqTy, FVar, Join, Lam, NatTy, Nil, QApp, QLam,
     RNat, RVec, Succ, TAppImp, TCast, TFoldS, TFoldZ, TJoin,
     TLam, TLamImp, TNil, TQApp, TQLam, TRNat, TRVec, TUnfoldS,
     TUnfoldZ, VecTy, Zero, alpha_eq, free_vars, subst,
@@ -122,7 +122,26 @@ class TestDroppedBinders:
 
     def test_dropped_variable_is_released_under_an_outer_binder(self):
         t = TLam("x", NAT, TLamImp("y", NAT, App(BVar(0), BVar(1))))
-        assert erase(t) == Lam("x", App(FVar("y"), BVar(0)))
+        assert erase(t) == Lam("x", App(FVar("y#"), BVar(0)))
+
+    def test_released_names_are_no_identifiers(self):
+        # the hint and `#`, primed apart from the body's other free names;
+        # `x#` when the binder has no hint
+        inner = TLamImp("b", NAT, App(BVar(0), BVar(1)))
+        assert erase(TLamImp("b", NAT, inner)) == \
+            App(FVar("b#"), FVar("b#'"))
+        assert erase(TLamImp("", NAT, Succ(BVar(0)))) == Succ(FVar("x#"))
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_erasure_adds_only_released_names(self, mode):
+        # every name that erasure adds was released, so it holds a `#`
+        # and cannot be a name of the context
+        ctx = Context().extend("a", NAT).extend("b", VecTy(NAT, Zero()))
+        added = set()
+        for t in enumerate_terms(6, mode, ctx):
+            added |= free_vars(erase(t)) - free_vars(t)
+        assert added
+        assert all("#" in name for name in added)
 
     def test_indices_bound_inside_the_body_stay(self):
         body = Lam("z", App(BVar(0), BVar(2)))
@@ -216,5 +235,7 @@ def test_erase_commutes_with_substitution(t):
 
 @given(annotated_terms())
 def test_erasure_introduces_no_free_names(t):
-    # holds whenever implicit binders are used legally (vacuously here)
+    # these terms have no implicit binder, so erasure releases no name;
+    # `TestDroppedBinders.test_erasure_adds_only_released_names` covers
+    # the terms that have one
     assert free_vars(erase(t)) <= free_vars(t)

@@ -2,6 +2,7 @@
 
 import functools
 import importlib
+import json
 from dataclasses import fields, is_dataclass
 
 import pytest
@@ -13,6 +14,7 @@ import tvec.frontend
 import tvec.syntax
 from cli_transcript import BROKEN, FAMILY
 from conftest import EXAMPLES
+from tvec.cli import main as cli_main
 from tvec.erase import erase
 from tvec.frontend import (
     KEYWORDS, MAX_NUMERAL, DefItem, ParseError, ResolveError, parse,
@@ -24,7 +26,7 @@ from tvec.syntax import (
     TAppImp, TCast, Cons, TJoin, TLam, TLamImp, TNil, TQApp, TQLam,
     Span, TRNat, TRVec, TUnfoldZ, VecTy, Zero, alpha_eq,
 )
-from tvec.typecheck import Mode
+from tvec.typecheck import Checker, Inferred, Mode
 
 NAT = NatTy()
 
@@ -209,13 +211,13 @@ class TestParseType:
         assert ty == PiTy("n", NAT, VecTy(NAT, BVar(0)))
 
     def test_name_released_from_an_implicit_binder_stays_free(self):
-        # The length erases to the `b` that the ill-typed `ifun` releases.
-        # That is not the `b` of the `Pi`; the two-pass reference parser
-        # erased before closing the `Pi` and so captured it.
+        # The length erases to the `b#` that the ill-typed `ifun` releases,
+        # which no binder can take: the two-pass reference parser, which
+        # erases before closing the `Pi`, agrees.
         src = "Pi b : Nat. Vec Nat (ifun b : Nat => b)"
-        assert parse_type(src) == PiTy("b", NAT, VecTy(NAT, FVar("b")))
-        assert reference_parser.parse_type(src) == \
-            PiTy("b", NAT, VecTy(NAT, BVar(0)))
+        expected = PiTy("b", NAT, VecTy(NAT, FVar("b#")))
+        assert parse_type(src) == expected
+        assert reference_parser.parse_type(src) == expected
 
     def test_failed_parenthesised_type_is_tried_once(self, monkeypatch):
         # Each `(` here opens a term that fails as `( type )` and is read
@@ -310,6 +312,28 @@ class TestPretty:
         reparsed = parse_term(pretty(t))
         assert alpha_eq(reparsed, t)
 
+    def test_successor_tower_is_walked_once(self, monkeypatch):
+        # an `S` tower over a name is decided to be no numeral once, not
+        # once per level: its nodes are visited once, and its base too
+        n, visits = 200, 0
+        numeral = tvec.frontend._numeral
+
+        def counted(t):
+            nonlocal visits
+            node = t
+            while isinstance(node, Succ):
+                visits += 1
+                node = node.pred
+            visits += 1
+            return numeral(t)
+
+        monkeypatch.setattr(tvec.frontend, "_numeral", counted)
+        tower = FVar("x")
+        for _ in range(n):
+            tower = Succ(tower)
+        assert pretty(tower) == "S (" * (n - 1) + "S x" + ")" * (n - 1)
+        assert visits <= n + 2
+
     def test_pretty_is_idempotent(self):
         src = "fun v1' : Vec Nat 2 => rvec [x. y. Nat] 0 s v1'"
         once = pretty(parse_term(src))
@@ -377,9 +401,6 @@ class TestFileParsing:
         ("def x : Nat = x", "recursive-definition"),
         ("def x : Vec Nat x = nil[Nat]", "recursive-definition"),
         ("def x : Vec Nat y = nil[Nat]", "unknown-name"),
-        # the erasure of `a` releases `z`, which nothing defines
-        ("def a : Nat = ifun z : Nat => z\ndef c : Vec Nat a = nil[Nat]",
-         "unknown-name"),
         ("assume p : n = 0", "unknown-name"),
     ])
     def test_resolution_errors(self, src, code):
@@ -396,21 +417,46 @@ class TestFileParsing:
         assert resolved.assumptions.lookup("p") == \
             EqTy(App(Lam("x", BVar(0)), Zero()), Zero())
 
-    def test_released_name_taken_by_a_later_def_is_inlined(self):
-        # `a` is ill-typed: its erasure releases `b` as a free name, which
-        # the next def then takes.  Inlining `a` into `c` brings in that
-        # `b`, which is substituted like any other later def.
+    def test_released_name_fails_at_its_def(self, tmp_path, capsys):
+        # the erasure of `a` releases `z#`, which resolution leaves in
+        # `c`'s type; checking stops at `a`, the ill-typed def itself
+        src = "def a : Nat = ifun z : Nat => z\ndef c : Vec Nat a = nil[Nat]"
+        resolved = resolve_defs(parse(src))
+        assert resolved.defs[-1].ty == VecTy(NAT, FVar("z#"))
+        path = tmp_path / "released.tvec"
+        path.write_text(src)
+        assert cli_main(["check", str(path), "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)["defs"]
+        assert [d["name"] for d in report] == ["a"]
+        assert report[0]["diagnostic"]["code"] == "erased-occurrence"
+
+    def test_released_name_is_never_a_def(self):
+        # `a` is ill-typed: its erasure releases `b#`, which no identifier
+        # spells, so the later def `b` cannot take it
         src = """
         def a : Nat = ifun b : Nat => b
         def b : Nat = 0
         def c : Vec Nat a = nil[Nat]
         """
         resolved = resolve_defs(parse(src))
-        assert resolved.defs[-1].ty == VecTy(NAT, Zero())
+        assert resolved.defs[-1].ty == VecTy(NAT, FVar("b#"))
+        with pytest.raises(ParseError):
+            parse("def b# : Nat = 0")
+
+    def test_released_name_is_never_an_assumption(self):
+        # `f` releases `b#`, not the assumed `b`, so `g` does not get the
+        # type of `h` and fails to check instead
+        resolved = resolve_defs(parse(BROKEN["released_meets_assumption"]))
+        g = resolved.defs[-1]
+        assert g.ty == VecTy(NAT, FVar("b#"))
+        assert resolved.assumptions.lookup("h") == VecTy(NAT, FVar("b"))
+        res = Checker(100, Mode.BASE).check_against(
+            resolved.assumptions, g.body, g.ty)
+        assert not isinstance(res, Inferred)
 
     def test_def_reached_twice_is_substituted_once(self, monkeypatch):
-        # `g`'s type names `b` itself and, through the name that `f`'s
-        # erasure releases, again: `b` is queued twice and inlined once.
+        # `g`'s type names `f` and `b`; `f`'s erasure releases `b#`, which
+        # is not `b`, so each def is substituted once
         src = """
         def f : Nat = ifun b : Nat => b
         def b : Nat = 0
@@ -425,13 +471,15 @@ class TestFileParsing:
 
         monkeypatch.setattr(tvec.frontend, "subst", counted)
         resolved = resolve_defs(parse(src))
-        assert resolved.defs[-1].ty == EqTy(Zero(), Zero())
-        assert substituted == ["f", "b"]
+        assert resolved.defs[-1].ty == EqTy(FVar("b#"), Zero())
+        assert sorted(substituted) == ["b", "f"]
 
     @staticmethod
     def _resolution_work(monkeypatch, src, name=None):
         """Resolve `src` counting the frontend's `erase` and
-        `subst_annotated` calls, and the top-level `erase` calls."""
+        `subst_annotated` calls, and the top-level `erase` calls; parsing,
+        which erases the terms in types, is not counted."""
+        source = parse(src)
         work = {"erase": 0, "subst_annotated": 0, "top_level_erase": 0}
 
         def counted(fn, key):
@@ -460,7 +508,7 @@ class TestFileParsing:
             for key in ("erase", "subst_annotated"):
                 m.setattr(tvec.frontend, key,
                           counted(getattr(tvec.frontend, key), key))
-            resolved = resolve_defs(parse(src), None, name)
+            resolved = resolve_defs(source, None, name)
         return resolved, work
 
     CHAIN = "def n0 : Nat = 0\n" + "".join(
@@ -484,6 +532,14 @@ class TestFileParsing:
         _, full = self._resolution_work(monkeypatch, self.CHAIN)
         _, last = self._resolution_work(monkeypatch, self.CHAIN, "n199")
         assert last == full
+
+    def test_def_named_in_a_type_is_resolved_only_if_needed(self,
+                                                           monkeypatch):
+        # `e`'s type names `n5`, which `n0` does not need
+        src = self.CHAIN + "def e : n5 = 5 = join n5 5\n"
+        resolved, work = self._resolution_work(monkeypatch, src, "n0")
+        assert [d.name for d in resolved.defs] == ["n0"]
+        assert work["top_level_erase"] == 1
 
     def test_later_defs_may_not_be_referenced_early(self):
         src = "def x : Nat = y\ndef y : Nat = 0"
@@ -540,7 +596,7 @@ class TestResolveOneDef:
         source = parse(BROKEN["stray_cascade"])
         g = resolve_defs(source, None, "g").defs[-1]
         assert g == resolve_defs(source).defs[-1]
-        assert g.ty == VecTy(NAT, Zero())
+        assert g.ty == VecTy(NAT, FVar("b#"))
 
     def test_later_fault_is_reported(self):
         source = parse(BROKEN["later_unknown_in_type"])

@@ -5,7 +5,7 @@ import pytest
 from tvec.corpus import plus_u, unum
 from reference_reduce import step_cbv, step_full, step_lo, step_ri
 from tvec.reduce import (
-    DEFAULT_FUEL, FuelExhausted, LEFTMOST_OUTERMOST, NormalForm,
+    FuelExhausted, LEFTMOST_OUTERMOST, NormalForm,
     RIGHTMOST_INNERMOST, Stuck, Value, contract, eval_cbv, is_value,
     joinable, normalize,
 )
