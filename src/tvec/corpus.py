@@ -21,20 +21,18 @@ side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .erase import erase
 from .syntax import (
     AllTy, AnnTerm, App, Cons, Context, EqTy, FVar, IfZeroTy, NatTy, PiTy,
     Succ, TAppImp, TCast, TFoldS, TFoldZ, TJoin, TLam, TLamImp, TNil, TQApp,
     TQLam, TRNat, TRVec, TUnfoldS, TUnfoldZ, Ty, UnannTerm, VecTy, Zero,
-    close_at, close1,
+    close_at, close1, frozen,
 )
 
 NAT = NatTy()
 
 
-@dataclass(frozen=True)
+@frozen
 class CorpusDef:
     name: str
     ty: Ty

@@ -61,7 +61,6 @@ s n`, `qfun => t`, `t @-[]`) that the parser does not accept.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .erase import erase, subst_annotated
@@ -70,7 +69,7 @@ from .syntax import (
     Lam, NatTy, Nil, Node, PiTy, QApp, QLam, RNat, RVec, Span, Succ,
     TAppImp, TCast, TFoldS, TFoldZ, TJoin, TLam, TLamImp, TNil, TQApp,
     TQLam, TRNat, TRVec, TUnfoldS, TUnfoldZ, Ty, UnannTerm, VecTy, Zero,
-    free_vars, fresh_name, subst,
+    free_vars, fresh_name, frozen, subst,
 )
 from .typecheck import Diagnostic, Mode
 
@@ -153,7 +152,7 @@ def tokenize(text: str) -> list[Token]:
 # source items
 
 
-@dataclass(frozen=True)
+@frozen
 class DefItem:
     name: str
     ty: Ty
@@ -161,14 +160,14 @@ class DefItem:
     span: Span
 
 
-@dataclass(frozen=True)
+@frozen
 class AssumeItem:
     name: str
     ty: Ty
     span: Span
 
 
-@dataclass(frozen=True)
+@frozen
 class ModeItem:
     mode: Mode
     span: Span
@@ -177,7 +176,7 @@ class ModeItem:
 Item = DefItem | AssumeItem | ModeItem
 
 
-@dataclass(frozen=True)
+@frozen
 class SourceFile:
     items: tuple[Item, ...]
 
@@ -646,7 +645,7 @@ def _tyatom(ty: Node, env: tuple[str, ...]) -> str:
 # definition resolution
 
 
-@dataclass(frozen=True)
+@frozen
 class ResolvedDef:
     name: str
     ty: Ty              # declared type with earlier defs inlined
@@ -656,7 +655,7 @@ class ResolvedDef:
     span: Span
 
 
-@dataclass(frozen=True)
+@frozen
 class ResolvedFile:
     mode: Mode
     assumptions: Context

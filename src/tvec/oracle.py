@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from . import frontend
@@ -49,7 +48,7 @@ from .syntax import (
     Lam, NatTy, Nil, PiTy, QLam, Succ, TAppImp, TCast, TFoldS, TFoldZ,
     TJoin, TLam, TLamImp, TNil, TQApp, TQLam, TRNat, TRVec, TUnfoldS,
     TUnfoldZ, Ty, UnannTerm, VecTy, Zero, alpha_eq, free_vars, node_count,
-    open1, subst,
+    frozen, open1, subst,
 )
 from .typecheck import RULES, Checker, Inferred, Mode
 
@@ -237,7 +236,7 @@ _DESCRIPTIONS = {
 }
 
 
-@dataclass(frozen=True)
+@frozen
 class Counterexample:
     prop: str
     term: str
@@ -249,7 +248,7 @@ class Counterexample:
                 "detail": self.detail}
 
 
-@dataclass(frozen=True)
+@frozen
 class PropertyResult:
     name: str
     checked: int
@@ -266,7 +265,7 @@ class PropertyResult:
         }
 
 
-@dataclass(frozen=True)
+@frozen
 class SuiteReport:
     mode: Mode
     size: int

@@ -72,12 +72,11 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, get_args
 
 from .syntax import (
     App, BVar, Cons, FVar, Join, Lam, Nil, QApp, QLam, RNat, RVec, Succ,
-    UnannTerm, Zero, alpha_eq,
+    UnannTerm, Zero, alpha_eq, frozen,
 )
 
 DEFAULT_FUEL = 100_000
@@ -86,13 +85,13 @@ LEFTMOST_OUTERMOST = "leftmost-outermost"
 RIGHTMOST_INNERMOST = "rightmost-innermost"
 
 
-@dataclass(frozen=True)
+@frozen
 class NormalForm:
     term: UnannTerm
     steps: int
 
 
-@dataclass(frozen=True)
+@frozen
 class FuelExhausted:
     term: UnannTerm
     fuel: int
@@ -101,13 +100,13 @@ class FuelExhausted:
 NormalizeOutcome = NormalForm | FuelExhausted
 
 
-@dataclass(frozen=True)
+@frozen
 class Value:
     term: UnannTerm
     steps: int
 
 
-@dataclass(frozen=True)
+@frozen
 class Stuck:
     term: UnannTerm
     reason: str

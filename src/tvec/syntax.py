@@ -34,17 +34,21 @@ does not recurse (`reduce.contract`).  `open1`, `open2` and `close1`
 remain for the oracle (`canonical_shape`), the corpus, which builds
 terms from names, and the test suite's reference implementations.
 
-Storage.  Node classes and `Span` are frozen dataclasses with slots
-(`_frozen`); an `__init__` made once per class stores each field through
-its slot descriptor, at half the cost of a plain frozen dataclass, and
-walkers rebuild with `Node.rebuild`.  Nodes must stay frozen, as subterms
-are shared: by the enumerator's cache (`oracle._exact`), by def bodies
-inlined at every use, and by the reducer's memo of normal subterms by `id`.
+Storage.  Node classes, `Span` and the records of the other modules
+(`reduce.NormalForm`, `frontend.ResolvedDef`, ...) are slotted dataclasses
+that cannot change (`frozen`).  Per field shape, `frozen` compiles once an
+`__init__` that stores each field through its slot descriptor, `__eq__`
+and `__hash__` over the compared fields, and on nodes `children()` and
+`rebuild()`, which walkers use; `__repr__`, `__setattr__`/`__delattr__` and
+`__getstate__`/`__setstate__` are shared by all.  Nodes must stay frozen, as
+subterms are shared: by the enumerator's cache (`oracle._exact`), by def
+bodies inlined at every use, and by the reducer's memo of normal subterms
+by `id`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from functools import cache, cached_property
 from typing import Callable, ClassVar, Iterator
 
@@ -52,19 +56,25 @@ from typing import Callable, ClassVar, Iterator
 _compile = cache(lambda src: compile(src, "<node>", "exec"))   # shared code
 
 
-def _frozen(cls: type) -> type:
-    """Make `cls` a frozen dataclass with slots and a fast `__init__`; with
-    `SCOPES`, also `children()` in that order and `rebuild(kids)`."""
+def frozen(cls: type) -> type:
+    """Make `cls` a slotted dataclass that cannot change.  `dataclass`
+    only records the fields; see "Storage" above for the methods."""
     doc, cls.__doc__ = cls.__doc__, "-"   # else dataclass calls signature()
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    cls = dataclass(init=False, repr=False, eq=False, slots=True)(cls)
     names = [f.name for f in fields(cls)]
     kw = [f"{f.name}={f.default!r}" for f in fields(cls) if f.kw_only]
     sig = ", ".join([f.name for f in fields(cls) if not f.kw_only]
                     + ["*"] * bool(kw) + kw)
     cls.__doc__ = doc or f"{cls.__name__}({sig})"
+    same = "".join(f"{{0}}.{f.name}," for f in fields(cls) if f.compare)
     kids = list(getattr(cls, "SCOPES", ()))
     src = [f"def __init__(self, {sig}):",
-           *(f" _{n}(self, {n})" for n in names)]
+           *(f" _{n}(self, {n})" for n in names),
+           # a tuple compare tries `is` first, so shared children are cheap
+           "def __eq__(self, other):",
+           " if other.__class__ is not self.__class__: return NotImplemented",
+           f" return ({same.format('self')}) == ({same.format('other')})",
+           f"def __hash__(self): return hash(({same.format('self')}))"]
     if kids:
         listed = ", ".join(f"self.{n}" for n in kids)
         src += [f"def children(self): return [{listed}]",
@@ -74,22 +84,49 @@ def _frozen(cls: type) -> type:
                 " return new"]
     env = {f"_{n}": getattr(cls, n).__set__ for n in names}
     env.update(_new=object.__new__, _cls=cls)
-    made: dict[str, Callable] = {}
+    made: dict[str, Callable] = dict(_SHARED)
     exec(_compile("\n".join(src)), env, made)
     for name, fn in made.items():
         setattr(cls, name, fn)
     return cls
 
 
-@_frozen
+def _repr(self) -> str:
+    shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}"
+                      for f in fields(self) if f.repr)
+    return f"{type(self).__qualname__}({shown})"
+
+
+def _setattr(self, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _delattr(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _getstate(self) -> list:
+    return [getattr(self, f.name) for f in fields(self)]
+
+
+def _setstate(self, state: list) -> None:
+    for f, value in zip(fields(self), state):   # `_setattr` refuses
+        getattr(type(self), f.name).__set__(self, value)
+
+
+_SHARED = {"__repr__": _repr, "__setattr__": _setattr, "__delattr__": _delattr,
+           "__getstate__": _getstate, "__setstate__": _setstate}
+
+
+@frozen
 class Span:
-    """Half-open [start, end) source offsets, built like a node (`_frozen`)."""
+    """Half-open [start, end) source offsets, built like a node (`frozen`)."""
 
     start: int
     end: int
 
 
-@_frozen
+@frozen
 class Node:
     span: Span | None = field(default=None, kw_only=True, compare=False, repr=False)
 
@@ -105,12 +142,12 @@ class Node:
 # variables (shared by all three categories)
 
 
-@_frozen
+@frozen
 class FVar(Node):
     name: str
 
 
-@_frozen
+@frozen
 class BVar(Node):
     index: int
 
@@ -119,7 +156,7 @@ class BVar(Node):
 # unannotated terms (App, Zero, Succ and Cons are annotated terms too)
 
 
-@_frozen
+@frozen
 class App(Node):
     fn: "UnannTerm"
     arg: "UnannTerm"
@@ -127,26 +164,26 @@ class App(Node):
     ANN = frozenset({"fn", "arg"})
 
 
-@_frozen
+@frozen
 class Lam(Node):
     hint: str = field(compare=False)
     body: "UnannTerm"
     SCOPES = {"body": 1}
 
 
-@_frozen
+@frozen
 class Zero(Node):
     pass
 
 
-@_frozen
+@frozen
 class Succ(Node):
     pred: "UnannTerm"
     SCOPES = {"pred": 0}
     ANN = frozenset({"pred"})
 
 
-@_frozen
+@frozen
 class RNat(Node):
     """Recursor over Nat; the scrutinee is the last argument."""
 
@@ -156,12 +193,12 @@ class RNat(Node):
     SCOPES = {"base": 0, "step": 0, "scrut": 0}
 
 
-@_frozen
+@frozen
 class Nil(Node):
     pass
 
 
-@_frozen
+@frozen
 class Cons(Node):
     head: "UnannTerm"
     tail: "UnannTerm"
@@ -169,7 +206,7 @@ class Cons(Node):
     ANN = frozenset({"head", "tail"})
 
 
-@_frozen
+@frozen
 class RVec(Node):
     """Recursor over vectors; the scrutinee is the last argument."""
 
@@ -179,12 +216,12 @@ class RVec(Node):
     SCOPES = {"base": 0, "step": 0, "scrut": 0}
 
 
-@_frozen
+@frozen
 class Join(Node):
     """The unique witness of equations; carries no evidence."""
 
 
-@_frozen
+@frozen
 class QLam(Node):
     """Quasi-implicit abstraction.  Binds nothing: the body may not use
     the abstracted variable, so no index is introduced."""
@@ -193,7 +230,7 @@ class QLam(Node):
     SCOPES = {"body": 0}
 
 
-@_frozen
+@frozen
 class QApp(Node):
     """Quasi-implicit application; supplies no argument."""
 
@@ -205,19 +242,19 @@ class QApp(Node):
 # types
 
 
-@_frozen
+@frozen
 class NatTy(Node):
     pass
 
 
-@_frozen
+@frozen
 class VecTy(Node):
     elem: "Ty"
     length: "UnannTerm"
     SCOPES = {"elem": 0, "length": 0}
 
 
-@_frozen
+@frozen
 class PiTy(Node):
     hint: str = field(compare=False)
     dom: "Ty"
@@ -225,7 +262,7 @@ class PiTy(Node):
     SCOPES = {"dom": 0, "cod": 1}
 
 
-@_frozen
+@frozen
 class AllTy(Node):
     """Quasi-implicit product: the bound variable may occur in the
     codomain but not in the (erased) body of its inhabitants."""
@@ -236,7 +273,7 @@ class AllTy(Node):
     SCOPES = {"dom": 0, "cod": 1}
 
 
-@_frozen
+@frozen
 class EqTy(Node):
     """Untyped equation between unannotated terms."""
 
@@ -245,7 +282,7 @@ class EqTy(Node):
     SCOPES = {"lhs": 0, "rhs": 0}
 
 
-@_frozen
+@frozen
 class IfZeroTy(Node):
     """Large elimination: a type computed from a Nat scrutinee."""
 
@@ -259,7 +296,7 @@ class IfZeroTy(Node):
 # annotated terms
 
 
-@_frozen
+@frozen
 class TAppImp(Node):
     """Implicit application: the argument is erased, only its erasure
     lands in the result type."""
@@ -270,7 +307,7 @@ class TAppImp(Node):
     ANN = frozenset({"fn", "arg"})
 
 
-@_frozen
+@frozen
 class TLam(Node):
     hint: str = field(compare=False)
     dom: "Ty"
@@ -279,7 +316,7 @@ class TLam(Node):
     ANN = frozenset({"body"})
 
 
-@_frozen
+@frozen
 class TLamImp(Node):
     """Implicit abstraction: erases to its body, which must not use the
     bound variable at the term level."""
@@ -291,7 +328,7 @@ class TLamImp(Node):
     ANN = frozenset({"body"})
 
 
-@_frozen
+@frozen
 class TRNat(Node):
     """Nat recursor with motive `x. motive` (one binder)."""
 
@@ -304,13 +341,13 @@ class TRNat(Node):
     ANN = frozenset({"base", "step", "scrut"})
 
 
-@_frozen
+@frozen
 class TNil(Node):
     elem: "Ty"
     SCOPES = {"elem": 0}
 
 
-@_frozen
+@frozen
 class TRVec(Node):
     """Vector recursor with motive `x. y. motive`: x (index 1) is the
     length, y (index 0) the vector."""
@@ -325,7 +362,7 @@ class TRVec(Node):
     ANN = frozenset({"base", "step", "scrut"})
 
 
-@_frozen
+@frozen
 class TJoin(Node):
     lhs: "AnnTerm"
     rhs: "AnnTerm"
@@ -333,7 +370,7 @@ class TJoin(Node):
     ANN = frozenset({"lhs", "rhs"})
 
 
-@_frozen
+@frozen
 class TCast(Node):
     """Transport along an equation through the motive `x. motive`."""
 
@@ -345,7 +382,7 @@ class TCast(Node):
     ANN = frozenset({"proof", "body"})
 
 
-@_frozen
+@frozen
 class TQLam(Node):
     """Quasi-implicit abstraction: binds into the body's annotations and
     type, but the erased body must not use the variable."""
@@ -357,7 +394,7 @@ class TQLam(Node):
     ANN = frozenset({"body"})
 
 
-@_frozen
+@frozen
 class TQApp(Node):
     """Quasi-implicit application of fn to an erased witness."""
 
@@ -367,7 +404,7 @@ class TQApp(Node):
     ANN = frozenset({"fn", "witness"})
 
 
-@_frozen
+@frozen
 class TFoldZ(Node):
     """Fold a term of the zero branch into `ifzero 0 _ other`."""
 
@@ -377,14 +414,14 @@ class TFoldZ(Node):
     ANN = frozenset({"body"})
 
 
-@_frozen
+@frozen
 class TUnfoldZ(Node):
     body: "AnnTerm"
     SCOPES = {"body": 0}
     ANN = frozenset({"body"})
 
 
-@_frozen
+@frozen
 class TFoldS(Node):
     """Fold a term of the successor branch into `ifzero (S w) zero_ty _`
     where w is the erased witness."""
@@ -396,7 +433,7 @@ class TFoldS(Node):
     ANN = frozenset({"witness", "body"})
 
 
-@_frozen
+@frozen
 class TUnfoldS(Node):
     witness: "AnnTerm"
     body: "AnnTerm"
@@ -560,7 +597,7 @@ def ctx_ok(ctx: Context) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)   # not `frozen`: `ok` is cached in a `__dict__`
 class Context:
     """Ordered typing context; later entries may mention earlier names."""
 

@@ -46,7 +46,8 @@ from .syntax import (
     AllTy, AnnTerm, App, BVar, Cons, Context, EqTy, FVar, IfZeroTy, NatTy,
     Nil, Node, PiTy, Span, Succ, TAppImp, TCast, TFoldS, TFoldZ, TJoin,
     TLam, TLamImp, TNil, TQApp, TQLam, TRNat, TRVec, TUnfoldS, TUnfoldZ, Ty,
-    VecTy, Zero, alpha_eq, free_vars, fresh_name, instantiate, map_vars,
+    VecTy, Zero, alpha_eq, free_vars, fresh_name, frozen, instantiate,
+    map_vars,
 )
 
 
@@ -92,7 +93,7 @@ class _Shown:
         obj.__dict__[self.slot] = value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)   # not `frozen`: `_Shown` needs a `__dict__`
 class Diagnostic:
     rule: str
     message: str
@@ -129,12 +130,12 @@ class Diagnostic:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
+@frozen
 class Inferred:
     type: Ty
 
 
-@dataclass(frozen=True)
+@frozen
 class Failure:
     diagnostic: Diagnostic
 

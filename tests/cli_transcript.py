@@ -169,13 +169,14 @@ def _files(workdir: Path) -> list[str]:
 
 
 def _def_names(path: Path) -> list[str]:
-    """The names after `def` in a file, and one that no file defines."""
+    """The names after `def` in a file, each once in the order of first
+    declaration, and one that no file defines."""
     try:
         words = path.read_text(encoding="utf-8").split()
     except (OSError, UnicodeDecodeError):
         words = []
-    return [w for prev, w in zip(words, words[1:]) if prev == "def"] \
-        + ["noSuchDef"]
+    names = [w for prev, w in zip(words, words[1:]) if prev == "def"]
+    return list(dict.fromkeys(names)) + ["noSuchDef"]
 
 
 def _invocations(files: list[str], workdir: Path) -> list[list[str]]:

@@ -1,11 +1,21 @@
 """Binding-structure laws: open/close, substitution, alpha equality."""
 
+import copy
 import dataclasses
+import pickle
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 import tvec.syntax
+from tvec.corpus import CorpusDef
+from tvec.frontend import (
+    AssumeItem, DefItem, ModeItem, ResolvedDef, ResolvedFile, SourceFile,
+)
+from tvec.oracle import Counterexample, PropertyResult, SuiteReport
+from tvec.reduce import FuelExhausted, NormalForm, Stuck, Value
+from tvec.typecheck import Diagnostic, Failure, Inferred, Mode
 from tvec.syntax import (
     App, BVar, Cons, Context, EqTy, FVar, Join, Lam, NatTy, Nil, PiTy,
     Succ, TJoin, TLam, VecTy, Zero, alpha_eq, close1, close_at,
@@ -229,8 +239,62 @@ def _build(cls, hint, span):
     return cls(*args, span=span), args
 
 
+def _record_pair(cls):
+    """Two instances of a record class that differ in every field."""
+    def build(a, n, ty, term, span, mode, ctx):
+        diag = Diagnostic(a, "message " + a, span)
+        c = Counterexample("P" + str(n), a, a, a)
+        prop = PropertyResult("P" + str(n), n, n, (c,))
+        r = ResolvedDef(a, ty, term, term, ty, span)
+        return {
+            NormalForm: (term, n), FuelExhausted: (term, n),
+            Value: (term, n), Stuck: (term, a, n), Inferred: (ty,),
+            Failure: (diag,), DefItem: (a, ty, term, span),
+            AssumeItem: (a, ty, span), ModeItem: (mode, span),
+            SourceFile: ((ModeItem(mode, span),),),
+            ResolvedDef: (a, ty, term, term, ty, span),
+            ResolvedFile: (mode, ctx, (r,)),
+            Counterexample: ("P" + str(n), a, a, a),
+            PropertyResult: (prop.name, n, n, (c,)),
+            SuiteReport: (mode, n, n, n, n, n, (c,), (prop,), {a: n}, (a,),
+                          float(n)),
+            CorpusDef: (a, ty, term),
+        }[cls]
+    return [cls(*build(*args)) for args in [
+        ("a", 1, NatTy(), Zero(), Span(0, 1), Mode.BASE, Context()),
+        ("b", 2, VecTy(NatTy(), Zero()), Succ(Zero()), Span(2, 3),
+         Mode.LARGE_ELIM, Context().extend("n", NatTy())),
+    ]]
+
+
+RECORD_CLASSES = [
+    NormalForm, FuelExhausted, Value, Stuck, Inferred, Failure, DefItem,
+    AssumeItem, ModeItem, SourceFile, ResolvedDef, ResolvedFile,
+    Counterexample, PropertyResult, SuiteReport, CorpusDef,
+]
+
+
+def _sample(cls):
+    if cls is Span:
+        return Span(1, 2)
+    if cls in RECORD_CLASSES:
+        return _record_pair(cls)[0]
+    return _build(cls, "x", Span(0, 1))[0]
+
+
+def _stdlib_repr(t):
+    """What `repr` of a plain frozen dataclass with t's fields prints."""
+    like = dataclasses.make_dataclass(
+        type(t).__qualname__,
+        [(f.name, f.type, dataclasses.field(repr=f.repr))
+         for f in dataclasses.fields(t)], frozen=True)
+    return repr(like(**{f.name: getattr(t, f.name)
+                        for f in dataclasses.fields(t)}))
+
+
 class TestNodeContract:
-    """Nodes are frozen, slotted dataclasses: built once, never changed."""
+    """Nodes, `Span` and the records of the other modules are slotted
+    dataclasses that cannot change: built once, never changed."""
 
     @pytest.mark.parametrize("cls", NODE_CLASSES + [Span],
                              ids=lambda c: c.__name__)
@@ -281,3 +345,71 @@ class TestNodeContract:
         assert new.children() == [Succ(k) for k in kids]
         assert new.span is t.span
         assert repr(new.rebuild(kids)) == repr(t)
+
+    @pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda c: c.__name__)
+    def test_frozen_record(self, cls):
+        t, other = _record_pair(cls)
+        twin = _record_pair(cls)[0]
+        names = [f.name for f in dataclasses.fields(t)]
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, name, getattr(t, name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(t, name)
+        assert t == twin and t is not twin and t != other
+        hashable = cls is not SuiteReport   # its `rule_hits` is a dict
+        if hashable:
+            assert hash(t) == hash(twin)
+        assert cls.__match_args__ == tuple(names)
+        for name in names:
+            moved = dataclasses.replace(t, **{name: getattr(other, name)})
+            assert moved != t, name
+            if hashable:
+                assert hash(moved) != hash(t), name
+            assert dataclasses.replace(moved, **{name: getattr(t, name)}) \
+                == t
+        assert repr(t) == _stdlib_repr(t)
+
+    def test_records_of_one_shape_differ_by_class(self):
+        assert NormalForm(Zero(), 1) != Value(Zero(), 1)
+        assert Value(Zero(), 1) != NormalForm(Zero(), 1)
+        assert NormalForm(Zero(), 1) == NormalForm(Zero(), 1)
+
+    def test_repr_is_the_dataclass_repr(self):
+        assert repr(Stuck(Zero(), "no rule", 3)) == \
+            "Stuck(term=Zero(), reason='no rule', steps=3)"
+        assert repr(Span(1, 2)) == "Span(start=1, end=2)"
+        assert repr(Lam("x", Succ(BVar(0)), span=Span(0, 9))) == \
+            "Lam(hint='x', body=Succ(pred=BVar(index=0)))"
+        for cls in NODE_CLASSES:
+            t = _sample(cls)
+            assert repr(t) == _stdlib_repr(t)
+
+    @pytest.mark.parametrize("cls", NODE_CLASSES + [Span] + RECORD_CLASSES,
+                             ids=lambda c: c.__name__)
+    def test_pickle_and_copy_round_trip(self, cls):
+        t = _sample(cls)
+        values = [getattr(t, f.name) for f in dataclasses.fields(t)]
+        copies = [pickle.loads(pickle.dumps(t, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for new in copies + [copy.copy(t), copy.deepcopy(t)]:
+            assert type(new) is cls and new is not t
+            assert new == t
+            assert [getattr(new, f.name)
+                    for f in dataclasses.fields(new)] == values
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(new, dataclasses.fields(new)[0].name, None)
+
+    def test_equality_tries_identity_on_shared_children(self):
+        """Two distinct nodes over one deep subterm compare without walking
+        it, since a tuple compare tries `is` before `==`."""
+        deep = Zero()
+        for _ in range(100_000):
+            deep = Succ(deep)
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert Succ(deep) == Succ(deep)
+            assert App(deep, Zero()) == App(deep, Zero())
+        finally:
+            sys.setrecursionlimit(old)
