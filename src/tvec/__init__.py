@@ -26,12 +26,10 @@ from .oracle import (
 )
 from .reduce import (
     DEFAULT_FUEL, FuelExhausted, NormalForm, Stuck, Value, eval_cbv,
-    is_value, joinable, normalize,
+    joinable, normalize,
 )
 from .syntax import AnnTerm, Context, Node, Ty, UnannTerm, alpha_eq
-from .typecheck import (
-    Checker, Diagnostic, Failure, Inferred, Mode, check_against, infer,
-)
+from .typecheck import Checker, Diagnostic, Failure, Inferred, Mode
 
 __version__ = "0.1.0"
 
@@ -40,8 +38,7 @@ __all__ = [
     "Failure", "FuelExhausted", "Inferred", "Mode", "Node", "NormalForm",
     "ParseError", "ResolveError", "ResolvedDef", "ResolvedFile",
     "SourceError", "Stuck", "SuiteReport", "Ty", "UnannTerm", "Value",
-    "alpha_eq", "canonical_shape", "check_against", "enumerate_terms",
-    "erase", "eval_cbv", "infer", "is_value", "joinable", "normalize",
-    "parse", "parse_term", "parse_type", "pretty", "resolve_defs",
-    "run_property_suite", "subst_annotated",
+    "alpha_eq", "canonical_shape", "enumerate_terms", "erase", "eval_cbv",
+    "joinable", "normalize", "parse", "parse_term", "parse_type", "pretty",
+    "resolve_defs", "run_property_suite", "subst_annotated",
 ]

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from .erase import erase
 from .syntax import (
-    AllTy, AnnTerm, App, Cons, Context, EqTy, FVar, IfZeroTy, NatTy, PiTy,
-    Succ, TAppImp, TCast, TFoldS, TFoldZ, TJoin, TLam, TLamImp, TNil, TQApp,
-    TQLam, TRNat, TRVec, TUnfoldS, TUnfoldZ, Ty, UnannTerm, VecTy, Zero,
-    close_at, close1, frozen,
+    AllTy, AnnTerm, App, BVar, Cons, Context, EqTy, FVar, IfZeroTy, NatTy,
+    Node, PiTy, Succ, TAppImp, TCast, TFoldS, TFoldZ, TJoin, TLam, TLamImp,
+    TNil, TQApp, TQLam, TRNat, TRVec, TUnfoldS, TUnfoldZ, Ty, UnannTerm,
+    VecTy, Zero, frozen, map_vars,
 )
 
 NAT = NatTy()
@@ -54,28 +54,39 @@ def num(n: int) -> AnnTerm:
 unum = num   # the erased numeral is the same term
 
 
+def _bind(t: Node, *names: str) -> Node:
+    """`t` as the body of one binder per name, the last name innermost:
+    each free occurrence of a name becomes the index of its binder."""
+    level = {name: len(names) - 1 - i for i, name in enumerate(names)}
+
+    def leaf(v: FVar, depth: int) -> Node:
+        i = level.get(v.name)
+        return v if i is None else BVar(depth + i, span=v.span)
+    return map_vars(t, FVar, leaf)
+
+
 def lam(name: str, dom: Ty, body: AnnTerm) -> AnnTerm:
-    return TLam(name, dom, close1(body, name))
+    return TLam(name, dom, _bind(body, name))
 
 
 def ilam(name: str, dom: Ty, body: AnnTerm) -> AnnTerm:
-    return TLamImp(name, dom, close1(body, name))
+    return TLamImp(name, dom, _bind(body, name))
 
 
 def qlam(name: str, dom: Ty, body: AnnTerm) -> AnnTerm:
-    return TQLam(name, dom, close1(body, name))
+    return TQLam(name, dom, _bind(body, name))
 
 
 def pi(name: str, dom: Ty, cod: Ty) -> Ty:
-    return PiTy(name, dom, close1(cod, name))
+    return PiTy(name, dom, _bind(cod, name))
 
 
 def all_(name: str, dom: Ty, cod: Ty) -> Ty:
-    return AllTy(name, dom, close1(cod, name))
+    return AllTy(name, dom, _bind(cod, name))
 
 
 def cast(name: str, motive: Ty, proof: AnnTerm, body: AnnTerm) -> AnnTerm:
-    return TCast(name, close1(motive, name), proof, body)
+    return TCast(name, _bind(motive, name), proof, body)
 
 
 def app(fn: AnnTerm, *args: AnnTerm) -> AnnTerm:
@@ -167,7 +178,7 @@ def append_body() -> AnnTerm:
                                  iapp(p2_body(), FVar("l"), l2),
                                  Cons(FVar("x"), FVar("r")))))))
     motive = vec(plus_u(FVar("x"), l2))
-    rec = TRVec("x", "y", close_at(close_at(motive, 0, "y"), 1, "x"),
+    rec = TRVec("x", "y", _bind(motive, "x", "y"),
                 base, step, FVar("v1"))
     return ilam("l1", NAT, ilam("l2", NAT,
                 lam("v1", vec(l1), lam("v2", vec(l2), rec))))
@@ -252,7 +263,7 @@ def append_assoc_body() -> AnnTerm:
                         lam("r", _assoc_eq(FVar("v1'")), step_body))))
 
     motive = _assoc_eq(FVar("y"))
-    rec = TRVec("x", "y", close_at(close_at(motive, 0, "y"), 1, "x"),
+    rec = TRVec("x", "y", _bind(motive, "x", "y"),
                 base, step, FVar("v1"))
     return ilam("l1", NAT, ilam("l2", NAT, ilam("l3", NAT,
                 lam("v1", vec(FVar("l1")),

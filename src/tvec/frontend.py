@@ -690,7 +690,10 @@ def resolve_defs(source: SourceFile, mode_override: Mode | None = None,
 
     Each def or assume may reference only earlier defs, earlier assumes,
     and its own binders; any other free name of its type or body is an
-    unknown reference, or a recursive one if it names the def itself.
+    unknown reference, or a recursive one if it names the def itself.  A
+    `#` name there was released from an implicit binder when the parser
+    erased a term inside a type, and is reported as the checker reports
+    it: a bound variable that survives erasure.
 
     A resolved item mentions only assumed names and the `#` names that
     erasure releases (see `tvec.erase`), which no def can take and which
@@ -735,9 +738,14 @@ def resolve_defs(source: SourceFile, mode_override: Mode | None = None,
         if kind == "def" and item_name in loose:
             fail(f"def {item_name} refers to itself; definitions are "
                  "non-recursive", span, "recursive-definition")
-        if loose:
+        unknown = sorted(n for n in loose if "#" not in n)
+        if unknown:
             fail(f"{kind} {item_name} mentions unknown names: "
-                 f"{', '.join(sorted(loose))}", span, "unknown-name")
+                 f"{', '.join(unknown)}", span, "unknown-name")
+        if loose:   # only erasure makes a `#` name, from the binder's hint
+            fail(f"bound variable {min(loose).split('#')[0]} survives "
+                 "erasure; it may only occur in annotations", span,
+                 "erased-occurrence")
         bound.add(item_name)
         if kind == "assume":
             assumptions.append(

@@ -40,15 +40,15 @@ from . import frontend
 from .corpus import base_corpus, ext_assumptions, ext_corpus
 from .erase import erase, subst_annotated
 from .reduce import (
-    DEFAULT_FUEL, FuelExhausted, LEFTMOST_OUTERMOST, RIGHTMOST_INNERMOST,
-    Stuck, eval_cbv, joinable, normalize,
+    DEFAULT_FUEL, LEFTMOST_OUTERMOST, RIGHTMOST_INNERMOST, CbvOutcome,
+    FuelExhausted, NormalizeOutcome, Stuck, eval_cbv, joinable, normalize,
 )
 from .syntax import (
     AllTy, AnnTerm, App, BVar, Cons, Context, EqTy, FVar, IfZeroTy, Join,
     Lam, NatTy, Nil, PiTy, QLam, Succ, TAppImp, TCast, TFoldS, TFoldZ,
     TJoin, TLam, TLamImp, TNil, TQApp, TQLam, TRNat, TRVec, TUnfoldS,
-    TUnfoldZ, Ty, UnannTerm, VecTy, Zero, alpha_eq, free_vars, node_count,
-    frozen, open1, subst,
+    TUnfoldZ, Ty, UnannTerm, VecTy, Zero, alpha_eq, free_vars, frozen,
+    instantiate, node_count, subst,
 )
 from .typecheck import RULES, Checker, Inferred, Mode
 
@@ -203,7 +203,8 @@ def canonical_shape(v: UnannTerm, ty: Ty, mode: Mode = Mode.BASE,
         case AllTy(_, _, cod):
             if mode is Mode.LARGE_ELIM:
                 return isinstance(v, QLam)
-            return canonical_shape(v, open1(cod, Zero()), mode, fuel)
+            return canonical_shape(v, instantiate(cod, (Zero(),)), mode,
+                                   fuel)
         case EqTy(lhs, rhs):
             if not isinstance(v, Join):
                 return False
@@ -388,9 +389,7 @@ def run_property_suite(
         elif not free_vars(d.body):
             closed.append((d.name, d.body, res.type))
 
-    p1 = _run_p1(closed, mode, fuel)
-    p2 = _run_p2(closed, mode, fuel)
-    p3 = _run_p3(closed, fuel)
+    p1, p2, p3 = _run_closed(closed, mode, fuel)
     p4 = _run_p4(open_terms)
     p5 = _run_p5(open_terms)
 
@@ -411,65 +410,56 @@ def run_property_suite(
     )
 
 
-def _run_p1(closed: list[tuple[str, AnnTerm, Ty]], mode: Mode,
-            fuel: int) -> PropertyResult:
-    undecided = 0
-    failures: list[Counterexample] = []
+def _run_closed(closed: list[tuple[str, AnnTerm, Ty]], mode: Mode,
+                fuel: int) -> tuple[PropertyResult, ...]:
+    """P1, P2 and P3 on each closed well-typed term, erased once.  A
+    verdict is None when the property holds, `FuelExhausted` when it is
+    undecided, and otherwise the detail of a counterexample."""
+    undecided = dict.fromkeys(("P1", "P2", "P3"), 0)
+    failures: dict[str, list[Counterexample]] = {p: [] for p in undecided}
     for label, t, ty in closed:
-        nf = normalize(erase(t), fuel)
-        if isinstance(nf, FuelExhausted):
-            undecided += 1
-            continue
-        shape = canonical_shape(nf.term, ty, mode, fuel)
-        if isinstance(shape, FuelExhausted):
-            undecided += 1
-        elif not shape:
-            failures.append(Counterexample(
-                "P1", label, frontend.pretty(ty),
-                f"normal form {frontend.pretty(nf.term)} is not canonical"))
-    return PropertyResult("P1", len(closed), undecided, tuple(failures))
-
-
-def _run_p2(closed: list[tuple[str, AnnTerm, Ty]], mode: Mode,
-            fuel: int) -> PropertyResult:
-    undecided = 0
-    failures: list[Counterexample] = []
-    for label, t, ty in closed:
-        outcome = eval_cbv(erase(t), fuel)
-        if isinstance(outcome, FuelExhausted):
-            undecided += 1
-            continue
-        if isinstance(outcome, Stuck):
-            failures.append(Counterexample(
-                "P2", label, frontend.pretty(ty),
-                f"stuck after {outcome.steps} steps: {outcome.reason}"))
-            continue
-        shape = canonical_shape(outcome.term, ty, mode, fuel)
-        if isinstance(shape, FuelExhausted):
-            undecided += 1
-        elif not shape:
-            failures.append(Counterexample(
-                "P2", label, frontend.pretty(ty),
-                f"value {frontend.pretty(outcome.term)} is not canonical"))
-    return PropertyResult("P2", len(closed), undecided, tuple(failures))
-
-
-def _run_p3(closed: list[tuple[str, AnnTerm, Ty]],
-            fuel: int) -> PropertyResult:
-    undecided = 0
-    failures: list[Counterexample] = []
-    for label, t, _ in closed:
         u = erase(t)
         lo = normalize(u, fuel, LEFTMOST_OUTERMOST)
-        ri = normalize(u, fuel, RIGHTMOST_INNERMOST)
-        if isinstance(lo, FuelExhausted) or isinstance(ri, FuelExhausted):
-            undecided += 1
-        elif not alpha_eq(lo.term, ri.term):
-            failures.append(Counterexample(
-                "P3", label, None,
-                f"outermost gave {frontend.pretty(lo.term)}, innermost "
-                f"gave {frontend.pretty(ri.term)}"))
-    return PropertyResult("P3", len(closed), undecided, tuple(failures))
+        verdicts = (
+            ("P1", ty, _canonical(lo, ty, mode, fuel, "normal form")),
+            ("P2", ty, _canonical(eval_cbv(u, fuel), ty, mode, fuel, "value")),
+            ("P3", None, _agree(lo, normalize(u, fuel, RIGHTMOST_INNERMOST))),
+        )
+        for prop, shown, verdict in verdicts:
+            if isinstance(verdict, FuelExhausted):
+                undecided[prop] += 1
+            elif verdict is not None:
+                text = None if shown is None else frontend.pretty(shown)
+                failures[prop].append(
+                    Counterexample(prop, label, text, verdict))
+    return tuple(PropertyResult(p, len(closed), undecided[p],
+                                tuple(failures[p])) for p in undecided)
+
+
+def _canonical(outcome: NormalizeOutcome | CbvOutcome, ty: Ty, mode: Mode,
+               fuel: int, what: str) -> str | FuelExhausted | None:
+    """The verdict on whether a reduction ended in a canonical `ty`."""
+    if isinstance(outcome, FuelExhausted):
+        return outcome
+    if isinstance(outcome, Stuck):
+        return f"stuck after {outcome.steps} steps: {outcome.reason}"
+    shape = canonical_shape(outcome.term, ty, mode, fuel)
+    if isinstance(shape, FuelExhausted):
+        return shape
+    return None if shape else \
+        f"{what} {frontend.pretty(outcome.term)} is not canonical"
+
+
+def _agree(lo: NormalizeOutcome,
+           ri: NormalizeOutcome) -> str | FuelExhausted | None:
+    """The verdict on whether the two strategies reach one normal form."""
+    for nf in (lo, ri):
+        if isinstance(nf, FuelExhausted):
+            return nf
+    if alpha_eq(lo.term, ri.term):
+        return None
+    return (f"outermost gave {frontend.pretty(lo.term)}, innermost gave "
+            f"{frontend.pretty(ri.term)}")
 
 
 def _run_p4(terms: list[AnnTerm]) -> PropertyResult:

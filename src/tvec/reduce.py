@@ -75,7 +75,7 @@ from __future__ import annotations
 from typing import Callable, get_args
 
 from .syntax import (
-    App, BVar, Cons, FVar, Join, Lam, Nil, QApp, QLam, RNat, RVec, Succ,
+    App, BVar, Cons, FVar, Lam, Nil, QApp, QLam, RNat, RVec, Succ,
     UnannTerm, Zero, alpha_eq, frozen,
 )
 
@@ -143,10 +143,6 @@ _STUCK = {
     QApp: "quasi-implicit application head is not a quasi-implicit "
           "abstraction",
 }
-
-# Values whatever their children; `S v` and `cons v w` are values when
-# their children are.
-_VALUE_LEAVES = frozenset({Lam, Zero, Nil, Join, QLam})
 
 
 # --------------------------------------------------------------------------
@@ -379,21 +375,6 @@ def joinable(a: UnannTerm, b: UnannTerm,
     if isinstance(nb, FuelExhausted):
         return nb
     return alpha_eq(na.term, nb.term)
-
-
-def is_value(t: UnannTerm) -> bool:
-    todo = [t]
-    while todo:
-        t = todo.pop()
-        tp = type(t)
-        if tp is Succ:
-            todo.append(t.pred)
-        elif tp is Cons:
-            todo.append(t.head)
-            todo.append(t.tail)
-        elif tp not in _VALUE_LEAVES:
-            return False
-    return True
 
 
 def eval_cbv(t: UnannTerm, fuel: int = DEFAULT_FUEL, *,

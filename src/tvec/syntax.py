@@ -21,18 +21,19 @@ excluded from equality, so `a == b` on locally closed nodes is exactly
 alpha-equivalence.  Every binding construct declares, per child field, how
 many extra binder levels that child sits under (`SCOPES`).  One walker,
 `map_vars`, follows those levels down to the variables and rebuilds only
-what changes; `open_at`, `close_at`, `subst`, `instantiate` and erasure's
-index lowering (`erase._release`) are each a leaf function over it.  The
-folds `free_vars` and `node_count` walk the same children.
+what changes.  The kernel fills binders one way, with `instantiate`, and
+replaces a free name one way, with `subst`; both are leaf functions over
+the walker, as is erasure's index lowering (`erase._release`).  The folds
+`free_vars` and `node_count` walk the same children.
 
 Only printing names bound variables.  The parser binds names as it reads
 them.  The checker instantiates codomains and motives with `instantiate`,
 which raises a loose argument's indices past the binders it lands under;
-on locally closed arguments it is `open1`/`open2`, and with none it is a
-shift.  The reducer instantiates a beta redex with its own walker, which
-does not recurse (`reduce.contract`).  `open1`, `open2` and `close1`
-remain for the oracle (`canonical_shape`), the corpus, which builds
-terms from names, and the test suite's reference implementations.
+with no arguments it is a shift.  The reducer instantiates a beta redex
+with its own walker, which does not recurse (`reduce.contract`).  Nothing
+here opens a binder with a name or closes a name into a binder: the
+corpus binds the names it builds terms from with a helper of its own, and
+the test suite's reference implementations carry their own open and close.
 
 Storage.  Node classes, `Span` and the records of the other modules
 (`reduce.NormalForm`, `frontend.ResolvedDef`, ...) are slotted dataclasses
@@ -485,36 +486,6 @@ def map_vars(t: Node, kind: type[FVar] | type[BVar],
             kids[i] = new
         i += 1
     return t if kids is None else t.rebuild(kids)
-
-
-def open_at(t: Node, k: int, repl: Node) -> Node:
-    """Replace the bound variable at level k with `repl`.
-
-    `repl` must be locally closed; no index shifting is ever required.
-    """
-    def leaf(v: BVar, depth: int) -> Node:
-        return repl if v.index == depth else v
-    return map_vars(t, BVar, leaf, k)
-
-
-def close_at(t: Node, k: int, name: str) -> Node:
-    """Abstract the free variable `name` as the bound variable at level k."""
-    def leaf(v: FVar, depth: int) -> Node:
-        return BVar(depth, span=v.span) if v.name == name else v
-    return map_vars(t, FVar, leaf, k)
-
-
-def open1(t: Node, repl: Node) -> Node:
-    return open_at(t, 0, repl)
-
-
-def close1(t: Node, name: str) -> Node:
-    return close_at(t, 0, name)
-
-
-def open2(t: Node, outer: Node, inner: Node) -> Node:
-    """Instantiate a two-binder scope: level 1 gets `outer`, level 0 `inner`."""
-    return open_at(open_at(t, 1, outer), 0, inner)
 
 
 def instantiate(t: Node, args: tuple[Node, ...], lift: int = 0) -> Node:

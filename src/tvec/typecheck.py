@@ -552,13 +552,3 @@ class Checker:
                                   _span(t.rhs), code="note", severity="note"),
                    ))
 
-
-def infer(ctx: Context, t: AnnTerm, fuel: int = DEFAULT_FUEL) -> CheckResult:
-    """Compute the type of an annotated term in base mode."""
-    return Checker(fuel).infer(ctx, t)
-
-
-def check_against(ctx: Context, t: AnnTerm, expected: Ty,
-                  fuel: int = DEFAULT_FUEL) -> CheckResult:
-    """Check an annotated term against a declared type in base mode."""
-    return Checker(fuel).check_against(ctx, t, expected)

@@ -3,7 +3,9 @@
 This checker names every binder as it meets it: it opens the whole body
 with a fresh free name (`open1`), picks that name by collecting the free
 names of the body, closes the body's type again (`close1`), and for
-implicit binders erases the opened body again to look for the name.
+implicit binders erases the opened body again to look for the name.  Its
+open and close come from `locally_nameless`, which walks terms on its
+own, so this checker shares no walker with `tvec.typecheck`.
 `tvec.typecheck` keeps every type in de Bruijn form instead, and makes
 names only when a diagnostic is printed.  `test_typecheck.py` checks
 that both checkers give the same verdict, alpha-equal types, the same
@@ -26,12 +28,13 @@ from tvec.syntax import (
     AllTy, AnnTerm, BVar, Cons, Context, EqTy, FVar, IfZeroTy, NatTy, Nil,
     PiTy, Span, Succ, App, TAppImp, TCast, TFoldS, TFoldZ, TJoin, TLam,
     TLamImp, TNil, TQApp, TQLam, TRNat, TRVec, TUnfoldS, TUnfoldZ,
-    Ty, VecTy, Zero, alpha_eq, close1, ctx_ok, free_vars, fresh_name,
-    open1, open2,
+    Ty, VecTy, Zero, alpha_eq, ctx_ok, free_vars, fresh_name,
 )
 from tvec.typecheck import (
     RULES, CheckResult, Diagnostic, Failure, Inferred, Mode,
 )
+
+from locally_nameless import close1, open1, open2
 
 
 class _CheckError(Exception):

@@ -2,8 +2,9 @@
 
 This is the parser `tvec.frontend` had before it bound names while
 parsing: it builds each binder body with its bound names as `FVar`s and
-then closes the binder by walking the whole body (`close1`/`close_at`).  Terms inside types
-are erased before the enclosing binder closes them, so a name that erasure
+then closes the binder by walking the whole body (`close1`/`close_at` of
+`locally_nameless`, not a walker of `tvec`).  Terms inside types are
+erased before the enclosing binder closes them, so a name that erasure
 releases from an ill-typed implicit binder can be captured by an outer
 binder of the same name; `tvec.frontend` leaves it free.  Apart from that
 case, `test_frontend.py` checks that both parsers give equal terms, binder
@@ -20,10 +21,11 @@ from tvec.frontend import (
 from tvec.syntax import (
     AllTy, AnnTerm, EqTy, FVar, IfZeroTy, NatTy, PiTy, Span, App, TAppImp,
     TCast, Cons, TFoldS, TFoldZ, TJoin, TLam, TLamImp, TNil, TQApp, TQLam,
-    TRNat, TRVec, Succ, TUnfoldS, TUnfoldZ, Zero, Ty, VecTy, close_at,
-    close1,
+    TRNat, TRVec, Succ, TUnfoldS, TUnfoldZ, Zero, Ty, VecTy,
 )
 from tvec.typecheck import Diagnostic, Mode
+
+from locally_nameless import close1, close_at
 
 
 class _Parser:

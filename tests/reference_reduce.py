@@ -19,8 +19,10 @@ from tvec.reduce import (
 )
 from tvec.syntax import (
     App, Cons, FVar, Join, Lam, Nil, QApp, QLam, RNat, RVec, Succ, UnannTerm,
-    Zero, close1, free_vars, fresh_name, open1,
+    Zero, free_vars, fresh_name,
 )
+
+from locally_nameless import close1, open1
 
 
 def contract(t: UnannTerm) -> UnannTerm | None:

@@ -19,8 +19,7 @@ from tvec.erase import erase
 from tvec.frontend import parse_term, pretty
 from tvec.oracle import enumerate_terms
 from tvec.reduce import (
-    DEFAULT_FUEL, FuelExhausted, Stuck, Value, eval_cbv, is_value,
-    joinable, normalize,
+    DEFAULT_FUEL, FuelExhausted, Stuck, Value, eval_cbv, joinable, normalize,
 )
 from tvec.syntax import (
     App, BVar, Cons, Context, FVar, Lam, NatTy, Nil, QLam, Succ, TJoin,
@@ -29,6 +28,7 @@ from tvec.syntax import (
 from tvec.typecheck import BASE_RULES, EXT_RULES, Checker, Inferred, Mode
 
 from conftest import VEC_PATH
+from reference_reduce import is_value
 
 PUBLISHED_TYPES = [
     "plus : Pi m : Nat. Pi n : Nat. Nat",

@@ -94,17 +94,19 @@ class TestCheck:
     def test_name_released_in_a_type_is_not_captured(self, tmp_path,
                                                       capsys):
         # The length erases to the `b#` that the ill-typed `ifun` releases,
-        # which is a free name and not the `b` that the `Pi` binds.
+        # which is a free name and not the `b` that the `Pi` binds; it is
+        # reported by the binder's name, as the checker reports it.
         src = tmp_path / "released.tvec"
         src.write_text("assume v : Pi b : Nat. Vec Nat (ifun b : Nat => b)\n"
                        "def w : Vec Nat 0 = v 0\n")
-        message = "assume v mentions unknown names: b#"
+        message = ("bound variable b survives erasure; it may only occur "
+                   "in annotations")
         code, out, err = run_cli(capsys, "check", str(src))
         assert code == 1
         assert f": error[resolve]: {message}\n" in err
         code, out, err = run_cli(capsys, "check", str(src), "--json")
         assert code == 1
-        assert json.loads(out)["error"]["code"] == "unknown-name"
+        assert json.loads(out)["error"]["code"] == "erased-occurrence"
         assert json.loads(out)["error"]["message"] == message
 
     def test_diagnostic_at_a_bound_variable_has_its_span(self, tmp_path,

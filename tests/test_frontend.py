@@ -402,6 +402,11 @@ class TestFileParsing:
         ("def x : Vec Nat x = nil[Nat]", "recursive-definition"),
         ("def x : Vec Nat y = nil[Nat]", "unknown-name"),
         ("assume p : n = 0", "unknown-name"),
+        # a name released from an implicit binder is no unknown name, but
+        # a name the user wrote is reported first
+        ("def x : Vec Nat (ifun b : Nat => b) = nil[Nat]",
+         "erased-occurrence"),
+        ("assume p : Vec Nat (ifun b : Nat => cons b c)", "unknown-name"),
     ])
     def test_resolution_errors(self, src, code):
         with pytest.raises(ResolveError) as exc:

@@ -1,5 +1,7 @@
-"""The package's public surface: everything exported is importable."""
+"""The package's public surface: everything exported is importable, and
+nothing else is defined in `src/` without a use there."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -13,6 +15,27 @@ def test_every_exported_name_resolves():
     missing = [name for name in tvec.__all__ if not hasattr(tvec, name)]
     assert missing == []
     assert len(set(tvec.__all__)) == len(tvec.__all__)
+
+
+def test_every_definition_is_used_or_exported():
+    """Each top-level function and class of `src/tvec` is named somewhere
+    in `src/tvec` outside its own definition, or is exported: code that
+    only the tests use belongs in `tests/`."""
+    statements = []
+    definitions = []
+    for path in sorted(Path(tvec.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            names = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(stmt)
+                      if isinstance(n, ast.Attribute)}
+            statements.append((stmt, names))
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((path.name, stmt))
+    unused = [f"{module}:{d.name}" for module, d in definitions
+              if d.name not in tvec.__all__
+              and not any(d.name in names
+                          for stmt, names in statements if stmt is not d)]
+    assert unused == []
 
 
 def test_import_compiles_little_generated_code():

@@ -3,11 +3,11 @@
 import pytest
 
 from tvec.corpus import plus_u, unum
-from reference_reduce import step_cbv, step_full, step_lo, step_ri
+from reference_reduce import is_value, step_cbv, step_full, step_lo, step_ri
 from tvec.reduce import (
     FuelExhausted, LEFTMOST_OUTERMOST, NormalForm,
-    RIGHTMOST_INNERMOST, Stuck, Value, contract, eval_cbv, is_value,
-    joinable, normalize,
+    RIGHTMOST_INNERMOST, Stuck, Value, contract, eval_cbv, joinable,
+    normalize,
 )
 from tvec.syntax import (
     App, BVar, Cons, FVar, Join, Lam, Nil, QApp, QLam, RNat, RVec, Succ,

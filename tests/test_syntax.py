@@ -1,7 +1,13 @@
-"""Binding-structure laws: open/close, substitution, alpha equality."""
+"""Binding-structure laws: open/close, substitution, alpha equality.
 
+The open/close laws hold of the tests' own toolkit (`locally_nameless`),
+which `TestInstantiate` compares the kernel's `instantiate` with."""
+
+import ast
 import copy
 import dataclasses
+import inspect
+import pathlib
 import pickle
 import sys
 
@@ -18,10 +24,11 @@ from tvec.reduce import FuelExhausted, NormalForm, Stuck, Value
 from tvec.typecheck import Diagnostic, Failure, Inferred, Mode
 from tvec.syntax import (
     App, BVar, Cons, Context, EqTy, FVar, Join, Lam, NatTy, Nil, PiTy,
-    Succ, TJoin, TLam, VecTy, Zero, alpha_eq, close1, close_at,
-    Node, Span, ctx_ok, free_vars, fresh_name, instantiate, node_count,
-    open1, open_at, open2, subst,
+    Succ, TJoin, TLam, VecTy, Zero, alpha_eq, Node, Span, ctx_ok, free_vars,
+    fresh_name, instantiate, node_count, subst,
 )
+
+from locally_nameless import close1, close_at, open1, open_at, open2
 
 # A reusable closed abstraction: fun x => S x, in de Bruijn form.
 SUCC_FN = Lam("x", Succ(BVar(0)))
@@ -151,6 +158,25 @@ class TestInstantiate:
     ])
     def test_unchanged_term_comes_back_itself(self, t, args, lift):
         assert instantiate(t, args, lift) is t
+
+
+def test_references_share_no_walker_with_the_kernel():
+    """The reference implementations take only folds from `tvec.syntax`
+    and open and close binders with `locally_nameless`, whose walk calls
+    neither the kernel's walker nor the node methods it rebuilds with."""
+    folds = {"alpha_eq", "ctx_ok", "free_vars", "fresh_name"}
+    here = pathlib.Path(__file__).parent
+    for path in [here / "locally_nameless.py",
+                 *here.glob("reference_*.py")]:
+        tree = ast.parse(path.read_text())
+        imported = {a.name for n in ast.walk(tree)
+                    if isinstance(n, ast.ImportFrom)
+                    and n.module == "tvec.syntax" for a in n.names}
+        assert {name for name in imported if inspect.isfunction(
+            getattr(tvec.syntax, name))} <= folds, path.name
+        assert not {n.attr for n in ast.walk(tree)
+                    if isinstance(n, ast.Attribute)} & \
+            {"map_vars", "children", "rebuild"}, path.name
 
 
 class TestSubstitution:

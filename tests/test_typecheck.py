@@ -23,21 +23,20 @@ from tvec.syntax import (
     VecTy, Zero, alpha_eq, node_count,
 )
 from tvec.typecheck import (
-    BASE_RULES, Checker, Diagnostic, Failure, Inferred, Mode, check_against,
-    infer,
+    BASE_RULES, Checker, Diagnostic, Failure, Inferred, Mode,
 )
 
 NAT = NatTy()
 
 
 def inferred(ctx, t):
-    res = infer(ctx, t)
+    res = Checker().infer(ctx, t)
     assert isinstance(res, Inferred), res
     return res.type
 
 
 def failure(ctx, t):
-    res = infer(ctx, t)
+    res = Checker().infer(ctx, t)
     assert isinstance(res, Failure), f"expected a failure, got {res}"
     return res.diagnostic
 
@@ -80,7 +79,7 @@ class TestRulePositive:
         t = TLamImp("l", NAT,
                     TCast("w", VecTy(NAT, Zero()),
                           TJoin(TNil(NAT), TNil(NAT)), TNil(NAT)))
-        res = infer(Context(), t)
+        res = Checker().infer(Context(), t)
         assert isinstance(res, Inferred)
 
     def test_rnat(self):
@@ -182,7 +181,8 @@ class TestRuleNegative:
         assert diag.rule == "rnat" and diag.code == "type-mismatch"
 
     def test_check_against_reports_both_types(self):
-        res = check_against(Context(), Zero(), VecTy(NAT, Zero()))
+        res = Checker().check_against(Context(), Zero(),
+                                      VecTy(NAT, Zero()))
         assert isinstance(res, Failure)
         assert res.diagnostic.code == "type-mismatch"
         assert res.diagnostic.expected == "Vec Nat 0"
@@ -225,7 +225,8 @@ class TestLazyDiagnostics:
             return real(node)
 
         monkeypatch.setattr(tvec.frontend, "pretty", counted)
-        res = check_against(Context(), Zero(), VecTy(NAT, Zero()))
+        res = Checker().check_against(Context(), Zero(),
+                                      VecTy(NAT, Zero()))
         assert isinstance(res, Failure)
         assert calls == 0
         diag = res.diagnostic
