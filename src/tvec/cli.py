@@ -159,7 +159,8 @@ def _load(args: argparse.Namespace, name: str | None = None) -> ResolvedFile:
     not define what it claims, and are exit 1 like any other failure.
     """
     try:
-        text = Path(args.path).read_text(encoding="utf-8")
+        # `utf-8-sig` drops a leading byte-order mark, if there is one
+        text = Path(args.path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as err:
         # an OSError names the file itself; a decoding error does not
         message = str(err) if isinstance(err, OSError) \

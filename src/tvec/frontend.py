@@ -33,6 +33,13 @@ A NUMBER is a run of decimal digits (what `str.isdecimal` accepts) worth
 at most 100000.  An IDENT is a letter or `_` followed by letters, digits,
 `_` and `'`, and is not a keyword.
 
+The lexer is one `findall` pass of one pattern, whose every match is the
+run of whitespace and comments before a token and the token itself.  A
+token is a plain `(kind, text, start, end)` tuple: one dict lookup gives
+the kind of a keyword or symbol, the first character that of any other
+token, and the offsets are the running sum of the match lengths.  The
+parser indexes that list itself; it makes no call to look at a token.
+
 Application is juxtaposition, left-associative; arguments are atoms, so
 compound arguments take parentheses.  Numerals abbreviate towers of S over
 zero and are pure sugar.  Terms embedded in types (vector lengths, ifzero
@@ -61,7 +68,6 @@ s n`, `qfun => t`, `t @-[]`) that the parser does not accept.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from .erase import erase, subst_annotated
 from .syntax import (
@@ -99,52 +105,53 @@ KEYWORDS = frozenset({
     "cast", "foldz", "unfoldz", "folds", "unfolds", "large-elim",
 })
 
-# One alternative per token class, tried in this order at each position;
-# `bad` matches any character, so the matches cover the text without gaps.
-# `\s`, `\w` and `\d` accept exactly the characters that `str.isspace`,
-# `str.isalnum` (plus `_`) and `str.isdecimal` accept.
+# Each match is the run of whitespace and comments before a token, then
+# the token.  The token alternatives end in `\Z | .`, so one of them
+# matches wherever the run stops and the run never gives back what it
+# took: the matches cover the text without gaps, and the last one is the
+# empty token at the end.  `\s`, `\w` and `\d` accept exactly the
+# characters that `str.isspace`, `str.isalnum` (plus `_`) and
+# `str.isdecimal` accept.
 _TOKEN = re.compile(r"""
-    (?P<skip> (?: \s+ | --[^\n]* )+ )
-  | (?P<sym> large-elim(?![\w']) | @-\[ | @\[ | => | [()\[\]:.=] )
-  | (?P<number> \d+ )
-  | (?P<word> [^\W\d][\w']* )
-  | (?P<bad> . )
+    ( (?: \s+ | --[^\n]* )* )
+    ( large-elim(?![\w']) | @-\[ | @\[ | => | [()\[\]:.=]
+    | \d+ | [^\W\d][\w']* | \Z | . )
 """, re.VERBOSE | re.DOTALL)
 
+# The kind of every token whose text fixes it: keywords, symbols, and the
+# empty token at the end.
+_KINDS = {word: word for word in KEYWORDS | {
+    "@-[", "@[", "=>", "(", ")", "[", "]", ":", ".", "="}}
+_KINDS[""] = "eof"
 
-class Token(NamedTuple):
-    kind: str  # "ident", "number", "eof", or the literal keyword/symbol
-    text: str
-    start: int
-    end: int
-
-    @property
-    def span(self) -> Span:
-        return Span(self.start, self.end)
+# A token is (kind, text, start, end); the kind is "ident", "number",
+# "eof", or the keyword or symbol itself.
+Tok = tuple[str, str, int, int]
 
 
-def tokenize(text: str) -> list[Token]:
-    toks: list[Token] = []
-    for m in _TOKEN.finditer(text):
-        group = m.lastgroup
-        if group == "skip":
-            continue
-        word = m.group()
-        start = m.start()
-        if group == "sym":
-            kind = word
-        elif group == "number":
-            kind = "number"
-        # `[^\W\d]` also admits digits that are not decimal, such as `²`;
-        # a word must start with a letter or `_`.
-        elif group == "word" and (word[0].isalpha() or word[0] == "_"):
-            kind = word if word in KEYWORDS else "ident"
-        else:
-            raise ParseError(Diagnostic(
-                "lex", f"unexpected character {word[0]!r}",
-                Span(start, start + 1), code="parse-error"))
-        toks.append(Token(kind, word, start, m.end()))
-    toks.append(Token("eof", "", len(text), len(text)))
+def tokenize(text: str) -> list[Tok]:
+    toks: list[Tok] = []
+    end = 0
+    for skip, word in _TOKEN.findall(text):
+        start = end + len(skip)
+        end = start + len(word)
+        kind = _KINDS.get(word)
+        if kind is None:
+            # `[^\W\d]` also admits digits that are not decimal, such as
+            # `²`; a word must start with a letter or `_`.
+            first = word[0]
+            if first.isdecimal():
+                kind = "number"
+            elif first.isalpha() or first == "_":
+                kind = "ident"
+            else:
+                raise ParseError(Diagnostic(
+                    "lex", f"unexpected character {first!r}",
+                    Span(start, start + 1), code="parse-error"))
+        toks.append((kind, word, start, end))
+    # After a trailing comment or whitespace the end matches once more.
+    if len(toks) > 1 and toks[-2] == toks[-1]:
+        toks.pop()
     return toks
 
 
@@ -187,10 +194,11 @@ MAX_NUMERAL = 100_000
 
 _ATOM_STARTS = frozenset({"zero", "number", "ident", "nil", "("})
 _TYPE_KEYWORDS = frozenset({"Nat", "Vec", "Pi", "All", "ifzero"})
+_BINDERS = {"fun": TLam, "ifun": TLamImp, "qfun": TQLam}
 
 
 class _Parser:
-    def __init__(self, toks: list[Token]):
+    def __init__(self, toks: list[Tok]):
         self.toks = toks
         self.pos = 0
         # Names of the binders around the current token, innermost last.
@@ -203,77 +211,68 @@ class _Parser:
         # retry without it costs twice the work per level of nesting.
         self.not_a_type: set[int] = set()
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
-
-    def next(self) -> Token:
+    def expect(self, kind: str, what: str | None = None) -> Tok:
         tok = self.toks[self.pos]
+        if tok[0] != kind:
+            shown = tok[1] or "end of input"
+            self._err(f"expected {what or kind!r}, found {shown!r}", tok)
         self.pos += 1
         return tok
 
-    def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
-
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            shown = tok.text or "end of input"
-            self._err(f"expected {what or kind!r}, found {shown!r}", tok)
-        return self.next()
-
-    def _err(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        raise ParseError(Diagnostic("parse", message, tok.span,
+    def _err(self, message: str, tok: Tok):
+        _, _, start, end = tok
+        raise ParseError(Diagnostic("parse", message, Span(start, end),
                                     code="parse-error"))
+
+    def _span(self, start: int) -> Span:
+        """From `start` to the end of the last token taken."""
+        return Span(start, self.toks[self.pos - 1][3])
 
     # -- items ---------------------------------------------------------
 
     def file(self) -> SourceFile:
         items: list[Item] = []
-        while not self.at("eof"):
+        while self.toks[self.pos][0] != "eof":
             items.append(self.item())
         return SourceFile(tuple(items))
 
     def item(self) -> Item:
-        tok = self.peek()
-        if tok.kind == "mode":
-            self.next()
-            val = self.next()
-            if val.kind == "large-elim":
-                return ModeItem(Mode.LARGE_ELIM, Span(tok.start, val.end))
-            if val.kind == "ident" and val.text == "base":
-                return ModeItem(Mode.BASE, Span(tok.start, val.end))
+        tok = self.toks[self.pos]
+        kind, start = tok[0], tok[2]
+        if kind == "mode":
+            val = self.toks[self.pos + 1]
+            self.pos += 2
+            if val[0] == "large-elim":
+                return ModeItem(Mode.LARGE_ELIM, self._span(start))
+            if val[0] == "ident" and val[1] == "base":
+                return ModeItem(Mode.BASE, self._span(start))
             self._err("mode must be 'base' or 'large-elim'", val)
-        if tok.kind == "assume":
-            self.next()
-            name = self.expect("ident", "a name")
+        if kind == "assume":
+            self.pos += 1
+            name = self.expect("ident", "a name")[1]
             self.expect(":")
             ty = self.type_()
-            return AssumeItem(name.text, ty, Span(tok.start, self._prev_end()))
-        if tok.kind == "def":
-            self.next()
-            name = self.expect("ident", "a name")
+            return AssumeItem(name, ty, self._span(start))
+        if kind == "def":
+            self.pos += 1
+            name = self.expect("ident", "a name")[1]
             self.expect(":")
             ty = self.type_()
             self.expect("=")
             body = self.term()
-            return DefItem(name.text, ty, body,
-                           Span(tok.start, self._prev_end()))
+            return DefItem(name, ty, body, self._span(start))
         self._err("expected 'def', 'assume', or 'mode'", tok)
-
-    def _prev_end(self) -> int:
-        return self.toks[self.pos - 1].end
 
     # -- types ---------------------------------------------------------
 
     def type_(self) -> Ty:
-        tok = self.peek()
-        if tok.kind in _TYPE_KEYWORDS:
+        kind = self.toks[self.pos][0]
+        if kind in _TYPE_KEYWORDS:
             return self._type_keyword()
-        if tok.kind == "(" and self.pos not in self.not_a_type:
+        if kind == "(" and self.pos not in self.not_a_type:
             save, depth = self.pos, len(self.scope)
             try:
-                self.next()
+                self.pos += 1
                 inner = self.type_()
                 self.expect(")")
                 return inner
@@ -284,119 +283,110 @@ class _Parser:
         return self._equation()
 
     def _type_keyword(self) -> Ty:
-        tok = self.next()
-        if tok.kind == "Nat":
-            return NatTy(span=tok.span)
-        if tok.kind == "Vec":
+        kind, _, start, end = self.toks[self.pos]
+        self.pos += 1
+        if kind == "Nat":
+            return NatTy(span=Span(start, end))
+        if kind == "Vec":
             elem = self.tyatom()
             length = self.atom()
-            return VecTy(elem, erase(length),
-                         span=Span(tok.start, self._prev_end()))
-        if tok.kind in ("Pi", "All"):
-            name = self.expect("ident", "a bound variable")
+            return VecTy(elem, erase(length), span=self._span(start))
+        if kind in ("Pi", "All"):
+            name = self.expect("ident", "a bound variable")[1]
             self.expect(":")
             dom = self.type_()
             self.expect(".")
-            self.scope.append(name.text)
+            self.scope.append(name)
             cod = self.type_()
             self.scope.pop()
-            cls = PiTy if tok.kind == "Pi" else AllTy
-            return cls(name.text, dom, cod,
-                       span=Span(tok.start, self._prev_end()))
-        if tok.kind == "ifzero":
+            cls = PiTy if kind == "Pi" else AllTy
+            return cls(name, dom, cod, span=self._span(start))
+        if kind == "ifzero":
             scrut = self.atom()
             on_zero = self.tyatom()
             on_succ = self.tyatom()
             return IfZeroTy(erase(scrut), on_zero, on_succ,
-                            span=Span(tok.start, self._prev_end()))
-        raise AssertionError(tok)
+                            span=self._span(start))
+        raise AssertionError(kind)
 
     def tyatom(self) -> Ty:
-        tok = self.peek()
-        if tok.kind == "Nat":
-            self.next()
-            return NatTy(span=tok.span)
-        if tok.kind == "(":
-            self.next()
+        tok = self.toks[self.pos]
+        if tok[0] == "Nat":
+            self.pos += 1
+            return NatTy(span=Span(tok[2], tok[3]))
+        if tok[0] == "(":
+            self.pos += 1
             ty = self.type_()
             self.expect(")")
             return ty
         self._err("expected a type", tok)
 
     def _equation(self) -> Ty:
-        start = self.peek().start
+        start = self.toks[self.pos][2]
         lhs = self.apply()
         self.expect("=", "'=' (equation type)")
         rhs = self.apply()
-        return EqTy(erase(lhs), erase(rhs), span=Span(start, self._prev_end()))
+        return EqTy(erase(lhs), erase(rhs), span=self._span(start))
 
     # -- terms ---------------------------------------------------------
 
     def term(self) -> AnnTerm:
-        tok = self.peek()
-        if tok.kind in ("fun", "ifun", "qfun"):
-            self.next()
-            name = self.expect("ident", "a bound variable")
-            self.expect(":")
-            dom = self.type_()
-            self.expect("=>")
-            self.scope.append(name.text)
-            body = self.term()
-            self.scope.pop()
-            cls = {"fun": TLam, "ifun": TLamImp, "qfun": TQLam}[tok.kind]
-            return cls(name.text, dom, body,
-                       span=Span(tok.start, self._prev_end()))
-        return self.apply()
+        kind, _, start, _ = self.toks[self.pos]
+        cls = _BINDERS.get(kind)
+        if cls is None:
+            return self.apply()
+        self.pos += 1
+        name = self.expect("ident", "a bound variable")[1]
+        self.expect(":")
+        dom = self.type_()
+        self.expect("=>")
+        self.scope.append(name)
+        body = self.term()
+        self.scope.pop()
+        return cls(name, dom, body, span=self._span(start))
 
     def apply(self) -> AnnTerm:
-        start = self.peek().start
+        start = self.toks[self.pos][2]
         t = self.head()
         while True:
-            tok = self.peek()
-            if tok.kind in _ATOM_STARTS:
+            kind = self.toks[self.pos][0]
+            if kind in _ATOM_STARTS:
                 arg = self.atom()
-                t = App(t, arg, span=Span(start, self._prev_end()))
-            elif tok.kind == "@[":
-                self.next()
+                t = App(t, arg, span=self._span(start))
+            elif kind == "@[" or kind == "@-[":
+                self.pos += 1
                 arg = self.term()
                 self.expect("]")
-                t = TAppImp(t, arg, span=Span(start, self._prev_end()))
-            elif tok.kind == "@-[":
-                self.next()
-                arg = self.term()
-                self.expect("]")
-                t = TQApp(t, arg, span=Span(start, self._prev_end()))
+                cls = TAppImp if kind == "@[" else TQApp
+                t = cls(t, arg, span=self._span(start))
             else:
                 return t
 
     def head(self) -> AnnTerm:
-        tok = self.peek()
-        kind = tok.kind
+        kind, _, start, _ = self.toks[self.pos]
+        if kind in _ATOM_STARTS:  # the common case, tested first
+            return self.atom()
         if kind == "S":
-            self.next()
-            return Succ(self.atom(), span=Span(tok.start, self._prev_end()))
-        if kind == "cons":
-            self.next()
-            head = self.atom()
-            tail = self.atom()
-            return Cons(head, tail, span=Span(tok.start, self._prev_end()))
-        if kind == "join":
-            self.next()
+            self.pos += 1
+            return Succ(self.atom(), span=self._span(start))
+        if kind == "cons" or kind == "join":
+            self.pos += 1
             lhs = self.atom()
             rhs = self.atom()
-            return TJoin(lhs, rhs, span=Span(tok.start, self._prev_end()))
+            cls = Cons if kind == "cons" else TJoin
+            return cls(lhs, rhs, span=self._span(start))
         if kind in ("rnat", "rvec", "cast"):
             # `[x. motive]`; rvec binds `[l. v. motive]`, with the length
             # at index 1 and the vector at index 0
-            self.next()
+            self.pos += 1
             self.expect("[")
             what = ("the length motive variable" if kind == "rvec"
                     else "a motive variable")
-            names = [self.expect("ident", what).text]
+            names = [self.expect("ident", what)[1]]
             self.expect(".")
             if kind == "rvec":
-                vvar = self.expect("ident", "the vector motive variable")
-                names.append(vvar.text)
+                names.append(
+                    self.expect("ident", "the vector motive variable")[1])
                 self.expect(".")
             self.scope += names
             motive = self.type_()
@@ -406,24 +396,24 @@ class _Parser:
             second = self.atom()
             if kind == "cast":
                 return TCast(*names, motive, first, second,
-                             span=Span(tok.start, self._prev_end()))
+                             span=self._span(start))
             scrut = self.atom()
             cls = TRNat if kind == "rnat" else TRVec
             return cls(*names, motive, first, second, scrut,
-                       span=Span(tok.start, self._prev_end()))
+                       span=self._span(start))
         if kind == "foldz":
-            self.next()
+            self.pos += 1
             self.expect("[")
             other = self.type_()
             self.expect("]")
             body = self.atom()
-            return TFoldZ(other, body, span=Span(tok.start, self._prev_end()))
+            return TFoldZ(other, body, span=self._span(start))
         if kind == "unfoldz":
-            self.next()
+            self.pos += 1
             body = self.atom()
-            return TUnfoldZ(body, span=Span(tok.start, self._prev_end()))
+            return TUnfoldZ(body, span=self._span(start))
         if kind == "folds":
-            self.next()
+            self.pos += 1
             self.expect("[")
             witness = self.term()
             self.expect("]")
@@ -431,54 +421,53 @@ class _Parser:
             zero_ty = self.type_()
             self.expect("]")
             body = self.atom()
-            return TFoldS(witness, zero_ty, body,
-                          span=Span(tok.start, self._prev_end()))
+            return TFoldS(witness, zero_ty, body, span=self._span(start))
         if kind == "unfolds":
-            self.next()
+            self.pos += 1
             self.expect("[")
             witness = self.term()
             self.expect("]")
             body = self.atom()
-            return TUnfoldS(witness, body,
-                            span=Span(tok.start, self._prev_end()))
+            return TUnfoldS(witness, body, span=self._span(start))
         return self.atom()
 
     def atom(self) -> AnnTerm:
-        tok = self.peek()
-        if tok.kind == "zero":
-            self.next()
-            return Zero(span=tok.span)
-        if tok.kind == "number":
-            self.next()
+        tok = self.toks[self.pos]
+        kind, text, start, end = tok
+        if kind == "ident":
+            self.pos += 1
+            if text in self.scope:
+                # the distance to the innermost binder of that name
+                return BVar(self.scope[::-1].index(text),
+                            span=Span(start, end))
+            return FVar(text, span=Span(start, end))
+        if kind == "(":
+            self.pos += 1
+            t = self.term()
+            self.expect(")")
+            return t
+        if kind == "number":
+            self.pos += 1
             try:
-                n = int(tok.text)
+                n = int(text)
             except ValueError:  # more digits than `int` converts
                 n = MAX_NUMERAL + 1
             if n > MAX_NUMERAL:
                 self._err(f"numeral is larger than {MAX_NUMERAL}", tok)
-            span = tok.span
+            span = Span(start, end)
             t: AnnTerm = Zero(span=span)
             for _ in range(n):
                 t = Succ(t, span=span)
             return t
-        if tok.kind == "ident":
-            self.next()
-            name = tok.text
-            if name in self.scope:
-                # the distance to the innermost binder of that name
-                return BVar(self.scope[::-1].index(name), span=tok.span)
-            return FVar(name, span=tok.span)
-        if tok.kind == "nil":
-            self.next()
+        if kind == "zero":
+            self.pos += 1
+            return Zero(span=Span(start, end))
+        if kind == "nil":
+            self.pos += 1
             self.expect("[")
             elem = self.type_()
             self.expect("]")
-            return TNil(elem, span=Span(tok.start, self._prev_end()))
-        if tok.kind == "(":
-            self.next()
-            t = self.term()
-            self.expect(")")
-            return t
+            return TNil(elem, span=self._span(start))
         self._err("expected a term", tok)
 
 

@@ -9,14 +9,19 @@ releases from an ill-typed implicit binder can be captured by an outer
 binder of the same name; `tvec.frontend` leaves it free.  Apart from that
 case, `test_frontend.py` checks that both parsers give equal terms, binder
 hints and spans, and the same error at the same span.
+
+It lexes with `reference_lexer`, not with `tvec.frontend.tokenize`, so the
+pair checks the production lexer and parser together against code that
+shares none of theirs.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from tvec.erase import erase
 from tvec.frontend import (
-    MAX_NUMERAL, ParseError, SourceFile, Token, _ATOM_STARTS, _TYPE_KEYWORDS,
-    AssumeItem, DefItem, Item, ModeItem, tokenize,
+    MAX_NUMERAL, ParseError, SourceFile, AssumeItem, DefItem, Item, ModeItem,
 )
 from tvec.syntax import (
     AllTy, AnnTerm, EqTy, FVar, IfZeroTy, NatTy, PiTy, Span, App, TAppImp,
@@ -26,11 +31,26 @@ from tvec.syntax import (
 from tvec.typecheck import Diagnostic, Mode
 
 from locally_nameless import close1, close_at
+from reference_lexer import tokenize
+
+_ATOM_STARTS = frozenset({"zero", "number", "ident", "nil", "("})
+_TYPE_KEYWORDS = frozenset({"Nat", "Vec", "Pi", "All", "ifzero"})
+
+
+class Token(NamedTuple):
+    kind: str
+    text: str
+    start: int
+    end: int
+
+    @property
+    def span(self) -> Span:
+        return Span(self.start, self.end)
 
 
 class _Parser:
-    def __init__(self, toks: list[Token]):
-        self.toks = toks
+    def __init__(self, toks: list[tuple[str, str, int, int]]):
+        self.toks = [Token(*tok) for tok in toks]
         self.pos = 0
 
     def peek(self) -> Token:

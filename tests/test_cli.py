@@ -344,6 +344,24 @@ class TestErrorPaths:
         assert blob["error"]["code"] == "io-error"
         assert str(src) in blob["error"]["message"]
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)],
+                             ids=["text", "json"])
+    @pytest.mark.parametrize("source", [
+        VEC_PATH.read_text(encoding="utf-8"),
+        "def n : Nat = 0\ndef m : Nat = ~\n",
+        "def n : Vec Nat 1 = nil [Nat]\n",
+    ], ids=["vec", "parse-error", "check-error"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys, source,
+                                        json_flag):
+        """A file that starts with a UTF-8 byte-order mark reads as the
+        same file without it: the same report, spans included."""
+        src = tmp_path / "file.tvec"
+        src.write_text(source, encoding="utf-8")
+        plain = run_cli(capsys, "check", str(src), *json_flag)
+        src.write_text(source, encoding="utf-8-sig")
+        assert src.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert run_cli(capsys, "check", str(src), *json_flag) == plain
+
     def test_parse_error(self, tmp_path, capsys):
         src = tmp_path / "syntax.tvec"
         src.write_text("def ~\n")

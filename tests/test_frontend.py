@@ -3,6 +3,8 @@
 import functools
 import importlib
 import json
+import sys
+import threading
 from dataclasses import fields, is_dataclass
 
 import pytest
@@ -36,6 +38,47 @@ CARRIED = sorted(EXAMPLES.glob("*.tvec")) + sorted(
 # Broken files that fail to parse, or exhaust the stack on the way.
 UNPARSED = {"parse_error_after", "deep_numeral_later"}
 
+
+def _vec_literal(elems) -> str:
+    text = "nil [Nat]"
+    for e in reversed(elems):
+        text = f"cons {e} ({text})"
+    return text
+
+
+def _family(k: int) -> str:
+    """`vec.tvec` and the definitions that the check-program benchmark
+    adds at size k: vector literals of k and 2k elements, numerals up to
+    2k."""
+    a = [i % 4 for i in range(k)]
+    b = [(3 * i + 1) % 4 for i in range(k)]
+    return (EXAMPLES / "vec.tvec").read_text() + f"""
+def sum{k} : plus {k} {k} = {2 * k} = join (plus {k} {k}) {2 * k}
+def sumVal{k} : Nat = plus {k} {k}
+def a{k} : Vec Nat {k} = {_vec_literal(a)}
+def b{k} : Vec Nat {k} = {_vec_literal(b)}
+def ab{k} : Vec Nat (plus {k} {k}) = append @[{k}] @[{k}] a{k} b{k}
+def abLit{k} : Vec Nat {2 * k} = {_vec_literal(a + b)}
+def abEq{k} : append a{k} b{k} = abLit{k} =
+  join (append @[{k}] @[{k}] a{k} b{k}) abLit{k}
+"""
+
+
+def _spaced(text: str) -> str:
+    """`text` with tabs, comments and CRLF line ends between every pair of
+    its tokens."""
+    gaps = ("\t", " -- a comment\r\n", "\r\n\t", "\t--\r\n")
+    words = [word for _, word, _, _ in reference_lexer.tokenize(text)]
+    return "".join(word + gaps[i % len(gaps)]
+                   for i, word in enumerate(words))
+
+
+# Whole files at the benchmark's scale, beside the carried ones.
+LARGE_FILES = {
+    "family59": _family(59),
+    "vec-spaced": _spaced((EXAMPLES / "vec.tvec").read_text()),
+}
+
 # Pieces of random source text: every symbol, keywords and fragments of
 # them, comment and identifier punctuation, whitespace (Unicode included),
 # characters that no token may start with, and letters, digits and other
@@ -64,19 +107,20 @@ def lexed(lex, text):
 class TestLexer:
     def test_comments_and_whitespace(self):
         toks = tokenize("zero -- a comment\n  zero")
-        assert [t.kind for t in toks] == ["zero", "zero", "eof"]
+        assert [kind for kind, _, _, _ in toks] == ["zero", "zero", "eof"]
 
     def test_apostrophes_in_identifiers(self):
         toks = tokenize("v1' x''")
-        assert [t.text for t in toks[:2]] == ["v1'", "x''"]
+        assert [text for _, text, _, _ in toks[:2]] == ["v1'", "x''"]
 
     def test_large_elim_is_one_token(self):
         toks = tokenize("mode large-elim")
-        assert [t.kind for t in toks] == ["mode", "large-elim", "eof"]
+        assert [kind for kind, _, _, _ in toks] == \
+            ["mode", "large-elim", "eof"]
 
     def test_at_brackets(self):
         toks = tokenize("f @[x] @-[y]")
-        kinds = [t.kind for t in toks]
+        kinds = [kind for kind, _, _, _ in toks]
         assert "@[" in kinds and "@-[" in kinds
 
     @pytest.mark.parametrize("text, char, offset", [
@@ -102,6 +146,14 @@ class TestLexer:
         "\u00e9t\u00e9\u00b2", "\u00a0zero\u2028",
     ])
     def test_matches_reference_lexer_at_boundaries(self, text):
+        assert lexed(tokenize, text) == lexed(reference_lexer.tokenize, text)
+
+    @pytest.mark.parametrize("text", [
+        *(path.read_text(encoding="utf-8") for path in CARRIED),
+        *LARGE_FILES.values(),
+    ], ids=[*(f"{path.parent.name}/{path.name}" for path in CARRIED),
+            *LARGE_FILES])
+    def test_matches_reference_lexer_on_files(self, text):
         assert lexed(tokenize, text) == lexed(reference_lexer.tokenize, text)
 
     @settings(max_examples=500)
@@ -254,6 +306,36 @@ class TestBinding:
         for _ in range(350):
             ty = ty.cod
         assert ty == VecTy(NAT, BVar(0))
+
+    @pytest.mark.parametrize("make, levels", [
+        (lambda n: "cons 1 (" * n + "nil [Nat]" + ")" * n, 246),
+        (lambda n: "S (" * n + "0" + ")" * n, 246),
+        (lambda n: "fun x : Nat => " * n + "x", 986),
+    ], ids=["cons", "S", "fun"])
+    def test_nesting_limits(self, make, levels):
+        """The deepest nesting that parses at the default recursion limit
+        on CPython 3.11, pinned so that no parser change adds a frame per
+        level: a parenthesised `cons` or `S` level costs four frames, a
+        `fun` level one.  It runs in a fresh thread, whose stack holds
+        none of the test runner's frames."""
+        outcome = []
+
+        def run():
+            try:
+                outcome.append(parse_term(make(levels)))
+            except RecursionError as err:
+                outcome.append(err)
+
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            thread = threading.Thread(target=run)
+            thread.start()
+            thread.join(timeout=60)
+        finally:
+            sys.setrecursionlimit(old)
+        assert not thread.is_alive()
+        assert not isinstance(outcome[0], RecursionError)
 
     @pytest.mark.parametrize("src", [
         "fun x : Nat => " * 200 + "x",
@@ -753,12 +835,12 @@ class TestReferenceParser:
             assert_same_parse(parse_term, reference_parser.parse_term,
                               pretty(t))
 
-    @pytest.mark.parametrize("path", sorted(
-        [*EXAMPLES.glob("*.tvec"),
-         *(EXAMPLES.parent / "perfbench" / "programs").glob("*.tvec")]),
-        ids=lambda p: f"{p.parent.name}/{p.name}")
-    def test_program_files(self, path):
-        text = path.read_text(encoding="utf-8")
+    @pytest.mark.parametrize("text", [
+        *(path.read_text(encoding="utf-8") for path in CARRIED),
+        *LARGE_FILES.values(),
+    ], ids=[*(f"{path.parent.name}/{path.name}" for path in CARRIED),
+            *LARGE_FILES])
+    def test_program_files(self, text):
         assert len(parse(text).items) > 1
         assert_same_parse(parse, reference_parser.parse, text)
 

@@ -1,12 +1,16 @@
-"""The package's public surface: everything exported is importable, and
-nothing else is defined in `src/` without a use there."""
+"""The package's public surface: everything exported is importable,
+nothing else is defined in `src/` without a use there, and the sources
+keep to the oldest Python that `pyproject.toml` allows."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 import tvec
 
@@ -36,6 +40,32 @@ def test_every_definition_is_used_or_exported():
               and not any(d.name in names
                           for stmt, names in statements if stmt is not d)]
     assert unused == []
+
+
+SOURCES = sorted(Path(tvec.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_source_parses_as_python_3_10(path):
+    """`pyproject.toml` promises Python 3.10."""
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_regular_expressions_need_no_python_3_11():
+    """Atomic groups and possessive quantifiers came in Python 3.11.  Each
+    pattern is read with every escape as one plain character, and without
+    whitespace, which a verbose pattern ignores."""
+    patterns = [
+        node.args[0].value
+        for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "re"
+        and node.args and isinstance(node.args[0], ast.Constant)]
+    assert patterns
+    for pattern in patterns:
+        plain = re.sub(r"\s+", "", re.sub(r"\\.", "e", pattern, flags=re.S))
+        for construct in ("(?>", "*+", "++", "?+", "}+"):
+            assert construct not in plain, (construct, pattern)
 
 
 def test_import_compiles_little_generated_code():
