@@ -18,12 +18,17 @@ literal, `f (g 0)`) as it is: the result shares it, not a copy of it.
 
 from __future__ import annotations
 
+from typing import get_args
+
 from .syntax import (
     AnnTerm, App, BVar, Cons, FVar, Join, Lam, Nil, Node, QApp, QLam, RNat,
     RVec, Succ, TAppImp, TCast, TFoldS, TFoldZ, TJoin, TLam, TLamImp, TNil,
-    TQApp, TQLam, TRNat, TRVec, TUnfoldS, TUnfoldZ, UnannTerm, Zero,
+    TQApp, TQLam, TRNat, TRVec, TUnfoldS, TUnfoldZ, Ty, UnannTerm, Zero,
     free_vars, fresh_name, map_vars, subst,
 )
+
+_ERASED = (frozenset(get_args(Ty) + get_args(UnannTerm))
+           - frozenset(get_args(AnnTerm)))
 
 
 def erase(t: AnnTerm) -> UnannTerm:
@@ -90,27 +95,23 @@ def subst_annotated(t: AnnTerm, name: str, repl: AnnTerm,
                     repl_erased: UnannTerm) -> AnnTerm:
     """Substitute an annotated term for a free variable.
 
-    Term positions receive `repl` itself; annotation positions (types,
-    motives) embed unannotated terms only, so they receive its erasure
-    `repl_erased`, which must be `erase(repl)`; callers hold it already.
+    Annotated-term nodes are walked, and their free occurrences receive
+    `repl` itself.  Any other node, a type (a domain, a motive) or a node
+    only unannotated terms have, embeds unannotated terms only, so it
+    receives the erasure `repl_erased`, which must be `erase(repl)`;
+    callers hold it already.
     """
-    def go(t: Node) -> Node:
-        if isinstance(t, FVar):
-            return repl if t.name == name else t
-        scopes = type(t).SCOPES
-        if not scopes:
-            return t
-        ann = type(t).ANN
-        kids = None
-        i = 0
-        for fname in scopes:
-            child = getattr(t, fname)
-            new = go(child) if fname in ann else subst(child, name, repl_erased)
-            if new is not child:
-                if kids is None:
-                    kids = t.children()
-                kids[i] = new
-            i += 1
-        return t if kids is None else t.rebuild(kids)
-
-    return go(t)
+    if type(t) in _ERASED:
+        return subst(t, name, repl_erased)
+    if type(t) is FVar:
+        return repl if t.name == name else t
+    kids = None
+    for i, fname in enumerate(type(t).SCOPES):
+        child = getattr(t, fname)
+        new = (subst(child, name, repl_erased) if type(child) in _ERASED
+               else subst_annotated(child, name, repl, repl_erased))
+        if new is not child:
+            if kids is None:
+                kids = t.children()
+            kids[i] = new
+    return t if kids is None else t.rebuild(kids)

@@ -195,6 +195,7 @@ MAX_NUMERAL = 100_000
 _ATOM_STARTS = frozenset({"zero", "number", "ident", "nil", "("})
 _TYPE_KEYWORDS = frozenset({"Nat", "Vec", "Pi", "All", "ifzero"})
 _BINDERS = {"fun": TLam, "ifun": TLamImp, "qfun": TQLam}
+_KEYWORD = {cls: kw for kw, cls in _BINDERS.items()}   # for `pretty`
 
 
 class _Parser:
@@ -523,9 +524,8 @@ def _bind(hint: str, body: Node, env: tuple[str, ...]) -> tuple[str, tuple[str, 
 def _term(t: Node, env: tuple[str, ...]) -> str:
     match t:
         case TLam(hint, dom, body) | TLamImp(hint, dom, body) | TQLam(hint, dom, body):
-            kw = {TLam: "fun", TLamImp: "ifun", TQLam: "qfun"}[type(t)]
             name, inner = _bind(hint, body, env)
-            return f"{kw} {name} : {_ty(dom, env)} => {_term(body, inner)}"
+            return f"{_KEYWORD[type(t)]} {name} : {_ty(dom, env)} => {_term(body, inner)}"
         case Lam(hint, body):
             name, inner = _bind(hint, body, env)
             return f"fun {name} => {_term(body, inner)}"

@@ -226,8 +226,6 @@ def canonical_shape(v: UnannTerm, ty: Ty, mode: Mode = Mode.BASE,
 # property suite
 
 
-PROPERTY_NAMES = ("P1", "P2", "P3", "P4", "P5")
-
 _DESCRIPTIONS = {
     "P1": "full-beta normal forms exist and are canonical",
     "P2": "call-by-value reaches a canonical value",
@@ -235,6 +233,7 @@ _DESCRIPTIONS = {
     "P4": "substitution laws hold",
     "P5": "parse after pretty is the identity",
 }
+PROPERTY_NAMES = tuple(_DESCRIPTIONS)
 
 
 @frozen

@@ -28,21 +28,23 @@ its children so far and the slot the focus sits in, and it rebuilds a
 parent only when the focus leaves it.  The strategies differ only in the
 order the machine visits a node and its children:
 
-  * leftmost-outermost (LO) tests a node for a redex before its children,
-    and visits the children left to right;
-  * rightmost-innermost (RI) visits the children right to left and tests
-    the node after them;
+  * leftmost-outermost (LO) asks `contract` about a node before its
+    children, and visits the children left to right;
+  * rightmost-innermost (RI) visits the children right to left and asks
+    `contract` about the node after them;
   * call-by-value visits the children left to right (operator before
-    operand, recursor scrutinee last), tests the node after them, treats
-    abstractions and shells as values without entering them, and stops
-    at the first node that is neither a value nor a redex.
+    operand, recursor scrutinee last), asks `contract` about the node
+    after them, treats abstractions and shells as values without entering
+    them, and stops at the first node that is neither a value nor a redex.
 
-After a contraction the machine continues at the contractum.  Under LO
-only the parent of a contracted node can have become a redex, and only if
-the node sat in its `fn` slot (application, quasi-implicit application)
-or `scrut` slot (recursors); the machine re-checks that parent, and then
-its parent in turn, before it resumes at the contractum.  Under RI and
-call-by-value the parent is tested anyway once the contractum is done.
+`contract` is the only redex test: a node is a redex iff it returns a
+contractum, and the machine continues at that contractum.  Under LO only
+the parent of a contracted node can have become a redex, and only if the
+node sat in the slot `contract` inspects (`fn` of an application or
+quasi-implicit application, `scrut` of a recursor); the machine asks
+`contract` about that parent rebuilt, and then about its parent in turn,
+before it resumes.  Under RI and call-by-value the parent is asked anyway
+once the contractum is done.
 Subterms found normal (call-by-value: found to be values) are remembered
 by identity for the rest of the call, so the copies a contraction makes
 of them are never scanned again.
@@ -125,16 +127,9 @@ StepHook = Callable[[int, UnannTerm], None]
 
 _KIDS = {tp: tp.children for tp in get_args(UnannTerm) if tp.SCOPES}
 
-# Node types that can be redexes.
-_HEADS = frozenset({App, RNat, RVec, QApp})
-
-# (parent type, slot) -> child types that make the parent a redex.
-_TRIGGERS = {
-    (App, 0): (Lam,),
-    (QApp, 0): (QLam,),
-    (RNat, 2): (Zero, Succ),
-    (RVec, 2): (Nil, Cons),
-}
+# The heads `contract` can fire on, with the slot of the child it inspects
+# (`fn`, or the recursor's `scrut`).
+_SLOT = {App: 0, QApp: 0, RNat: 2, RVec: 2}
 
 _STUCK = {
     App: "application head is not an abstraction",
@@ -238,15 +233,6 @@ def contract(t: UnannTerm, outer: int = 0) -> UnannTerm | None:
     return None
 
 
-def _is_redex(t: UnannTerm) -> bool:
-    """True iff the node t (an application, recursor or quasi-implicit
-    application) is a redex."""
-    tp = type(t)
-    if tp is RNat or tp is RVec:
-        return type(t.scrut) in _TRIGGERS[tp, 2]
-    return type(t.fn) in _TRIGGERS[tp, 0]
-
-
 def _plug(t: UnannTerm, stack: list[list]) -> UnannTerm:
     """The whole term: t at the focus, the frames rebuilt around it.  The
     stack is left as it is."""
@@ -260,12 +246,10 @@ def _plug(t: UnannTerm, stack: list[list]) -> UnannTerm:
     return t
 
 
-_LO, _RI, _CBV = "lo", "ri", "cbv"
-
-
-def _run(t: UnannTerm, fuel: int, mode: str, on_step: StepHook | None,
+def _run(t: UnannTerm, fuel: int, strategy: str, on_step: StepHook | None,
          outer: int):  # abstractions around the focus, inside t or not
-    lo, ri, cbv = mode is _LO, mode is _RI, mode is _CBV
+    lo, ri = strategy == LEFTMOST_OUTERMOST, strategy == RIGHTMOST_INNERMOST
+    cbv = not (lo or ri)
     done: dict[int, UnannTerm] = {}   # id -> node found normal / a value
     stack: list[list] = []   # frames: [node, children, slot, changed]
     steps = 0
@@ -284,7 +268,8 @@ def _run(t: UnannTerm, fuel: int, mode: str, on_step: StepHook | None,
             if id(t) in done or (cbv and (tp is Lam or tp is QLam)):
                 down = False
                 continue
-            if not (lo and tp in _HEADS and _is_redex(t)):
+            r = contract(t, outer) if lo and tp in _SLOT else None
+            if r is None:
                 kids = kids_of(t)
                 slot = len(kids) - 1 if ri else 0
                 stack.append([t, kids, slot, False])
@@ -313,17 +298,18 @@ def _run(t: UnannTerm, fuel: int, mode: str, on_step: StepHook | None,
             if tp is Lam:
                 outer -= 1
             t = node.rebuild(kids) if fr[3] else node
-            if lo or tp not in _HEADS or not _is_redex(t):
-                if cbv and tp in _HEADS:
+            r = None if lo or tp not in _SLOT else contract(t, outer)
+            if r is None:
+                if cbv and tp in _SLOT:
                     return Stuck(_plug(t, stack), _STUCK[tp], steps)
                 done[id(t)] = t
                 continue
 
-        # t is a redex.  Contract it and, under LO, every parent that this
-        # turns into a redex; then go down into the last contractum.
+        # t is a redex and r its contractum.  Under LO, contract the parents
+        # this turns into redexes too; then go down into the last contractum.
         while True:
             steps += 1
-            t = contract(t, outer)
+            t = r
             if on_step is not None:
                 on_step(steps, _plug(t, stack))
             if steps == fuel:
@@ -332,17 +318,15 @@ def _run(t: UnannTerm, fuel: int, mode: str, on_step: StepHook | None,
                 break
             fr = stack[-1]
             node, slot = fr[0], fr[2]
-            trigger = _TRIGGERS.get((type(node), slot))
-            if trigger is None or type(t) not in trigger:
+            if _SLOT.get(type(node)) != slot:
                 break
             kids = list(fr[1])
             kids[slot] = t
-            t = node.rebuild(kids)
+            r = contract(node.rebuild(kids), outer)
+            if r is None:
+                break
             stack.pop()
         down = True
-
-
-_MODES = {LEFTMOST_OUTERMOST: _LO, RIGHTMOST_INNERMOST: _RI}
 
 
 def normalize(t: UnannTerm, fuel: int = DEFAULT_FUEL,
@@ -358,7 +342,10 @@ def normalize(t: UnannTerm, fuel: int = DEFAULT_FUEL,
     tests pin.  `outer = 0`, the default, suits locally closed terms."""
     if fuel <= 0:
         raise ValueError("fuel must be positive")
-    return _run(t, fuel, _MODES[strategy], on_step, outer)
+    if strategy != LEFTMOST_OUTERMOST and strategy != RIGHTMOST_INNERMOST:
+        raise ValueError(f"unknown strategy {strategy!r}: expected "
+                         f"{LEFTMOST_OUTERMOST!r} or {RIGHTMOST_INNERMOST!r}")
+    return _run(t, fuel, strategy, on_step, outer)
 
 
 def joinable(a: UnannTerm, b: UnannTerm,
@@ -382,4 +369,4 @@ def eval_cbv(t: UnannTerm, fuel: int = DEFAULT_FUEL, *,
     """Run call-by-value to a value, a stuck state, or out of fuel."""
     if fuel <= 0:
         raise ValueError("fuel must be positive")
-    return _run(t, fuel, _CBV, on_step, 0)
+    return _run(t, fuel, "call-by-value", on_step, 0)

@@ -14,6 +14,9 @@ Three syntactic categories share one node infrastructure:
 
 The two term categories share `FVar`, `BVar`, `App`, `Zero`, `Succ` and
 `Cons`: these carry no annotation, so erasure leaves them as they are.
+The categories also decide annotation positions: a type inside an
+annotated term (a domain, a motive) is an annotation, which erasure drops
+and `erase.subst_annotated` fills with erased terms.
 
 Bound variables are de Bruijn indices (`BVar`), free variables are names
 (`FVar`).  Binder name hints are kept for printing and diagnostics but are
@@ -133,10 +136,6 @@ class Node:
 
     # child field name -> number of binder levels the child is under
     SCOPES: ClassVar[dict[str, int]] = {}
-    # child fields that are annotated-term positions (used by erasure-aware
-    # substitution); empty on types and on unannotated-only terms, while the
-    # constructs shared with annotated terms list every child
-    ANN: ClassVar[frozenset[str]] = frozenset()
 
 
 # --------------------------------------------------------------------------
@@ -162,7 +161,6 @@ class App(Node):
     fn: "UnannTerm"
     arg: "UnannTerm"
     SCOPES = {"fn": 0, "arg": 0}
-    ANN = frozenset({"fn", "arg"})
 
 
 @frozen
@@ -181,7 +179,6 @@ class Zero(Node):
 class Succ(Node):
     pred: "UnannTerm"
     SCOPES = {"pred": 0}
-    ANN = frozenset({"pred"})
 
 
 @frozen
@@ -204,7 +201,6 @@ class Cons(Node):
     head: "UnannTerm"
     tail: "UnannTerm"
     SCOPES = {"head": 0, "tail": 0}
-    ANN = frozenset({"head", "tail"})
 
 
 @frozen
@@ -305,7 +301,6 @@ class TAppImp(Node):
     fn: "AnnTerm"
     arg: "AnnTerm"
     SCOPES = {"fn": 0, "arg": 0}
-    ANN = frozenset({"fn", "arg"})
 
 
 @frozen
@@ -314,7 +309,6 @@ class TLam(Node):
     dom: "Ty"
     body: "AnnTerm"
     SCOPES = {"dom": 0, "body": 1}
-    ANN = frozenset({"body"})
 
 
 @frozen
@@ -326,7 +320,6 @@ class TLamImp(Node):
     dom: "Ty"
     body: "AnnTerm"
     SCOPES = {"dom": 0, "body": 1}
-    ANN = frozenset({"body"})
 
 
 @frozen
@@ -339,7 +332,6 @@ class TRNat(Node):
     step: "AnnTerm"
     scrut: "AnnTerm"
     SCOPES = {"motive": 1, "base": 0, "step": 0, "scrut": 0}
-    ANN = frozenset({"base", "step", "scrut"})
 
 
 @frozen
@@ -360,7 +352,6 @@ class TRVec(Node):
     step: "AnnTerm"
     scrut: "AnnTerm"
     SCOPES = {"motive": 2, "base": 0, "step": 0, "scrut": 0}
-    ANN = frozenset({"base", "step", "scrut"})
 
 
 @frozen
@@ -368,7 +359,6 @@ class TJoin(Node):
     lhs: "AnnTerm"
     rhs: "AnnTerm"
     SCOPES = {"lhs": 0, "rhs": 0}
-    ANN = frozenset({"lhs", "rhs"})
 
 
 @frozen
@@ -380,7 +370,6 @@ class TCast(Node):
     proof: "AnnTerm"
     body: "AnnTerm"
     SCOPES = {"motive": 1, "proof": 0, "body": 0}
-    ANN = frozenset({"proof", "body"})
 
 
 @frozen
@@ -392,7 +381,6 @@ class TQLam(Node):
     dom: "Ty"
     body: "AnnTerm"
     SCOPES = {"dom": 0, "body": 1}
-    ANN = frozenset({"body"})
 
 
 @frozen
@@ -402,7 +390,6 @@ class TQApp(Node):
     fn: "AnnTerm"
     witness: "AnnTerm"
     SCOPES = {"fn": 0, "witness": 0}
-    ANN = frozenset({"fn", "witness"})
 
 
 @frozen
@@ -412,14 +399,12 @@ class TFoldZ(Node):
     other: "Ty"
     body: "AnnTerm"
     SCOPES = {"other": 0, "body": 0}
-    ANN = frozenset({"body"})
 
 
 @frozen
 class TUnfoldZ(Node):
     body: "AnnTerm"
     SCOPES = {"body": 0}
-    ANN = frozenset({"body"})
 
 
 @frozen
@@ -431,7 +416,6 @@ class TFoldS(Node):
     zero_ty: "Ty"
     body: "AnnTerm"
     SCOPES = {"witness": 0, "zero_ty": 0, "body": 0}
-    ANN = frozenset({"witness", "body"})
 
 
 @frozen
@@ -439,7 +423,6 @@ class TUnfoldS(Node):
     witness: "AnnTerm"
     body: "AnnTerm"
     SCOPES = {"witness": 0, "body": 0}
-    ANN = frozenset({"witness", "body"})
 
 
 # --------------------------------------------------------------------------

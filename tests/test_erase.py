@@ -6,17 +6,19 @@ one commutation law everything else leans on, erasure versus annotated
 substitution.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
 from tvec.corpus import append_body, num, plus_body, quod_all_body
 from tvec.erase import _release, erase, subst_annotated
 from tvec.frontend import parse_term
-from tvec.oracle import enumerate_terms
+from tvec.oracle import ANNOTATION_TYPES, enumerate_terms
 from tvec.syntax import (
-    App, BVar, Cons, Context, EqTy, FVar, Join, Lam, NatTy, Nil, QApp, QLam,
-    RNat, RVec, Succ, TAppImp, TCast, TFoldS, TFoldZ, TJoin,
-    TLam, TLamImp, TNil, TQApp, TQLam, TRNat, TRVec, TUnfoldS,
+    App, BVar, Cons, Context, EqTy, FVar, IfZeroTy, Join, Lam, NatTy, Nil,
+    PiTy, QApp, QLam, RNat, RVec, Succ, TAppImp, TCast, TFoldS, TFoldZ,
+    TJoin, TLam, TLamImp, TNil, TQApp, TQLam, TRNat, TRVec, TUnfoldS,
     TUnfoldZ, VecTy, Zero, alpha_eq, free_vars, subst,
 )
 from tvec.typecheck import Mode
@@ -206,6 +208,78 @@ class TestFreeVariables:
     def test_erasure_can_only_drop_free_vars(self):
         t = TCast("w", NAT, FVar("p"), Zero())
         assert free_vars(erase(t)) <= free_vars(t)
+
+
+def subst_by_fields(t, name, repl, repl_erased, annotated=True):
+    """Reference for `subst_annotated` that reads positions off the declared
+    field types.  In an annotated term a field declared `Ty` is an
+    annotation: it gets `repl_erased` at every occurrence, and so does a
+    root that is not an annotated term (pass `annotated=False`).  Every
+    other field of an annotated term is an annotated-term position."""
+    if not annotated:
+        return subst(t, name, repl_erased)
+    if isinstance(t, FVar):
+        return repl if t.name == name else t
+    return type(t)(**{
+        f.name: subst_by_fields(getattr(t, f.name), name, repl, repl_erased,
+                                f.type.strip("'") != "Ty")
+        if f.name in type(t).SCOPES else getattr(t, f.name)
+        for f in dataclasses.fields(t)})
+
+
+OPEN_TY = VecTy(NAT, FVar("a"))
+
+
+def open_annotations(t):
+    """t with every field declared `Ty` replaced by `OPEN_TY`."""
+    return type(t)(**{
+        f.name: (OPEN_TY if f.type.strip("'") == "Ty"
+                 else open_annotations(getattr(t, f.name)))
+        if f.name in type(t).SCOPES else getattr(t, f.name)
+        for f in dataclasses.fields(t)})
+
+
+class TestAnnotationPositions:
+    """Erasure drops domains and motives, so the commutation law cannot
+    see what substitution puts in them.  These compare `subst_annotated`
+    with `subst_by_fields` directly, with a replacement whose erasure is
+    not itself."""
+
+    CTX = Context((("a", NAT), ("b", VecTy(NAT, Zero()))))
+    REPL = TAppImp(FVar("b"), Zero())
+
+    def check(self, t, annotated=True):
+        want = subst_by_fields(t, "a", self.REPL, FVar("b"), annotated)
+        assert subst_annotated(t, "a", self.REPL, erase(self.REPL)) == want
+
+    def test_a_type_position_gets_the_erasure(self):
+        t = TLam("x", OPEN_TY, FVar("a"))
+        assert subst_by_fields(t, "a", self.REPL, FVar("b")) == TLam(
+            "x", VecTy(NAT, FVar("b")), self.REPL)
+        self.check(t)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_enumerated_terms(self, mode):
+        for t in enumerate_terms(5, mode, self.CTX):
+            self.check(t)
+            self.check(open_annotations(t))
+
+    def test_type_roots(self):
+        for ty in ANNOTATION_TYPES + (
+                OPEN_TY, PiTy("x", OPEN_TY, EqTy(FVar("a"), BVar(0))),
+                IfZeroTy(FVar("a"), OPEN_TY, NAT)):
+            self.check(ty, annotated=False)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_unannotated_roots(self, mode):
+        # roots that only unannotated terms have; a shared one (`App`,
+        # `Cons`, ...) is an annotated term as well
+        roots = [erase(t) for t in enumerate_terms(5, mode, self.CTX)]
+        roots = [u for u in roots if not isinstance(u, ANNOTATION_FREE)]
+        assert {type(u) for u in roots} >= {Lam, RNat, RVec, Nil, Join}
+        for u in roots:
+            self.check(u, annotated=False)
+        self.check(Lam("x", App(FVar("a"), BVar(0))), annotated=False)
 
 
 def annotated_terms():

@@ -209,3 +209,8 @@ class TestCallByValue:
             eval_cbv(Zero(), 0)
         with pytest.raises(ValueError):
             normalize(Zero(), -3)
+
+    def test_rejects_unknown_strategy(self):
+        with pytest.raises(ValueError, match=f"'bogus'.*{LEFTMOST_OUTERMOST}"
+                                             f".*{RIGHTMOST_INNERMOST}"):
+            normalize(Zero(), strategy="bogus")

@@ -10,6 +10,7 @@ import inspect
 import pathlib
 import pickle
 import sys
+import typing
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,9 +24,9 @@ from tvec.oracle import Counterexample, PropertyResult, SuiteReport
 from tvec.reduce import FuelExhausted, NormalForm, Stuck, Value
 from tvec.typecheck import Diagnostic, Failure, Inferred, Mode
 from tvec.syntax import (
-    App, BVar, Cons, Context, EqTy, FVar, Join, Lam, NatTy, Nil, PiTy,
-    Succ, TJoin, TLam, VecTy, Zero, alpha_eq, Node, Span, ctx_ok, free_vars,
-    fresh_name, instantiate, node_count, subst,
+    AnnTerm, App, BVar, Cons, Context, EqTy, FVar, Join, Lam, NatTy, Nil,
+    PiTy, Succ, TJoin, TLam, Ty, UnannTerm, VecTy, Zero, alpha_eq, Node,
+    Span, ctx_ok, free_vars, fresh_name, instantiate, node_count, subst,
 )
 
 from locally_nameless import close1, close_at, open1, open_at, open2
@@ -248,6 +249,26 @@ class TestContext:
 
 NODE_CLASSES = [c for c in vars(tvec.syntax).values()
                 if isinstance(c, type) and issubclass(c, Node)]
+
+
+class TestCategories:
+    """`erase.subst_annotated` takes annotation positions from the three
+    category unions, which is sound only while they split the nodes so."""
+
+    TY, UNANN, ANNOTATED = (set(typing.get_args(u))
+                            for u in (Ty, UnannTerm, AnnTerm))
+
+    def test_every_node_class_has_a_category(self):
+        concrete = set(NODE_CLASSES) - {Node}
+        assert set(Node.__subclasses__()) == concrete
+        assert concrete == self.TY | self.UNANN | self.ANNOTATED
+
+    def test_types_are_not_terms(self):
+        assert not self.TY & (self.UNANN | self.ANNOTATED)
+
+    def test_shared_term_classes(self):
+        assert self.UNANN & self.ANNOTATED == {
+            FVar, BVar, App, Zero, Succ, Cons}
 
 
 def _build(cls, hint, span):
