@@ -13,7 +13,8 @@ rejects any type, annotation or context that still mentions one.
 
 Variables, application, zero, successor and `cons` carry no annotation,
 so erasure returns an annotation-free subterm (a numeral, a vector
-literal, `f (g 0)`) as it is: the result shares it, not a copy of it.
+literal, `f (g 0)`) as it is, not a copy.  Erasure and `subst_annotated`
+cross a numeral or a vector literal in one loop (`syntax.map_spine`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .syntax import (
     AnnTerm, App, BVar, Cons, FVar, Join, Lam, Nil, Node, QApp, QLam, RNat,
     RVec, Succ, TAppImp, TCast, TFoldS, TFoldZ, TJoin, TLam, TLamImp, TNil,
     TQApp, TQLam, TRNat, TRVec, TUnfoldS, TUnfoldZ, Ty, UnannTerm, Zero,
-    free_vars, fresh_name, map_vars, subst,
+    free_vars, fresh_name, map_spine, map_vars, subst,
 )
 
 _ERASED = (frozenset(get_args(Ty) + get_args(UnannTerm))
@@ -38,12 +39,8 @@ def erase(t: AnnTerm) -> UnannTerm:
         case App(fn, arg):
             f, a = erase(fn), erase(arg)
             return t if f is fn and a is arg else App(f, a, span=t.span)
-        case Succ(pred):
-            p = erase(pred)
-            return t if p is pred else Succ(p, span=t.span)
-        case Cons(head, tail):
-            h, tl = erase(head), erase(tail)
-            return t if h is head and tl is tail else Cons(h, tl, span=t.span)
+        case Succ() | Cons():
+            return map_spine(t, _erase, None, None, None)
         case TLam(hint, _, body):
             return Lam(hint, erase(body), span=t.span)
         case TRNat(_, _, base, step, scrut):
@@ -65,6 +62,10 @@ def erase(t: AnnTerm) -> UnannTerm:
         case TQLam(hint, _, body):
             return QLam(_release(erase(body), hint), span=t.span)
     raise TypeError(f"not an annotated term: {t!r}")
+
+
+def _erase(t: AnnTerm, _a, _b, _c) -> UnannTerm:   # as `map_spine` calls it
+    return erase(t)
 
 
 def _release(body: UnannTerm, hint: str) -> UnannTerm:
@@ -101,12 +102,15 @@ def subst_annotated(t: AnnTerm, name: str, repl: AnnTerm,
     receives the erasure `repl_erased`, which must be `erase(repl)`;
     callers hold it already.
     """
-    if type(t) in _ERASED:
+    cls = type(t)
+    if cls in _ERASED:
         return subst(t, name, repl_erased)
-    if type(t) is FVar:
+    if cls is FVar:
         return repl if t.name == name else t
+    if cls is Succ or cls is Cons:
+        return map_spine(t, subst_annotated, name, repl, repl_erased)
     kids = None
-    for i, fname in enumerate(type(t).SCOPES):
+    for i, fname in enumerate(cls.SCOPES):
         child = getattr(t, fname)
         new = (subst(child, name, repl_erased) if type(child) in _ERASED
                else subst_annotated(child, name, repl, repl_erased))

@@ -75,7 +75,7 @@ from .syntax import (
     Lam, NatTy, Nil, Node, PiTy, QApp, QLam, RNat, RVec, Span, Succ,
     TAppImp, TCast, TFoldS, TFoldZ, TJoin, TLam, TLamImp, TNil, TQApp,
     TQLam, TRNat, TRVec, TUnfoldS, TUnfoldZ, Ty, UnannTerm, VecTy, Zero,
-    free_vars, fresh_name, frozen, subst,
+    free_vars, fresh_name, frozen, numeral, subst,
 )
 from .typecheck import Diagnostic, Mode
 
@@ -504,15 +504,6 @@ def pretty(node: Node) -> str:
     return _term(node, ())
 
 
-def _numeral(t: Node) -> tuple[int, Node]:
-    """The height of the `S` tower at `t`, and the node it stands on."""
-    n = 0
-    while isinstance(t, Succ):
-        t = t.pred
-        n += 1
-    return n, t
-
-
 def _bind(hint: str, body: Node, env: tuple[str, ...]) -> tuple[str, tuple[str, ...]]:
     # Avoid every visible name, not just the body's free ones: the body may
     # reach an enclosing binder through an index, and capturing its printed
@@ -547,7 +538,7 @@ def _apply(t: Node, env: tuple[str, ...]) -> str:
             return f"{_apply(fn, env)} @-[]"
         case Succ() | Zero():
             # decided once per tower: once per level is quadratic
-            n, base = _numeral(t)
+            n, base = numeral(t)
             if isinstance(base, Zero):
                 return str(n)
             return "S (" * (n - 1) + f"S {_atom(base, env)}" + ")" * (n - 1)

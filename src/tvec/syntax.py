@@ -27,7 +27,8 @@ many extra binder levels that child sits under (`SCOPES`).  One walker,
 what changes.  The kernel fills binders one way, with `instantiate`, and
 replaces a free name one way, with `subst`; both are leaf functions over
 the walker, as is erasure's index lowering (`erase._release`).  The folds
-`free_vars` and `node_count` walk the same children.
+`free_vars` and `node_count` walk the same children.  The walkers cross a
+numeral or a vector literal in one loop (`map_spine`), not a frame a level.
 
 Only printing names bound variables.  The parser binds names as it reads
 them.  The checker instantiates codomains and motives with `instantiate`,
@@ -44,7 +45,8 @@ that cannot change (`frozen`).  Per field shape, `frozen` compiles once an
 `__init__` that stores each field through its slot descriptor, `__eq__`
 and `__hash__` over the compared fields, and on nodes `children()` and
 `rebuild()`, which walkers use; `__repr__`, `__setattr__`/`__delattr__` and
-`__getstate__`/`__setstate__` are shared by all.  Nodes must stay frozen, as
+`__getstate__`/`__setstate__` are shared by all.  A method the class defines
+itself is kept (`Succ.__eq__`).  Nodes must stay frozen, as
 subterms are shared: by the enumerator's cache (`oracle._exact`), by def
 bodies inlined at every use, and by the reducer's memo of normal subterms
 by `id`.
@@ -91,7 +93,8 @@ def frozen(cls: type) -> type:
     made: dict[str, Callable] = dict(_SHARED)
     exec(_compile("\n".join(src)), env, made)
     for name, fn in made.items():
-        setattr(cls, name, fn)
+        if cls.__dict__.get(name) is None:   # keep the class's own methods
+            setattr(cls, name, fn)
     return cls
 
 
@@ -179,6 +182,13 @@ class Zero(Node):
 class Succ(Node):
     pred: "UnannTerm"
     SCOPES = {"pred": 0}
+
+    def __eq__(self, other):    # in a loop: towers can be deep
+        if other.__class__ is not Succ:
+            return NotImplemented
+        while self.__class__ is other.__class__ is Succ and self is not other:
+            self, other = self.pred, other.pred
+        return self is other or self == other
 
 
 @frozen
@@ -446,6 +456,45 @@ AnnTerm = (
 # generic binding operations
 
 
+def numeral(t: Node) -> tuple[int, Node]:
+    """The height of the `S` tower at `t`, and the node it stands on."""
+    n = 0
+    while type(t) is Succ:
+        t, n = t.pred, n + 1
+    return n, t
+
+
+def map_spine(t: Succ | Cons, f: Callable[..., Node], a, b, c) -> Node:
+    """Replace each `cons` head `h` met from `t` down its `S` and `cons`
+    levels, outermost first, then the node they stand on, by `f(h, a, b,
+    c)` (fixed arity: `*args` costs more than a short spine saves).
+    Rebuilt levels keep their spans, levels below the innermost change are
+    shared, and `t` itself comes back if nothing changes."""
+    node, heads = t, None       # id(cell) -> new head, made on a change
+    while (cls := type(node)) is Succ or cls is Cons:
+        if cls is Cons:
+            new = f(node.head, a, b, c)
+            if new is not node.head:
+                heads = heads or {}
+                heads[id(node)] = new
+        node = node.pred if cls is Succ else node.tail
+    end = f(node, a, b, c)
+    if heads is None and end is node:
+        return t
+    levels, heads = [], heads or {}
+    while t is not node:
+        levels.append(t)
+        t = t.pred if type(t) is Succ else t.tail
+    for level in reversed(levels):
+        if type(level) is Succ:
+            end = level if end is level.pred else Succ(end, span=level.span)
+        else:
+            head = heads.get(id(level), level.head)
+            end = (level if end is level.tail and head is level.head
+                   else Cons(head, end, span=level.span))
+    return end
+
+
 def map_vars(t: Node, kind: type[FVar] | type[BVar],
              leaf: Callable[[Node, int], Node], depth: int = 0) -> Node:
     """Replace every variable `v` of class `kind` in `t` with `leaf(v, d)`.
@@ -455,9 +504,12 @@ def map_vars(t: Node, kind: type[FVar] | type[BVar],
     changes.  Each caller needs one class of variable only; leaving the
     other class out of `leaf` keeps the walk as fast as a hand-written one.
     """
-    scopes = type(t).SCOPES
+    cls = type(t)
+    scopes = cls.SCOPES
     if not scopes:
-        return leaf(t, depth) if type(t) is kind else t
+        return leaf(t, depth) if cls is kind else t
+    if cls is Succ or cls is Cons:
+        return map_spine(t, map_vars, kind, leaf, depth)
     kids = None   # made on the first change: most walks change nothing
     i = 0
     for name, extra in scopes.items():
@@ -499,12 +551,16 @@ def free_vars(t: Node) -> frozenset[str]:
     return frozenset(acc)
 
 
-def _collect_free(t: Node, acc: set[str]) -> None:
-    if isinstance(t, FVar):
+def _collect_free(t: Node, acc: set[str], _b=None, _c=None) -> Node:
+    cls = type(t)
+    if cls is FVar:
         acc.add(t.name)
-        return
-    for name in type(t).SCOPES:
-        _collect_free(getattr(t, name), acc)
+    elif cls is Succ or cls is Cons:    # `t` comes back, as `map_spine` wants
+        map_spine(t, _collect_free, acc, None, None)
+    else:
+        for name in cls.SCOPES:
+            _collect_free(getattr(t, name), acc)
+    return t
 
 
 def subst(t: Node, name: str, repl: Node) -> Node:

@@ -47,7 +47,7 @@ from .syntax import (
     Nil, Node, PiTy, Span, Succ, TAppImp, TCast, TFoldS, TFoldZ, TJoin,
     TLam, TLamImp, TNil, TQApp, TQLam, TRNat, TRVec, TUnfoldS, TUnfoldZ, Ty,
     VecTy, Zero, alpha_eq, free_vars, fresh_name, frozen, instantiate,
-    map_vars,
+    map_vars, numeral,
 )
 
 
@@ -296,10 +296,11 @@ class Checker:
                 return NatTy()
             # t : Nat
             # ---------------------------------------- S t : Nat
-            case Succ(pred):
-                self._hit("succ")
-                pty = self._infer(pred)
-                self._expect_alpha("succ", pred, pty, NatTy(),
+            case Succ():        # a tower at once: one rule use per level
+                n, base = numeral(t)
+                self.rule_hits["succ"] += n
+                pty = self._infer(base)
+                self._expect_alpha("succ", base, pty, NatTy(),
                                    "successor argument")
                 return NatTy()
             # ---------------------------------------- nil A : Vec A 0
@@ -309,16 +310,22 @@ class Checker:
                 return VecTy(elem, Zero())
             # h : A   tl : Vec A n
             # ---------------------------------------- cons h tl : Vec A (S n)
-            case Cons(head, tail):
-                self._hit("cons")
-                tail_ty = self._infer(tail)
-                if not isinstance(tail_ty, VecTy):
-                    self._fail("cons", tail, "cons tail is not a vector",
-                               code="shape-mismatch", actual=tail_ty)
-                head_ty = self._infer(head)
-                self._expect_alpha("cons", head, head_ty, tail_ty.elem,
-                                   "cons head")
-                return VecTy(tail_ty.elem, Succ(tail_ty.length))
+            case Cons():        # a spine at once, innermost cell first
+                cells = []
+                while type(t) is Cons:
+                    self._hit("cons")
+                    cells.append(t)
+                    t = t.tail
+                ty = self._infer(t)
+                for cell in reversed(cells):
+                    if not isinstance(ty, VecTy):
+                        self._fail("cons", cell.tail, "cons tail is not "
+                                   "a vector", code="shape-mismatch", actual=ty)
+                    head_ty = self._infer(cell.head)
+                    self._expect_alpha("cons", cell.head, head_ty, ty.elem,
+                                       "cons head")
+                    ty = VecTy(ty.elem, Succ(ty.length))
+                return ty
             # ctx, x:A |- t : B
             # ---------------------------------------- fun x:A => t : Pi x:A. B
             case TLam():

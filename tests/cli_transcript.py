@@ -132,10 +132,15 @@ def g : Vec Nat f = h
 def a : Nat = 0
 def bad : Nat = nil [Nat]
 """,
+    # a numeral as deep as this once ran out of stack; it checks now
     "deep_numeral_later": """
 def a : Nat = 0
 def n : Nat = 1000
 """,
+    # parsing still spends frames per parenthesis: the stack runs out
+    "deep_parens_later": """
+def a : Nat = 0
+def n : Nat = """ + "(" * 3000 + "0" + ")" * 3000 + "\n",
 }
 
 # A file like the benchmark's families: vec.tvec and closed defs over it.

@@ -22,6 +22,7 @@ import pytest
 import tvec
 from tvec import cli
 from tvec.cli import main
+from tvec.frontend import MAX_NUMERAL
 from tvec.oracle import ENUM_CAP
 from tvec.reduce import DEFAULT_FUEL, Stuck
 
@@ -526,6 +527,37 @@ class TestErrorPaths:
         assert blob["error"]["code"] == "resource-exhausted"
         assert proc.stderr.startswith("tvec: ")
         assert proc.stderr.count("\n") == 1
+
+
+class TestDeepNumerals:
+    """The largest numeral, and a join of two 1,201-deep ones, check and
+    evaluate at the default recursion limit: the walkers cross a numeral
+    in a loop."""
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        yield
+        sys.setrecursionlimit(old)
+
+    def test_largest_numeral(self, tmp_path, capsys):
+        src = tmp_path / "n.tvec"
+        src.write_text(f"def n : Nat = {MAX_NUMERAL}\n")
+        assert run_cli(capsys, "check", str(src)) == (0, "n : Nat\n", "")
+        for strategy, kind in (("cbv", "Value"), ("full", "NormalForm")):
+            assert run_cli(capsys, "eval", str(src), "n", "--strategy",
+                           strategy) == (0, f"{MAX_NUMERAL}, {kind}, 0 steps\n", "")
+
+    def test_join_of_deep_numerals(self, tmp_path, capsys, vec_source):
+        src = tmp_path / "j.tvec"
+        src.write_text(vec_source + "\ndef j : plus 1200 1 = 1201 = "
+                       "join (plus 1200 1) 1201\n")
+        code, out, err = run_cli(capsys, "check", str(src))
+        assert (code, err) == (0, "")
+        assert out.endswith("\nj : plus 1200 1 = 1201\n")
+        assert run_cli(capsys, "eval", str(src), "j") == \
+            (0, "join, Value, 0 steps\n", "")
 
 
 # --------------------------------------------------------------------------

@@ -35,8 +35,8 @@ NAT = NatTy()
 # The hand-written files: the examples and the benchmark's programs.
 CARRIED = sorted(EXAMPLES.glob("*.tvec")) + sorted(
     (EXAMPLES.parent / "perfbench" / "programs").glob("*.tvec"))
-# Broken files that fail to parse, or exhaust the stack on the way.
-UNPARSED = {"parse_error_after", "deep_numeral_later"}
+# Broken files that fail to parse, or exhaust the parser's stack.
+UNPARSED = {"parse_error_after", "deep_parens_later"}
 
 
 def _vec_literal(elems) -> str:
@@ -398,7 +398,7 @@ class TestPretty:
         # an `S` tower over a name is decided to be no numeral once, not
         # once per level: its nodes are visited once, and its base too
         n, visits = 200, 0
-        numeral = tvec.frontend._numeral
+        numeral = tvec.frontend.numeral
 
         def counted(t):
             nonlocal visits
@@ -409,7 +409,7 @@ class TestPretty:
             visits += 1
             return numeral(t)
 
-        monkeypatch.setattr(tvec.frontend, "_numeral", counted)
+        monkeypatch.setattr(tvec.frontend, "numeral", counted)
         tower = FVar("x")
         for _ in range(n):
             tower = Succ(tower)

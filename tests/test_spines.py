@@ -1,0 +1,222 @@
+"""Numerals and vector literals: walkers cross them in a loop.
+
+A numeral `n` is a tower of n `S` nodes and a vector literal a spine of
+`cons` cells, so every walker that spent a Python frame per level ran out
+of stack on a numeral near 1,000.  These tests run each walker on deep
+towers and long spines under a recursion limit only a few dozen frames
+above the caller's, and pin what checking and rebuilding give on short
+ones: the rule counts, the first failure and its span, and the spans of
+the levels rebuilt.
+"""
+
+import sys
+
+import pytest
+
+from tvec.erase import erase, subst_annotated
+from tvec.frontend import parse_term
+from tvec.syntax import (
+    BVar, Cons, Context, FVar, NatTy, Nil, Succ, TNil, VecTy, Zero,
+    free_vars, instantiate, map_spine, numeral, subst,
+)
+from tvec.typecheck import Checker, Failure, Inferred
+
+NAT = NatTy()
+
+
+def tower(n, base):
+    for _ in range(n):
+        base = Succ(base)
+    return base
+
+
+def vector(n, base, end=TNil(NAT)):
+    """cons 0 (cons 1 ... end) with n cells, its heads the numerals 0, 1,
+    2, 3, 4, 0, ... stacked on `base`."""
+    t = end
+    for i in reversed(range(n)):
+        t = Cons(tower(i % 5, base), t)
+    return t
+
+
+def preorder(t):
+    """The nodes of `t` in preorder as (class, name, index), walked with a
+    list and not by recursion, so deep results compare anywhere."""
+    out, stack = [], [t]
+    while stack:
+        node = stack.pop()
+        out.append((type(node), getattr(node, "name", None),
+                    getattr(node, "index", None)))
+        stack.extend(getattr(node, f) for f in reversed(type(node).SCOPES))
+    return out
+
+
+def levels(t):
+    """The `S` and `cons` levels from `t` down, outermost first."""
+    out = []
+    while isinstance(t, (Succ, Cons)):
+        out.append(t)
+        t = t.pred if isinstance(t, Succ) else t.tail
+    return out
+
+
+class TestFrameGuard:
+    """Every walker returns on a 5,000-deep numeral and on a 500-cell
+    vector of numerals, with stack for a few dozen frames."""
+
+    @staticmethod
+    def guarded(fn, *args):
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            return fn(*args)
+        finally:
+            sys.setrecursionlimit(old)
+
+    @pytest.mark.parametrize("build", [
+        lambda base: tower(5000, base),
+        lambda base: vector(500, base),
+    ], ids=["numeral", "vector"])
+    def test_walkers_return(self, build):
+        closed, named, loose = build(Zero()), build(FVar("x")), build(BVar(0))
+        erased = self.guarded(erase, closed)
+        if isinstance(closed, Succ):
+            assert erased is closed
+        else:
+            assert preorder(erased) == preorder(vector(500, Zero(), Nil()))
+        assert self.guarded(free_vars, named) == {"x"}
+        assert self.guarded(free_vars, closed) == frozenset()
+        for got in (self.guarded(subst, named, "x", Zero()),
+                    self.guarded(subst_annotated, named, "x", Zero(), Zero()),
+                    self.guarded(instantiate, loose, (Zero(),))):
+            assert preorder(got) == preorder(closed)
+        assert self.guarded(instantiate, closed, (Zero(),)) is closed
+        res = self.guarded(Checker().infer, Context(), closed)
+        assert isinstance(res, Inferred)
+        if isinstance(closed, Cons):
+            assert preorder(res.type) == preorder(VecTy(NAT, tower(500, Zero())))
+
+    def test_equal_towers_compare_in_a_loop(self):
+        a, b = tower(1201, Zero()), tower(1201, Zero())
+        assert self.guarded(lambda: a == b)
+        assert not self.guarded(lambda: a != b)
+        assert not self.guarded(lambda: a == tower(1200, Zero()))
+        assert not self.guarded(lambda: a == tower(1201, FVar("x")))
+        assert not self.guarded(lambda: tower(3, Zero()) == Zero())
+        assert tower(2, FVar("x")) == tower(2, FVar("x"))
+        assert Succ(Zero()) != Zero() and Succ(Zero()) != Cons(Zero(), Nil())
+        assert hash(tower(3, Zero())) == hash(tower(3, Zero()))
+        assert len({tower(3, Zero()), tower(3, Zero()), tower(2, Zero())}) == 2
+
+    def test_the_class_keeps_its_own_equality(self):
+        assert Succ.__eq__.__code__.co_filename.endswith("syntax.py")
+        assert Cons.__eq__.__code__.co_filename == "<node>"
+
+
+# The values below are what checking gave when each level cost a frame.
+FAILS = [
+    ('cons (nil [Nat]) (nil [Nat])', {'cons': 1, 'nil': 2}, 'type-mismatch', 'cons head has the wrong type', (6, 15)),
+    ('cons (nil [Nat]) (cons 1 (nil [Nat]))', {'cons': 2, 'nil': 2, 'succ': 1, 'zero': 1}, 'type-mismatch', 'cons head has the wrong type', (6, 15)),
+    ('cons 0 (cons (nil [Nat]) (nil [Nat]))', {'cons': 2, 'nil': 2}, 'type-mismatch', 'cons head has the wrong type', (14, 23)),
+    ('cons (nil [Nat]) (cons 1 (cons 2 (nil [Nat])))', {'cons': 3, 'nil': 2, 'succ': 3, 'zero': 2}, 'type-mismatch', 'cons head has the wrong type', (6, 15)),
+    ('cons 0 (cons (nil [Nat]) (cons 2 (nil [Nat])))', {'cons': 3, 'nil': 2, 'succ': 2, 'zero': 1}, 'type-mismatch', 'cons head has the wrong type', (14, 23)),
+    ('cons 0 (cons 1 (cons (nil [Nat]) (nil [Nat])))', {'cons': 3, 'nil': 2}, 'type-mismatch', 'cons head has the wrong type', (22, 31)),
+    ('cons (nil [Nat]) (cons 1 (cons 2 (cons 0 (nil [Nat]))))', {'cons': 4, 'nil': 2, 'succ': 3, 'zero': 3}, 'type-mismatch', 'cons head has the wrong type', (6, 15)),
+    ('cons 0 (cons (nil [Nat]) (cons 2 (cons 0 (nil [Nat]))))', {'cons': 4, 'nil': 2, 'succ': 2, 'zero': 2}, 'type-mismatch', 'cons head has the wrong type', (14, 23)),
+    ('cons 0 (cons 1 (cons (nil [Nat]) (cons 0 (nil [Nat]))))', {'cons': 4, 'nil': 2, 'zero': 1}, 'type-mismatch', 'cons head has the wrong type', (22, 31)),
+    ('cons 0 (cons 1 (cons 2 (cons (nil [Nat]) (nil [Nat]))))', {'cons': 4, 'nil': 2}, 'type-mismatch', 'cons head has the wrong type', (30, 39)),
+    ('cons (nil [Nat]) (cons 1 (cons 2 (cons 0 (cons 1 (nil [Nat])))))', {'cons': 5, 'nil': 2, 'succ': 4, 'zero': 4}, 'type-mismatch', 'cons head has the wrong type', (6, 15)),
+    ('cons 0 (cons (nil [Nat]) (cons 2 (cons 0 (cons 1 (nil [Nat])))))', {'cons': 5, 'nil': 2, 'succ': 3, 'zero': 3}, 'type-mismatch', 'cons head has the wrong type', (14, 23)),
+    ('cons 0 (cons 1 (cons (nil [Nat]) (cons 0 (cons 1 (nil [Nat])))))', {'cons': 5, 'nil': 2, 'succ': 1, 'zero': 2}, 'type-mismatch', 'cons head has the wrong type', (22, 31)),
+    ('cons 0 (cons 1 (cons 2 (cons (nil [Nat]) (cons 1 (nil [Nat])))))', {'cons': 5, 'nil': 2, 'succ': 1, 'zero': 1}, 'type-mismatch', 'cons head has the wrong type', (30, 39)),
+    ('cons 0 (cons 1 (cons 2 (cons 0 (cons (nil [Nat]) (nil [Nat])))))', {'cons': 5, 'nil': 2}, 'type-mismatch', 'cons head has the wrong type', (38, 47)),
+    ('cons (nil [Nat]) (cons 1 (cons 2 (cons 0 (cons 1 (cons 2 (nil [Nat]))))))', {'cons': 6, 'nil': 2, 'succ': 6, 'zero': 5}, 'type-mismatch', 'cons head has the wrong type', (6, 15)),
+    ('cons 0 (cons (nil [Nat]) (cons 2 (cons 0 (cons 1 (cons 2 (nil [Nat]))))))', {'cons': 6, 'nil': 2, 'succ': 5, 'zero': 4}, 'type-mismatch', 'cons head has the wrong type', (14, 23)),
+    ('cons 0 (cons 1 (cons (nil [Nat]) (cons 0 (cons 1 (cons 2 (nil [Nat]))))))', {'cons': 6, 'nil': 2, 'succ': 3, 'zero': 3}, 'type-mismatch', 'cons head has the wrong type', (22, 31)),
+    ('cons 0 (cons 1 (cons 2 (cons (nil [Nat]) (cons 1 (cons 2 (nil [Nat]))))))', {'cons': 6, 'nil': 2, 'succ': 3, 'zero': 2}, 'type-mismatch', 'cons head has the wrong type', (30, 39)),
+    ('cons 0 (cons 1 (cons 2 (cons 0 (cons (nil [Nat]) (cons 2 (nil [Nat]))))))', {'cons': 6, 'nil': 2, 'succ': 2, 'zero': 1}, 'type-mismatch', 'cons head has the wrong type', (38, 47)),
+    ('cons 0 (cons 1 (cons 2 (cons 0 (cons 1 (cons (nil [Nat]) (nil [Nat]))))))', {'cons': 6, 'nil': 2}, 'type-mismatch', 'cons head has the wrong type', (46, 55)),
+    ('cons 1 (cons 2 (S 0))', {'cons': 2, 'succ': 1, 'zero': 1}, 'shape-mismatch', 'cons tail is not a vector', (16, 19)),
+    ('cons 1 (cons (S y) (nil [Nat]))', {'cons': 2, 'nil': 1, 'succ': 1, 'var': 1}, 'unbound-variable', 'unbound variable y', (16, 17)),
+    ('S (nil [Nat])', {'nil': 1, 'succ': 1}, 'type-mismatch', 'successor argument has the wrong type', (3, 12)),
+    ('S (S (nil [Nat]))', {'nil': 1, 'succ': 2}, 'type-mismatch', 'successor argument has the wrong type', (6, 15)),
+    ('S (S (S (nil [Nat])))', {'nil': 1, 'succ': 3}, 'type-mismatch', 'successor argument has the wrong type', (9, 18)),
+    ('S (S (S (S (nil [Nat]))))', {'nil': 1, 'succ': 4}, 'type-mismatch', 'successor argument has the wrong type', (12, 21)),
+    ('S (S (fun x : Nat => x))', {'abs': 1, 'succ': 2, 'var': 1}, 'type-mismatch', 'successor argument has the wrong type', (6, 22)),
+    ('S (2 (nil [Nat]))', {'app': 1, 'succ': 3, 'zero': 1}, 'shape-mismatch', 'application head is not a function', (3, 4)),
+    ('S (S (S y))', {'succ': 3, 'var': 1}, 'unbound-variable', 'unbound variable y', (8, 9)),
+    ('S (cons 0 (nil [Nat]))', {'cons': 1, 'nil': 1, 'succ': 1, 'zero': 1}, 'type-mismatch', 'successor argument has the wrong type', (3, 21)),
+]
+
+
+class TestSpinesFailAlike:
+    @pytest.mark.parametrize("text, hits, code, message, span", FAILS,
+                             ids=[row[0] for row in FAILS])
+    def test_first_failure(self, text, hits, code, message, span):
+        checker = Checker()
+        res = checker.infer(Context(), parse_term(text))
+        assert isinstance(res, Failure)
+        diag = res.diagnostic
+        assert (diag.code, diag.message) == (code, message)
+        assert (diag.span.start, diag.span.end) == span
+        assert checker.rule_hits == hits
+
+
+class TestRebuild:
+    """A walker that changes the base of a tower or a head of a spine
+    rebuilds the levels above the change, each with its span, and shares
+    the levels below."""
+
+    @pytest.mark.parametrize("walk", [
+        lambda t: subst(t, "x", Zero()),
+        lambda t: subst_annotated(t, "x", Zero(), Zero()),
+        lambda t: erase(subst_annotated(t, "x", TNil(NAT), Nil())),
+    ], ids=["subst", "subst_annotated", "erase"])
+    def test_changed_base_keeps_spans(self, walk):
+        t = parse_term("S (S (S x))")
+        got = walk(t)
+        assert [lv.span for lv in levels(got)] == [lv.span for lv in levels(t)]
+        assert len({lv.span for lv in levels(t)}) == 3
+        assert all(a is not b for a, b in zip(levels(got), levels(t)))
+
+    def test_instantiate_keeps_spans(self):
+        t = parse_term("fun x : Nat => S (S (S x))").body
+        got = instantiate(t, (Zero(),))
+        assert got == tower(3, Zero())
+        assert [lv.span for lv in levels(got)] == [lv.span for lv in levels(t)]
+
+    def test_erase_keeps_spans(self):
+        t = parse_term("S (S (nil [Nat]))")
+        got = erase(t)
+        assert got == tower(2, Nil())
+        assert [lv.span for lv in levels(got)] == [lv.span for lv in levels(t)]
+
+    def test_spine_shares_below_the_change(self):
+        t = parse_term("cons 1 (cons x (cons 2 (cons 3 v)))")
+        got = subst(t, "x", Zero())
+        old, new = levels(t), levels(got)
+        assert [lv.span for lv in new] == [lv.span for lv in old]
+        assert new[0] is not old[0] and new[1] is not old[1]
+        assert new[0].head is old[0].head and new[1].head == Zero()
+        assert new[2] is old[2]
+        assert got == parse_term("cons 1 (cons 0 (cons 2 (cons 3 v)))")
+
+    def test_unchanged_is_returned(self):
+        t = parse_term("cons 1 (cons (S (S y)) (cons 2 v))")
+        assert subst(t, "x", Zero()) is t
+        assert erase(t) is t
+        assert map_spine(t, lambda node, *_: node, 1, 2, 3) is t
+
+    def test_heads_then_end_outermost_first(self):
+        seen = []
+        t = parse_term("cons a (S (cons b (S (S c))))")
+        map_spine(t, lambda node, *args: seen.append((node.name, args))
+                  or node, 1, 2, 3)
+        assert seen == [("a", (1, 2, 3)), ("b", (1, 2, 3)), ("c", (1, 2, 3))]
+
+    def test_numeral(self):
+        assert numeral(tower(4, FVar("x"))) == (4, FVar("x"))
+        assert numeral(Zero()) == (0, Zero())
