@@ -19,19 +19,15 @@ The file grammar (comments run `--` to end of line):
     term   := ("fun" | "ifun" | "qfun") IDENT ":" type "=>" term
             | apply
     apply  := head (atom | "@[" term "]" | "@-[" term "]")*
-    head   := "S" atom | "cons" atom atom | "join" atom atom
-            | "rnat" "[" IDENT "." type "]" atom atom atom
-            | "rvec" "[" IDENT "." IDENT "." type "]" atom atom atom
-            | "cast" "[" IDENT "." type "]" atom atom
-            | "foldz" "[" type "]" atom | "unfoldz" atom
-            | "folds" "[" term "]" "[" type "]" atom
-            | "unfolds" "[" term "]" atom
-            | atom
+    head   := FORM piece* atom | atom
+    piece  := atom | "[" term "]" | "[" (IDENT ".")* type "]"
     atom   := "zero" | NUMBER | IDENT | "nil" "[" type "]" | "(" term ")"
 
-A NUMBER is a run of decimal digits (what `str.isdecimal` accepts) worth
-at most 100000.  An IDENT is a letter or `_` followed by letters, digits,
-`_` and `'`, and is not a keyword.
+A FORM is the keyword of a row of `_FORMS` (`S`, `cons`, `join`, `rnat`,
+`rvec`, `cast`, `foldz`, `unfoldz`, `folds`, `unfolds`), and its pieces
+are those of the row.  A NUMBER is a run of decimal digits (what
+`str.isdecimal` accepts) worth at most 100000.  An IDENT is a letter or
+`_` followed by letters, digits, `_` and `'`, and is not a keyword.
 
 The lexer is one `findall` pass of one pattern, whose every match is the
 run of whitespace and comments before a token and the token itself.  A
@@ -60,14 +56,17 @@ assumed names, its own binders and released `#` names, which no def or
 assumption can take and which the checker rejects.
 
 The pretty-printer inverts the grammar with minimal parentheses and is
-the source of the textual forms used in diagnostics and reports.  Erased
-terms print in a display-only dialect (`fun x => t`, bare `nil`, `rnat b
-s n`, `qfun => t`, `t @-[]`) that the parser does not accept.
+the source of the textual forms used in diagnostics and reports.  It lays
+out a keyword form by the row the parser reads, and a chain of one form
+through its last atom (a vector literal) in a loop.  Erased terms print
+in a display-only dialect (`fun x => t`, bare `nil`, `rnat b s n`, `qfun
+=> t`, `t @-[]`) that the parser does not accept.
 """
 
 from __future__ import annotations
 
 import re
+from typing import get_args
 
 from .erase import erase, subst_annotated
 from .syntax import (
@@ -97,13 +96,61 @@ class ResolveError(SourceError):
 
 
 # --------------------------------------------------------------------------
+# keyword forms
+
+# What follows the keyword of a form: an atom, or in brackets a term, a
+# type, or a motive (a type after the variables it binds).  A motive is
+# the tuple of the parse-error wordings of its variables, and a type the
+# one that binds none; pieces compare by identity.  A form ends in an atom.
+_ATOM, _TERM, _TYPE = "atom", "term", ()
+
+
+def _form(keyword: str, cls: type, *pieces: object) -> tuple:
+    """A row: the keyword, the class, `(piece, field, hint fields, space
+    before)` for each piece but the last, and the field of the last."""
+    assert pieces[-1] is _ATOM, keyword
+    names, laid, prev = iter(cls.__match_args__), [], _ATOM
+    for piece in pieces[:-1]:
+        binds = piece if type(piece) is tuple else ()
+        hints = tuple(next(names) for _ in binds)
+        # a bracket that follows a bracket gets no space
+        sep = "" if piece is not _ATOM and prev is not _ATOM else " "
+        laid.append((piece, next(names), hints, sep))
+        prev = piece
+    return keyword, cls, tuple(laid), next(names)
+
+
+# The keyword-headed forms.  `_Parser.head` reads the annotated ones and
+# `_apply` prints them all; the erased `rnat` and `rvec` are printed only.
+_FORMS = (
+    _form("S", Succ, _ATOM),
+    _form("cons", Cons, _ATOM, _ATOM),
+    _form("join", TJoin, _ATOM, _ATOM),
+    _form("rnat", TRNat, ("a motive variable",), _ATOM, _ATOM, _ATOM),
+    _form("rvec", TRVec, ("the length motive variable",
+                          "the vector motive variable"), _ATOM, _ATOM, _ATOM),
+    _form("cast", TCast, ("a motive variable",), _ATOM, _ATOM),
+    _form("foldz", TFoldZ, _TYPE, _ATOM),
+    _form("unfoldz", TUnfoldZ, _ATOM),
+    _form("folds", TFoldS, _TERM, _TYPE, _ATOM),
+    _form("unfolds", TUnfoldS, _TERM, _ATOM),
+    _form("rnat", RNat, _ATOM, _ATOM, _ATOM),
+    _form("rvec", RVec, _ATOM, _ATOM, _ATOM),
+)
+_PARSED = {form[0]: form for form in _FORMS if form[1] in get_args(AnnTerm)}
+_PRINTED = {form[1]: form for form in _FORMS}
+
+_TYPE_KEYWORDS = frozenset({"Nat", "Vec", "Pi", "All", "ifzero"})
+_BINDERS = {"fun": TLam, "ifun": TLamImp, "qfun": TQLam}
+_KEYWORD = {cls: kw for kw, cls in _BINDERS.items()}   # for `pretty`
+
+
+# --------------------------------------------------------------------------
 # lexer
 
-KEYWORDS = frozenset({
-    "def", "mode", "assume", "Nat", "Vec", "Pi", "All", "ifzero", "fun",
-    "ifun", "qfun", "zero", "S", "nil", "cons", "rnat", "rvec", "join",
-    "cast", "foldz", "unfoldz", "folds", "unfolds", "large-elim",
-})
+KEYWORDS = frozenset(
+    {"def", "mode", "assume", "zero", "nil", "large-elim"} | _TYPE_KEYWORDS
+    | _BINDERS.keys() | {form[0] for form in _FORMS})
 
 # Each match is the run of whitespace and comments before a token, then
 # the token.  The token alternatives end in `\Z | .`, so one of them
@@ -193,9 +240,6 @@ class SourceFile:
 MAX_NUMERAL = 100_000
 
 _ATOM_STARTS = frozenset({"zero", "number", "ident", "nil", "("})
-_TYPE_KEYWORDS = frozenset({"Nat", "Vec", "Pi", "All", "ifzero"})
-_BINDERS = {"fun": TLam, "ifun": TLamImp, "qfun": TQLam}
-_KEYWORD = {cls: kw for kw, cls in _BINDERS.items()}   # for `pretty`
 
 
 class _Parser:
@@ -248,17 +292,13 @@ class _Parser:
             if val[0] == "ident" and val[1] == "base":
                 return ModeItem(Mode.BASE, self._span(start))
             self._err("mode must be 'base' or 'large-elim'", val)
-        if kind == "assume":
+        if kind == "assume" or kind == "def":
             self.pos += 1
             name = self.expect("ident", "a name")[1]
             self.expect(":")
             ty = self.type_()
-            return AssumeItem(name, ty, self._span(start))
-        if kind == "def":
-            self.pos += 1
-            name = self.expect("ident", "a name")[1]
-            self.expect(":")
-            ty = self.type_()
+            if kind == "assume":
+                return AssumeItem(name, ty, self._span(start))
             self.expect("=")
             body = self.term()
             return DefItem(name, ty, body, self._span(start))
@@ -365,72 +405,30 @@ class _Parser:
 
     def head(self) -> AnnTerm:
         kind, _, start, _ = self.toks[self.pos]
-        if kind in _ATOM_STARTS:  # the common case, tested first
+        # atoms, the common case, first; `atom` also reports a non-term
+        if kind in _ATOM_STARTS or kind not in _PARSED:
             return self.atom()
-        if kind == "S":
-            self.pos += 1
-            return Succ(self.atom(), span=self._span(start))
-        if kind == "cons" or kind == "join":
-            self.pos += 1
-            lhs = self.atom()
-            rhs = self.atom()
-            cls = Cons if kind == "cons" else TJoin
-            return cls(lhs, rhs, span=self._span(start))
-        if kind in ("rnat", "rvec", "cast"):
-            # `[x. motive]`; rvec binds `[l. v. motive]`, with the length
-            # at index 1 and the vector at index 0
-            self.pos += 1
+        _, cls, pieces, _ = _PARSED[kind]
+        self.pos += 1
+        args: list = []
+        for piece, _, _, _ in pieces:
+            if piece is _ATOM:
+                args.append(self.atom())
+                continue
             self.expect("[")
-            what = ("the length motive variable" if kind == "rvec"
-                    else "a motive variable")
-            names = [self.expect("ident", what)[1]]
-            self.expect(".")
-            if kind == "rvec":
-                names.append(
-                    self.expect("ident", "the vector motive variable")[1])
-                self.expect(".")
-            self.scope += names
-            motive = self.type_()
-            del self.scope[-len(names):]
+            if piece is _TERM:
+                args.append(self.term())
+            else:   # `x. y. type`, its variables in scope for the type
+                depth = len(self.scope)
+                for what in piece:
+                    self.scope.append(self.expect("ident", what)[1])
+                    self.expect(".")
+                args += self.scope[depth:]
+                args.append(self.type_())
+                del self.scope[depth:]
             self.expect("]")
-            first = self.atom()
-            second = self.atom()
-            if kind == "cast":
-                return TCast(*names, motive, first, second,
-                             span=self._span(start))
-            scrut = self.atom()
-            cls = TRNat if kind == "rnat" else TRVec
-            return cls(*names, motive, first, second, scrut,
-                       span=self._span(start))
-        if kind == "foldz":
-            self.pos += 1
-            self.expect("[")
-            other = self.type_()
-            self.expect("]")
-            body = self.atom()
-            return TFoldZ(other, body, span=self._span(start))
-        if kind == "unfoldz":
-            self.pos += 1
-            body = self.atom()
-            return TUnfoldZ(body, span=self._span(start))
-        if kind == "folds":
-            self.pos += 1
-            self.expect("[")
-            witness = self.term()
-            self.expect("]")
-            self.expect("[")
-            zero_ty = self.type_()
-            self.expect("]")
-            body = self.atom()
-            return TFoldS(witness, zero_ty, body, span=self._span(start))
-        if kind == "unfolds":
-            self.pos += 1
-            self.expect("[")
-            witness = self.term()
-            self.expect("]")
-            body = self.atom()
-            return TUnfoldS(witness, body, span=self._span(start))
-        return self.atom()
+        args.append(self.atom())
+        return cls(*args, span=self._span(start))
 
     def atom(self) -> AnnTerm:
         tok = self.toks[self.pos]
@@ -541,41 +539,34 @@ def _apply(t: Node, env: tuple[str, ...]) -> str:
             n, base = numeral(t)
             if isinstance(base, Zero):
                 return str(n)
-            return "S (" * (n - 1) + f"S {_atom(base, env)}" + ")" * (n - 1)
-        case Cons(h, tl):
-            return f"cons {_atom(h, env)} {_atom(tl, env)}"
-        case TJoin(l, r):
-            return f"join {_atom(l, env)} {_atom(r, env)}"
-        case TRNat(hint, motive, base, step, scrut):
-            name, menv = _bind(hint, motive, env)
-            return (f"rnat [{name}. {_ty(motive, menv)}] {_atom(base, env)} "
-                    f"{_atom(step, env)} {_atom(scrut, env)}")
-        case TRVec(lh, vh, motive, base, step, scrut):
-            lname, lenv = _bind(lh, motive, env)
-            vname, menv = _bind(vh, motive, lenv)
-            return (f"rvec [{lname}. {vname}. {_ty(motive, menv)}] "
-                    f"{_atom(base, env)} {_atom(step, env)} {_atom(scrut, env)}")
-        case TCast(hint, motive, proof, body):
-            name, menv = _bind(hint, motive, env)
-            return (f"cast [{name}. {_ty(motive, menv)}] "
-                    f"{_atom(proof, env)} {_atom(body, env)}")
-        case TFoldZ(other, body):
-            return f"foldz [{_ty(other, env)}] {_atom(body, env)}"
-        case TUnfoldZ(body):
-            return f"unfoldz {_atom(body, env)}"
-        case TFoldS(witness, zero_ty, body):
-            return (f"folds [{_term(witness, env)}][{_ty(zero_ty, env)}] "
-                    f"{_atom(body, env)}")
-        case TUnfoldS(witness, body):
-            return f"unfolds [{_term(witness, env)}] {_atom(body, env)}"
-        case RNat(base, step, scrut):
-            return (f"rnat {_atom(base, env)} {_atom(step, env)} "
-                    f"{_atom(scrut, env)}")
-        case RVec(base, step, scrut):
-            return (f"rvec {_atom(base, env)} {_atom(step, env)} "
-                    f"{_atom(scrut, env)}")
-        case _:
-            return _atom(t, env)
+    form = _PRINTED.get(t.__class__)
+    if form is None:
+        return _atom(t, env)
+    # By its row.  While the last atom has the same form, as in `cons a
+    # (cons b ...)`, the loop goes on into it: no Python frame per link.
+    keyword, cls, pieces, last = form
+    out, depth = [], 0
+    while True:
+        out.append(keyword)
+        for piece, name, hints, sep in pieces:
+            value = getattr(t, name)
+            if piece is _ATOM:
+                out.append(f"{sep}{_atom(value, env)}")
+            elif piece is _TERM:
+                out.append(f"{sep}[{_term(value, env)}]")
+            else:   # a type, its variables named against it
+                out.append(f"{sep}[")
+                menv = env
+                for hint in hints:
+                    bound, menv = _bind(getattr(t, hint), value, menv)
+                    out.append(f"{bound}. ")
+                out.append(f"{_ty(value, menv)}]")
+        t = getattr(t, last)
+        if t.__class__ is not cls:
+            out.append(f" {_atom(t, env)}")
+            return "".join(out) + ")" * depth
+        out.append(" (")
+        depth += 1
 
 
 def _atom(t: Node, env: tuple[str, ...]) -> str:

@@ -46,7 +46,7 @@ that cannot change (`frozen`).  Per field shape, `frozen` compiles once an
 and `__hash__` over the compared fields, and on nodes `children()` and
 `rebuild()`, which walkers use; `__repr__`, `__setattr__`/`__delattr__` and
 `__getstate__`/`__setstate__` are shared by all.  A method the class defines
-itself is kept (`Succ.__eq__`).  Nodes must stay frozen, as
+itself is kept (`Succ.__eq__`, `Cons.__eq__`).  Nodes must stay frozen, as
 subterms are shared: by the enumerator's cache (`oracle._exact`), by def
 bodies inlined at every use, and by the reducer's memo of normal subterms
 by `id`.
@@ -183,12 +183,19 @@ class Succ(Node):
     pred: "UnannTerm"
     SCOPES = {"pred": 0}
 
-    def __eq__(self, other):    # in a loop: towers can be deep
-        if other.__class__ is not Succ:
+    def __eq__(self, other):    # in a loop: towers and spines can be deep
+        if other.__class__ is not self.__class__:
             return NotImplemented
-        while self.__class__ is other.__class__ is Succ and self is not other:
-            self, other = self.pred, other.pred
-        return self is other or self == other
+        while self is not other and (cls := self.__class__) is other.__class__:
+            if cls is Succ:
+                self, other = self.pred, other.pred
+            elif cls is not Cons:
+                return self == other
+            elif self.head is other.head or self.head == other.head:
+                self, other = self.tail, other.tail
+            else:
+                return False
+        return self is other
 
 
 @frozen
@@ -211,6 +218,7 @@ class Cons(Node):
     head: "UnannTerm"
     tail: "UnannTerm"
     SCOPES = {"head": 0, "tail": 0}
+    __eq__ = Succ.__eq__    # one loop for towers and spines
 
 
 @frozen

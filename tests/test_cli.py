@@ -560,6 +560,47 @@ class TestDeepNumerals:
             (0, "join, Value, 0 steps\n", "")
 
 
+class TestDeepVectors:
+    """A 600-cell vector that evaluation builds prints, and an equation
+    between two such vectors checks, at the default recursion limit:
+    `pretty` and `==` cross a `cons` spine in a loop."""
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        yield
+        sys.setrecursionlimit(old)
+
+    @pytest.fixture
+    def src(self, tmp_path, vec_source):
+        lit = "nil [Nat]"
+        for i in reversed(range(150)):
+            lit = f"cons {i % 7} ({lit})"
+        path = tmp_path / "v.tvec"
+        path.write_text(vec_source + f"""
+def a : Vec Nat 150 = {lit}
+def ab : Vec Nat (plus 150 150) = append @[150] @[150] a a
+def abab : Vec Nat (plus (plus 150 150) (plus 150 150)) =
+  append @[plus 150 150] @[plus 150 150] ab ab
+def e : abab = abab = join abab abab
+""")
+        return str(path)
+
+    def test_eval_prints_the_long_vector(self, capsys, src):
+        code, out, err = run_cli(capsys, "eval", src, "abab")
+        assert (code, err) == (0, "")
+        cells = [f"cons {i % 150 % 7}" for i in range(600)]
+        assert out == (" (".join(cells) + " nil" + ")" * 599
+                       + ", Value, 2409 steps\n")
+
+    def test_check_compares_the_long_vectors(self, capsys, src):
+        code, out, err = run_cli(capsys, "check", src)
+        assert (code, err) == (0, "")
+        assert out.endswith("\nabab : Vec Nat (plus (plus 150 150) "
+                            "(plus 150 150))\ne : abab = abab\n")
+
+
 # --------------------------------------------------------------------------
 # one argument parser per process
 

@@ -24,8 +24,8 @@ from tvec.frontend import (
 )
 from tvec.oracle import enumerate_terms
 from tvec.syntax import (
-    AllTy, App, BVar, Context, EqTy, FVar, IfZeroTy, Lam, NatTy, PiTy, Succ,
-    TAppImp, TCast, Cons, TJoin, TLam, TLamImp, TNil, TQApp, TQLam,
+    AllTy, App, BVar, Context, EqTy, FVar, IfZeroTy, Lam, NatTy, PiTy, RNat,
+    RVec, Succ, TAppImp, TCast, Cons, TJoin, TLam, TLamImp, TNil, TQApp, TQLam,
     Span, TRNat, TRVec, TUnfoldZ, VecTy, Zero, alpha_eq,
 )
 from tvec.typecheck import Checker, Inferred, Mode
@@ -168,6 +168,50 @@ class TestLexer:
             parse(text)
         except ParseError:
             pass
+
+
+class TestFormTable:
+    """The rows of keyword forms that the parser and the printer read."""
+
+    FORMS = tvec.frontend._FORMS
+
+    @pytest.mark.parametrize("form", FORMS,
+                             ids=[cls.__name__ for _, cls, _, _ in FORMS])
+    def test_pieces_cover_the_fields_in_order(self, form):
+        _, cls, pieces, last = form
+        covered, held = [], []    # field names, and what each field holds
+        for piece, name, hints, _ in pieces:
+            # a bracketed type covers one hint per variable, then the type
+            bracketed_type = type(piece) is tuple
+            assert len(hints) == (len(piece) if bracketed_type else 0)
+            assert piece in ("atom", "term") or bracketed_type
+            covered += [*hints, name]
+            held += ["str"] * len(hints) + [
+                "Ty" if bracketed_type else "Term"]
+        covered.append(last)
+        held.append("Term")
+        declared = [f for f in fields(cls) if not f.kw_only]
+        assert covered == [f.name for f in declared]
+        for what, f in zip(held, declared):
+            assert f.type.strip("'").endswith(what), f.name
+
+    def test_each_class_has_one_row(self):
+        classes = [cls for _, cls, _, _ in self.FORMS]
+        assert len(set(classes)) == len(classes) == 12
+        parsed = tvec.frontend._PARSED
+        assert sorted(parsed) == sorted([
+            "S", "cons", "join", "rnat", "rvec", "cast", "foldz", "unfoldz",
+            "folds", "unfolds"])
+        assert all(parsed[form[0]] is form for form in self.FORMS
+                   if form[1] not in (RNat, RVec))
+
+    def test_keywords_are_the_same_words(self):
+        assert KEYWORDS == {
+            "def", "mode", "assume", "Nat", "Vec", "Pi", "All", "ifzero",
+            "fun", "ifun", "qfun", "zero", "S", "nil", "cons", "rnat",
+            "rvec", "join", "cast", "foldz", "unfoldz", "folds", "unfolds",
+            "large-elim"}
+        assert KEYWORDS - {"large-elim"} == reference_lexer.KEYWORDS
 
 
 class TestParseTerm:

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from tvec.erase import erase, subst_annotated
-from tvec.frontend import parse_term
+from tvec.frontend import parse_term, pretty
 from tvec.syntax import (
     BVar, Cons, Context, FVar, NatTy, Nil, Succ, TNil, VecTy, Zero,
     free_vars, instantiate, map_spine, numeral, subst,
@@ -62,7 +62,8 @@ def levels(t):
 
 class TestFrameGuard:
     """Every walker returns on a 5,000-deep numeral and on a 500-cell
-    vector of numerals, with stack for a few dozen frames."""
+    vector of numerals, and `==` and `pretty` on vectors of up to 1,000
+    cells, with stack for a few dozen frames."""
 
     @staticmethod
     def guarded(fn, *args):
@@ -111,9 +112,31 @@ class TestFrameGuard:
         assert hash(tower(3, Zero())) == hash(tower(3, Zero()))
         assert len({tower(3, Zero()), tower(3, Zero()), tower(2, Zero())}) == 2
 
+    def test_equal_vectors_compare_in_a_loop(self):
+        a, b = vector(1000, Zero()), vector(1000, Zero())
+        assert a is not b and a.tail is not b.tail
+        assert self.guarded(lambda: a == b)
+        assert not self.guarded(lambda: a != b)
+        assert not self.guarded(lambda: a == vector(999, Zero()))
+        assert not self.guarded(lambda: a == vector(1000, FVar("x")))
+        assert not self.guarded(lambda: a == vector(1000, Zero(), Nil()))
+        assert Cons(Zero(), Nil()) != Cons(Succ(Zero()), Nil())
+        assert Cons(Zero(), Nil()) != Succ(Zero())
+        assert hash(vector(3, Zero())) == hash(vector(3, Zero()))
+
+    def test_long_vectors_print_in_a_loop(self):
+        t = vector(500, Zero())
+        text = self.guarded(pretty, t)
+        cells = " (".join(f"cons {i % 5}" for i in range(500))
+        assert text == cells + " nil[Nat]" + ")" * 499
+        assert self.guarded(pretty, erase(t)).endswith(" nil" + ")" * 499)
+        u, w = vector(1000, Zero()), vector(1000, Zero())
+        assert self.guarded(pretty, u) == self.guarded(pretty, w)
+
     def test_the_class_keeps_its_own_equality(self):
+        assert Succ.__eq__ is Cons.__eq__
         assert Succ.__eq__.__code__.co_filename.endswith("syntax.py")
-        assert Cons.__eq__.__code__.co_filename == "<node>"
+        assert FVar.__eq__.__code__.co_filename == "<node>"
 
 
 # The values below are what checking gave when each level cost a frame.
