@@ -96,8 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     st = sub.add_parser(
         "selftest", help="run the enumeration-backed property suite")
-    st.add_argument("--size", type=int, default=6, metavar="N",
-                    help=f"term size bound, at most {ENUM_CAP} (default 6)")
+    st.add_argument("--size", type=int, default=7, metavar="N",
+                    help=f"term size bound, at most {ENUM_CAP} (default 7)")
     _add_common(st)
     return ap
 

@@ -1,15 +1,16 @@
 """Erasure from annotated to unannotated terms.
 
 Erasure strips annotations, motives, witnesses, and every implicit or
-fold/unfold wrapper.  It is total and purely syntactic: it never consults
-types and is defined on ill-typed terms too.  Implicit and quasi-implicit
-abstractions erase to their bare bodies; for well-typed terms the bound
-variable cannot occur in the erased body, and for arbitrary terms any
-leftover occurrence is released as a fresh free name so the result stays
-locally closed.  A released name is the hint followed by `#` (`b#`, then
-`b#'`, ...; `x#` for an empty hint).  No identifier contains `#`, so no
-def, assumption or binder can capture a released name, and the checker
-rejects any type, annotation or context that still mentions one.
+fold/unfold wrapper, one table entry (`_ERASE`) per annotated-term class.
+It is total and purely syntactic: it never consults types and is defined
+on ill-typed terms too.  Implicit and quasi-implicit abstractions erase to
+their bare bodies; for well-typed terms the bound variable cannot occur in
+the erased body, and for arbitrary terms any leftover occurrence is
+released as a fresh free name so the result stays locally closed.  A
+released name is the hint followed by `#` (`b#`, then `b#'`, ...; `x#` for
+an empty hint).  No identifier contains `#`, so no def, assumption or
+binder can capture a released name, and the checker rejects any type,
+annotation or context that still mentions one.
 
 Variables, application, zero, successor and `cons` carry no annotation,
 so erasure returns an annotation-free subterm (a numeral, a vector
@@ -33,39 +34,41 @@ _ERASED = (frozenset(get_args(Ty) + get_args(UnannTerm))
 
 
 def erase(t: AnnTerm) -> UnannTerm:
-    match t:
-        case FVar() | BVar() | Zero():
-            return t
-        case App(fn, arg):
-            f, a = erase(fn), erase(arg)
-            return t if f is fn and a is arg else App(f, a, span=t.span)
-        case Succ() | Cons():
-            return map_spine(t, _erase, None, None, None)
-        case TLam(hint, _, body):
-            return Lam(hint, erase(body), span=t.span)
-        case TRNat(_, _, base, step, scrut):
-            return RNat(erase(base), erase(step), erase(scrut), span=t.span)
-        case TNil(_):
-            return Nil(span=t.span)
-        case TRVec(_, _, _, base, step, scrut):
-            return RVec(erase(base), erase(step), erase(scrut), span=t.span)
-        case TJoin(_, _):
-            return Join(span=t.span)
-        case TQApp(fn, _):
-            return QApp(erase(fn), span=t.span)
-        case TAppImp(fn, _):
-            return erase(fn)
-        case TCast() | TFoldZ() | TUnfoldZ() | TFoldS() | TUnfoldS():
-            return erase(t.body)
-        case TLamImp(hint, _, body):
-            return _release(erase(body), hint)
-        case TQLam(hint, _, body):
-            return QLam(_release(erase(body), hint), span=t.span)
-    raise TypeError(f"not an annotated term: {t!r}")
+    clause = _ERASE.get(t.__class__)
+    if clause is None:
+        raise TypeError(f"not an annotated term: {t!r}")
+    return clause(t)
 
 
 def _erase(t: AnnTerm, _a, _b, _c) -> UnannTerm:   # as `map_spine` calls it
     return erase(t)
+
+
+def _app(t: App) -> UnannTerm:
+    f, a = erase(t.fn), erase(t.arg)
+    return t if f is t.fn and a is t.arg else App(f, a, span=t.span)
+
+
+# One clause per annotated-term class.
+_ERASE = {
+    **dict.fromkeys((FVar, BVar, Zero), lambda t: t),
+    **dict.fromkeys((Succ, Cons),
+                    lambda t: map_spine(t, _erase, None, None, None)),
+    **dict.fromkeys((TCast, TFoldZ, TUnfoldZ, TFoldS, TUnfoldS),
+                    lambda t: erase(t.body)),
+    App: _app,
+    TLam: lambda t: Lam(t.hint, erase(t.body), span=t.span),
+    TRNat: lambda t: RNat(erase(t.base), erase(t.step), erase(t.scrut),
+                          span=t.span),
+    TNil: lambda t: Nil(span=t.span),
+    TRVec: lambda t: RVec(erase(t.base), erase(t.step), erase(t.scrut),
+                          span=t.span),
+    TJoin: lambda t: Join(span=t.span),
+    TQApp: lambda t: QApp(erase(t.fn), span=t.span),
+    TAppImp: lambda t: erase(t.fn),
+    TLamImp: lambda t: _release(erase(t.body), t.hint),
+    TQLam: lambda t: QLam(_release(erase(t.body), t.hint), span=t.span),
+}
 
 
 def _release(body: UnannTerm, hint: str) -> UnannTerm:

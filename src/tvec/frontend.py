@@ -55,12 +55,13 @@ context binding for everything after it.  A resolved item mentions only
 assumed names, its own binders and released `#` names, which no def or
 assumption can take and which the checker rejects.
 
-The pretty-printer inverts the grammar with minimal parentheses and is
-the source of the textual forms used in diagnostics and reports.  It lays
+The pretty-printer inverts the grammar with minimal parentheses and is the
+source of the textual forms used in diagnostics and reports.  Binders,
+applications, atoms and types each print by a table of classes.  It lays
 out a keyword form by the row the parser reads, and a chain of one form
-through its last atom (a vector literal) in a loop.  Erased terms print
-in a display-only dialect (`fun x => t`, bare `nil`, `rnat b s n`, `qfun
-=> t`, `t @-[]`) that the parser does not accept.
+through its last atom (a vector literal) in a loop.  Erased terms print in
+a display-only dialect (`fun x => t`, bare `nil`, `rnat b s n`,
+`qfun => t`, `t @-[]`) that the parser does not accept.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ _PRINTED = {form[1]: form for form in _FORMS}
 
 _TYPE_KEYWORDS = frozenset({"Nat", "Vec", "Pi", "All", "ifzero"})
 _BINDERS = {"fun": TLam, "ifun": TLamImp, "qfun": TQLam}
-_KEYWORD = {cls: kw for kw, cls in _BINDERS.items()}   # for `pretty`
+_KEYWORD = {Lam: "fun", **{cls: kw for kw, cls in _BINDERS.items()}}
 
 
 # --------------------------------------------------------------------------
@@ -497,9 +498,7 @@ def parse_type(text: str) -> Ty:
 
 def pretty(node: Node) -> str:
     """Canonical text for a term or type, with minimal parentheses."""
-    if isinstance(node, Ty):
-        return _ty(node, ())
-    return _term(node, ())
+    return (_ty if node.__class__ in _TY else _term)(node, ())
 
 
 def _bind(hint: str, body: Node, env: tuple[str, ...]) -> tuple[str, tuple[str, ...]]:
@@ -510,41 +509,45 @@ def _bind(hint: str, body: Node, env: tuple[str, ...]) -> tuple[str, tuple[str, 
     return name, (name,) + env
 
 
+# A class that a level's table lacks falls through to the level below;
+# at the atoms, the rest take parentheses.
+
 def _term(t: Node, env: tuple[str, ...]) -> str:
-    match t:
-        case TLam(hint, dom, body) | TLamImp(hint, dom, body) | TQLam(hint, dom, body):
-            name, inner = _bind(hint, body, env)
-            return f"{_KEYWORD[type(t)]} {name} : {_ty(dom, env)} => {_term(body, inner)}"
-        case Lam(hint, body):
-            name, inner = _bind(hint, body, env)
-            return f"fun {name} => {_term(body, inner)}"
-        case QLam(body):
-            return f"qfun => {_term(body, env)}"
-        case _:
-            return _apply(t, env)
+    return _BINDER.get(t.__class__, _apply)(t, env)
 
 
 def _apply(t: Node, env: tuple[str, ...]) -> str:
-    match t:
-        case App(fn, arg):
-            return f"{_apply(fn, env)} {_atom(arg, env)}"
-        case TAppImp(fn, arg):
-            return f"{_apply(fn, env)} @[{_term(arg, env)}]"
-        case TQApp(fn, arg):
-            return f"{_apply(fn, env)} @-[{_term(arg, env)}]"
-        case QApp(fn):
-            return f"{_apply(fn, env)} @-[]"
-        case Succ() | Zero():
-            # decided once per tower: once per level is quadratic
-            n, base = numeral(t)
-            if isinstance(base, Zero):
-                return str(n)
-    form = _PRINTED.get(t.__class__)
-    if form is None:
-        return _atom(t, env)
+    return _APPLY.get(t.__class__, _atom)(t, env)
+
+
+def _atom(t: Node, env: tuple[str, ...]) -> str:
+    printer = _ATOM_OF.get(t.__class__)
+    return printer(t, env) if printer else f"({_term(t, env)})"
+
+
+def _ty(ty: Node, env: tuple[str, ...]) -> str:
+    printer = _TY.get(ty.__class__)
+    if printer is None:
+        raise TypeError(f"not a type: {ty!r}")
+    return printer(ty, env)
+
+
+def _binder(t: TLam | TLamImp | TQLam | Lam, env: tuple[str, ...]) -> str:
+    name, inner = _bind(t.hint, t.body, env)
+    dom = "" if t.__class__ is Lam else f" : {_ty(t.dom, env)}"
+    return f"{_KEYWORD[t.__class__]} {name}{dom} => {_term(t.body, inner)}"
+
+
+def _numeral(t: Succ | Zero, env: tuple[str, ...], laid: str = "{}") -> str:
+    # decided once per tower: once per level is quadratic
+    n, base = numeral(t)
+    return str(n) if base.__class__ is Zero else laid.format(_laid(t, env))
+
+
+def _laid(t: Node, env: tuple[str, ...]) -> str:
     # By its row.  While the last atom has the same form, as in `cons a
     # (cons b ...)`, the loop goes on into it: no Python frame per link.
-    keyword, cls, pieces, last = form
+    keyword, cls, pieces, last = _PRINTED[t.__class__]
     out, depth = [], 0
     while True:
         out.append(keyword)
@@ -569,47 +572,40 @@ def _apply(t: Node, env: tuple[str, ...]) -> str:
         depth += 1
 
 
-def _atom(t: Node, env: tuple[str, ...]) -> str:
-    match t:
-        case Succ() | Zero():
-            text = _apply(t, env)
-            return text if text.isdecimal() else f"({text})"
-        case FVar(name):
-            return name
-        case BVar(index):
-            return env[index] if index < len(env) else f"?{index}"
-        case TNil(elem):
-            return f"nil[{_ty(elem, env)}]"
-        case Nil():
-            return "nil"
-        case Join():
-            return "join"
-        case _:
-            return f"({_term(t, env)})"
+def _product(ty: PiTy | AllTy, env: tuple[str, ...]) -> str:
+    name, inner = _bind(ty.hint, ty.cod, env)
+    kw = "Pi" if ty.__class__ is PiTy else "All"
+    return f"{kw} {name} : {_ty(ty.dom, env)}. {_ty(ty.cod, inner)}"
 
 
-def _ty(ty: Node, env: tuple[str, ...]) -> str:
-    match ty:
-        case NatTy():
-            return "Nat"
-        case VecTy(elem, length):
-            return f"Vec {_tyatom(elem, env)} {_atom(length, env)}"
-        case PiTy(hint, dom, cod) | AllTy(hint, dom, cod):
-            kw = "Pi" if isinstance(ty, PiTy) else "All"
-            name, inner = _bind(hint, cod, env)
-            return f"{kw} {name} : {_ty(dom, env)}. {_ty(cod, inner)}"
-        case EqTy(lhs, rhs):
-            return f"{_apply(lhs, env)} = {_apply(rhs, env)}"
-        case IfZeroTy(scrut, on_zero, on_succ):
-            return (f"ifzero {_atom(scrut, env)} {_tyatom(on_zero, env)} "
-                    f"{_tyatom(on_succ, env)}")
-    raise TypeError(f"not a type: {ty!r}")
+_BINDER = {TLam: _binder, TLamImp: _binder, TQLam: _binder, Lam: _binder,
+           QLam: lambda t, env: f"qfun => {_term(t.body, env)}"}
+_APPLY = {
+    **dict.fromkeys(_PRINTED, _laid), Succ: _numeral, Zero: _numeral,
+    App: lambda t, env: f"{_apply(t.fn, env)} {_atom(t.arg, env)}",
+    TAppImp: lambda t, env: f"{_apply(t.fn, env)} @[{_term(t.arg, env)}]",
+    TQApp: lambda t, env: f"{_apply(t.fn, env)} @-[{_term(t.witness, env)}]",
+    QApp: lambda t, env: f"{_apply(t.fn, env)} @-[]",
+}
+_ATOM_OF = {
+    Succ: lambda t, env: _numeral(t, env, "({})"),
+    Zero: _numeral, FVar: lambda t, env: t.name,
+    BVar: lambda t, env: env[t.index] if t.index < len(env) else f"?{t.index}",
+    TNil: lambda t, env: f"nil[{_ty(t.elem, env)}]",
+    Nil: lambda t, env: "nil", Join: lambda t, env: "join",
+}
+_TY = {
+    NatTy: lambda ty, env: "Nat", PiTy: _product, AllTy: _product,
+    VecTy: lambda ty, env: f"Vec {_tyatom(ty.elem, env)} {_atom(ty.length, env)}",
+    EqTy: lambda ty, env: f"{_apply(ty.lhs, env)} = {_apply(ty.rhs, env)}",
+    IfZeroTy: lambda ty, env: (f"ifzero {_atom(ty.scrut, env)} "
+                               f"{_tyatom(ty.on_zero, env)} "
+                               f"{_tyatom(ty.on_succ, env)}"),
+}
 
 
 def _tyatom(ty: Node, env: tuple[str, ...]) -> str:
-    if isinstance(ty, NatTy):
-        return "Nat"
-    return f"({_ty(ty, env)})"
+    return "Nat" if ty.__class__ is NatTy else f"({_ty(ty, env)})"
 
 
 # --------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import time
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import frontend
 from .corpus import base_corpus, ext_assumptions, ext_corpus
@@ -340,23 +340,16 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def run_property_suite(
-    size: int = 6,
-    mode: Mode = Mode.BASE,
-    fuel: int = DEFAULT_FUEL,
-    checker_factory: Callable[..., Checker] = Checker,
-) -> SuiteReport:
+def run_property_suite(size: int = 6, mode: Mode = Mode.BASE,
+                       fuel: int = DEFAULT_FUEL) -> SuiteReport:
     """Enumerate, check, and test; see the module docstring for the laws.
 
-    `checker_factory` exists so a deliberately broken checker can be
-    injected to confirm the suite notices: it is called once per run with
-    the keyword arguments `fuel` and `mode`.  Properties P1 to P3 run on
-    every closed well-typed term (enumerated or from the corpus); P4 and P5
-    are syntactic laws and run on the whole enumeration over a two-variable
-    context, well typed or not.
+    Properties P1 to P3 run on every closed well-typed term (enumerated or
+    from the corpus); P4 and P5 are syntactic laws and run on the whole
+    enumeration over a two-variable context, well typed or not.
     """
     start = time.perf_counter()
-    checker = checker_factory(fuel=fuel, mode=mode)
+    checker = Checker(fuel=fuel, mode=mode)
 
     closed: list[tuple[str, AnnTerm, Ty]] = []
     empty = Context()

@@ -46,10 +46,10 @@ that cannot change (`frozen`).  Per field shape, `frozen` compiles once an
 and `__hash__` over the compared fields, and on nodes `children()` and
 `rebuild()`, which walkers use; `__repr__`, `__setattr__`/`__delattr__` and
 `__getstate__`/`__setstate__` are shared by all.  A method the class defines
-itself is kept (`Succ.__eq__`, `Cons.__eq__`).  Nodes must stay frozen, as
-subterms are shared: by the enumerator's cache (`oracle._exact`), by def
-bodies inlined at every use, and by the reducer's memo of normal subterms
-by `id`.
+itself is kept (the `__eq__` and `__hash__` that `Succ` and `Cons` share).
+Nodes must stay frozen, as subterms are shared: by the enumerator's cache
+(`oracle._exact`), by def bodies inlined at every use, and by the
+reducer's memo of normal subterms by `id`.
 """
 
 from __future__ import annotations
@@ -197,6 +197,13 @@ class Succ(Node):
                 return False
         return self is other
 
+    def __hash__(self):         # in a loop too; equal nodes hash alike
+        h = 0
+        while (cls := self.__class__) is Succ or cls is Cons:
+            h = hash((h,)) if cls is Succ else hash((h, self.head))
+            self = self.pred if cls is Succ else self.tail
+        return hash((h, self))
+
 
 @frozen
 class RNat(Node):
@@ -218,7 +225,7 @@ class Cons(Node):
     head: "UnannTerm"
     tail: "UnannTerm"
     SCOPES = {"head": 0, "tail": 0}
-    __eq__ = Succ.__eq__    # one loop for towers and spines
+    __eq__, __hash__ = Succ.__eq__, Succ.__hash__   # one loop for both
 
 
 @frozen

@@ -15,9 +15,10 @@ adds fold/unfold forms that move between a branch type and the matching
 `ifzero` type.  Unfolding matches the scrutinee purely syntactically:
 `unfoldz` wants literally `ifzero 0 _ _`, `unfolds [w]` wants a scrutinee
 alpha-equal to `S |w|`; any reduction of the scrutinee must go through an
-explicit cast first.  A construct whose rule is not in the mode is a
-`mode-violation`.  Rule attempts are tallied in `rule_hits` so the
-self-test suite can assert coverage.
+explicit cast first.  The rules are one table, `_RULES`, keyed by node
+class: `_infer` finds the row of a node, fails with a `mode-violation`
+if the mode lacks its rule, else tallies the attempt in `rule_hits` (the
+self-test asserts coverage from it) and calls the row's handler.
 
 Checking makes no names.  Terms and types stay in de Bruijn form: the
 pass keeps the enclosing binders as a stack of `(hint, dom)` pairs, and
@@ -218,9 +219,6 @@ class Checker:
 
     # -- failure helpers -----------------------------------------------
 
-    def _hit(self, rule: str) -> None:
-        self.rule_hits[rule] += 1
-
     def _fail(self, rule: str, node, message: str, *, code: str,
               expected: Ty | None = None, actual: Node | None = None,
               children: tuple[Diagnostic, ...] = ()) -> None:
@@ -259,235 +257,241 @@ class Checker:
             self._fail(rule, node, f"{what} has the wrong type",
                        code="type-mismatch", expected=expected, actual=actual)
 
-    def _gate(self, rule: str, node, construct: str) -> None:
-        """Fail with a mode violation unless the mode has `rule`; then count
-        the attempt, so a violation leaves `rule_hits` untouched."""
-        if rule not in self.rules:
-            self._fail(rule, node,
-                       f"{construct} is not part of {self.mode.value} mode",
-                       code="mode-violation")
-        self._hit(rule)
-
     # -- the rules -----------------------------------------------------
 
     def _infer(self, t: AnnTerm) -> Ty:
-        match t:
-            # ---------------------------------------- x : ctx(x)
-            case FVar(name):
-                self._hit("var")
-                ty = self._ctx.lookup(name)
-                if ty is None:
-                    self._fail("var", t, f"unbound variable {name}",
-                               code="unbound-variable")
-                return ty
-            case BVar(index):
-                self._hit("var")
-                level = len(self._env) - 1 - index
-                if level < 0:
-                    self._fail("var", t, "dangling bound variable "
-                               "(term is not locally closed)",
-                               code="unbound-variable")
-                if index < self._kept:
-                    self._live.add(level)
-                return instantiate(self._env[level][1], (), index + 1)
-            # ---------------------------------------- 0 : Nat
-            case Zero():
-                self._hit("zero")
-                return NatTy()
-            # t : Nat
-            # ---------------------------------------- S t : Nat
-            case Succ():        # a tower at once: one rule use per level
-                n, base = numeral(t)
-                self.rule_hits["succ"] += n
-                pty = self._infer(base)
-                self._expect_alpha("succ", base, pty, NatTy(),
-                                   "successor argument")
-                return NatTy()
-            # ---------------------------------------- nil A : Vec A 0
-            case TNil(elem):
-                self._hit("nil")
-                self._scope_check("nil", t, elem)
-                return VecTy(elem, Zero())
-            # h : A   tl : Vec A n
-            # ---------------------------------------- cons h tl : Vec A (S n)
-            case Cons():        # a spine at once, innermost cell first
-                cells = []
-                while type(t) is Cons:
-                    self._hit("cons")
-                    cells.append(t)
-                    t = t.tail
-                ty = self._infer(t)
-                for cell in reversed(cells):
-                    if not isinstance(ty, VecTy):
-                        self._fail("cons", cell.tail, "cons tail is not "
-                                   "a vector", code="shape-mismatch", actual=ty)
-                    head_ty = self._infer(cell.head)
-                    self._expect_alpha("cons", cell.head, head_ty, ty.elem,
-                                       "cons head")
-                    ty = VecTy(ty.elem, Succ(ty.length))
-                return ty
-            # ctx, x:A |- t : B
-            # ---------------------------------------- fun x:A => t : Pi x:A. B
-            case TLam():
-                self._hit("abs")
-                return self._binder("abs", t, PiTy)
-            # ctx, x:A |- t : B    x not free in |t|
-            # -------------------------------------- ifun x:A => t : All x:A. B
-            case TLamImp():
-                self._gate("spec-abs", t, "implicit abstraction")
-                return self._binder("spec-abs", t, AllTy)
-            # f : Pi x:A. B   a : A
-            # ---------------------------------------- f a : B[x := |a|]
-            case App(fn, arg):
-                self._hit("app")
-                fn_ty = self._infer(fn)
-                if not isinstance(fn_ty, PiTy):
-                    self._fail("app", fn, "application head is not a function",
-                               code="shape-mismatch", actual=fn_ty)
-                arg_ty = self._infer(arg)
-                self._expect_alpha("app", arg, arg_ty, fn_ty.dom,
-                                   "function argument")
-                return instantiate(fn_ty.cod, (erase(arg),))
-            # f : All x:A. B   a : A
-            # ---------------------------------------- f @[a] : B[x := |a|]
-            case TAppImp(fn, arg):
-                self._gate("spec-app", t, "implicit application")
-                return self._implicit_app(
-                    "spec-app", fn, arg,
-                    "implicit application head is not an implicit product",
-                    "implicit argument")
-            # t : A   t' : B   |t| and |t'| joinable
-            # ---------------------------------------- join t t' : |t| = |t'|
-            case TJoin(lhs, rhs):
-                self._hit("join")
-                self._infer_erased(lhs)
-                self._infer_erased(rhs)
-                return self._join_type(t, erase(lhs), erase(rhs))
-            # p : a = b   t : M[x := a]
-            # ---------------------------------------- cast x.M p t : M[x := b]
-            case TCast(_, motive, proof, body):
-                self._hit("cast")
-                self._scope_check("cast", t, motive, 1)
-                proof_ty = self._infer_erased(proof)
-                if not isinstance(proof_ty, EqTy):
-                    self._fail("cast", proof, "cast proof is not an equation",
-                               code="shape-mismatch", actual=proof_ty)
-                body_ty = self._infer(body)
-                self._expect_alpha("cast", body, body_ty,
-                                   instantiate(motive, (proof_ty.lhs,)),
-                                   "cast subject")
-                return instantiate(motive, (proof_ty.rhs,))
-            # n : Nat   b : M[0]   s : Pi y:Nat. Pi u:M[y]. M[S y]
-            # ---------------------------------------- rnat x.M b s n : M[|n|]
-            case TRNat(_, motive, base, step, scrut):
-                self._hit("rnat")
-                self._scope_check("rnat", t, motive, 1)
-                scrut_ty = self._infer(scrut)
-                self._expect_alpha("rnat", scrut, scrut_ty, NatTy(),
-                                   "recursor scrutinee")
-                base_ty = self._infer(base)
-                self._expect_alpha("rnat", base, base_ty,
-                                   instantiate(motive, (Zero(),)),
-                                   "recursor base")
-                step_ty = self._infer(step)
-                # Under y and u, M[y] is M itself and y is index 1.
-                self._expect_alpha("rnat", step, step_ty, PiTy(
-                    "y", NatTy(), PiTy("u", motive, instantiate(
-                        motive, (Succ(BVar(1)),), 2))), "recursor step")
-                return instantiate(motive, (erase(scrut),))
-            # v : Vec A n   b : M[0, nil]
-            # s : All l:Nat. Pi z:A. Pi v:Vec A l. Pi u:M[l, v]. M[S l, cons z v]
-            # ---------------------------------------- rvec x.y.M b s v : M[n, |v|]
-            case TRVec(_, _, motive, base, step, scrut):
-                self._hit("rvec")
-                self._scope_check("rvec", t, motive, 2)
-                scrut_ty = self._infer(scrut)
-                if not isinstance(scrut_ty, VecTy):
-                    self._fail("rvec", scrut,
-                               "vector recursor scrutinee is not a vector",
-                               code="shape-mismatch", actual=scrut_ty)
-                base_ty = self._infer(base)
-                self._expect_alpha("rvec", base, base_ty,
-                                   instantiate(motive, (Nil(), Zero())),
-                                   "recursor base")
-                step_ty = self._infer(step)
-                # Under l, z, v and u; the motive takes (vector, length).
-                a1, a2 = (instantiate(scrut_ty.elem, (), k) for k in (1, 2))
-                self._expect_alpha("rvec", step, step_ty, AllTy(
-                    "l", NatTy(), PiTy("z", a1, PiTy(
-                        "v", VecTy(a2, BVar(1)), PiTy(
-                            "u", instantiate(motive, (BVar(0), BVar(2)), 3),
-                            instantiate(motive, (Cons(BVar(2), BVar(1)),
-                                                 Succ(BVar(3))), 4))))),
-                    "recursor step")
-                return instantiate(motive, (erase(scrut), scrut_ty.length))
-            # quasi-implicit and fold/unfold forms: large-elim mode only
-            # ctx, x:A |- t : B    x not free in |t|
-            # -------------------------------------- qfun x:A => t : All x:A. B
-            case TQLam():
-                self._gate("quasi-abs", t, "quasi-implicit abstraction")
-                return self._binder("quasi-abs", t, AllTy)
-            # f : All x:A. B   w : A
-            # ---------------------------------------- f @-[w] : B[x := |w|]
-            case TQApp(fn, witness):
-                self._gate("quasi-app", t, "quasi-implicit application")
-                return self._implicit_app(
-                    "quasi-app", fn, witness,
-                    "quasi-implicit application head is not a "
-                    "quasi-implicit product",
-                    "quasi-implicit witness")
-            # t : A
-            # -------------------------------------- foldz [B] t : ifzero 0 A B
-            case TFoldZ(other, body):
-                self._gate("fold-zero", t, "ifzero introduction")
-                self._scope_check("fold-zero", t, other)
-                return IfZeroTy(Zero(), self._infer(body), other)
-            # t : ifzero 0 A B
-            # ---------------------------------------- unfoldz t : A
-            case TUnfoldZ(body):
-                self._gate("unfold-zero", t, "ifzero elimination")
-                body_ty = self._infer(body)
-                if not isinstance(body_ty, IfZeroTy):
-                    self._fail("unfold-zero", body,
-                               "unfoldz subject is not an ifzero type",
-                               code="shape-mismatch", actual=body_ty)
-                if not alpha_eq(body_ty.scrut, Zero()):
-                    self._fail("unfold-zero", body,
-                               "unfoldz needs the scrutinee to be literally 0",
-                               code="scrutinee-mismatch", actual=body_ty)
-                return body_ty.on_zero
-            # w : Nat   t : B
-            # ----------------------------- folds [w][A] t : ifzero (S |w|) A B
-            case TFoldS(witness, zero_ty, body):
-                self._gate("fold-succ", t, "ifzero introduction")
-                self._scope_check("fold-succ", t, zero_ty)
-                wit_ty = self._infer_erased(witness)
-                self._expect_alpha("fold-succ", witness, wit_ty, NatTy(),
-                                   "folds witness")
-                body_ty = self._infer(body)
-                return IfZeroTy(Succ(erase(witness)), zero_ty, body_ty)
-            # w : Nat   t : ifzero (S |w|) A B
-            # ---------------------------------------- unfolds [w] t : B
-            case TUnfoldS(witness, body):
-                self._gate("unfold-succ", t, "ifzero elimination")
-                wit_ty = self._infer_erased(witness)
-                self._expect_alpha("unfold-succ", witness, wit_ty, NatTy(),
-                                   "unfolds witness")
-                body_ty = self._infer(body)
-                if not isinstance(body_ty, IfZeroTy):
-                    self._fail("unfold-succ", body,
-                               "unfolds subject is not an ifzero type",
-                               code="shape-mismatch", actual=body_ty)
-                scrut = Succ(erase(witness))
-                if not alpha_eq(body_ty.scrut, scrut):
-                    self._fail("unfold-succ", body,
-                               "unfolds needs the scrutinee to be literally "
-                               "S of the erased witness; no normalization "
-                               "is applied",
-                               code="scrutinee-mismatch",
-                               expected=scrut, actual=body_ty.scrut)
-                return body_ty.on_succ
-        raise TypeError(f"not an annotated term: {t!r}")
+        try:
+            rule, construct, handler = _RULES[t.__class__]
+        except KeyError:
+            raise TypeError(f"not an annotated term: {t!r}") from None
+        if rule not in self.rules:
+            self._fail(rule, t, f"{construct} is not part of "
+                       f"{self.mode.value} mode", code="mode-violation")
+        self.rule_hits[rule] += 1   # after the gate: a violation is no hit
+        return handler(self, t)
+
+    # ---------------------------------------- x : ctx(x)
+    def _free_var(self, t: FVar) -> Ty:
+        ty = self._ctx.lookup(t.name)
+        if ty is None:
+            self._fail("var", t, f"unbound variable {t.name}",
+                       code="unbound-variable")
+        return ty
+
+    def _bound_var(self, t: BVar) -> Ty:
+        level = len(self._env) - 1 - t.index
+        if level < 0:
+            self._fail("var", t, "dangling bound variable "
+                       "(term is not locally closed)", code="unbound-variable")
+        if t.index < self._kept:
+            self._live.add(level)
+        return instantiate(self._env[level][1], (), t.index + 1)
+
+    # ---------------------------------------- 0 : Nat
+    def _zero(self, t: Zero) -> Ty:
+        return NatTy()
+
+    # t : Nat
+    # ---------------------------------------- S t : Nat
+    def _succ(self, t: Succ) -> Ty:     # a tower at once: a hit per level
+        n, base = numeral(t)
+        self.rule_hits["succ"] += n - 1
+        pty = self._infer(base)
+        self._expect_alpha("succ", base, pty, NatTy(), "successor argument")
+        return NatTy()
+
+    # ---------------------------------------- nil A : Vec A 0
+    def _nil(self, t: TNil) -> Ty:
+        self._scope_check("nil", t, t.elem)
+        return VecTy(t.elem, Zero())
+
+    # h : A   tl : Vec A n
+    # ---------------------------------------- cons h tl : Vec A (S n)
+    def _cons(self, t: Cons) -> Ty:     # a spine at once, innermost first
+        cells = [t]
+        while type(t := t.tail) is Cons:
+            self.rule_hits["cons"] += 1
+            cells.append(t)
+        ty = self._infer(t)
+        for cell in reversed(cells):
+            if not isinstance(ty, VecTy):
+                self._fail("cons", cell.tail, "cons tail is not a vector",
+                           code="shape-mismatch", actual=ty)
+            head_ty = self._infer(cell.head)
+            self._expect_alpha("cons", cell.head, head_ty, ty.elem,
+                               "cons head")
+            ty = VecTy(ty.elem, Succ(ty.length))
+        return ty
+
+    # ctx, x:A |- t : B
+    # ---------------------------------------- fun x:A => t : Pi x:A. B
+    # ctx, x:A |- t : B    x not free in |t|
+    # -------------------------------------- ifun x:A => t : All x:A. B
+    # ctx, x:A |- t : B    x not free in |t|    (large-elim mode only)
+    # -------------------------------------- qfun x:A => t : All x:A. B
+    def _binder(self, t: TLam | TLamImp | TQLam) -> Ty:
+        """The product of the domain and the body's type, as it stands.
+        The variable of an `All` must not survive erasure."""
+        rule = _RULES[t.__class__][0]
+        self._scope_check(rule, t, t.dom)
+        level = len(self._env)
+        self._env.append((t.hint, t.dom))
+        self._kept += 1
+        body_ty = self._infer(t.body)
+        self._kept -= 1
+        if level in self._live:
+            self._live.discard(level)
+            if t.__class__ is not TLam:
+                name = t.hint or _named(self._ctx, self._root, self._env,
+                                        BVar(0))
+                self._fail(rule, t,
+                           f"bound variable {name} survives erasure; "
+                           "it may only occur in annotations",
+                           code="erased-occurrence")
+        self._env.pop()
+        return (PiTy if t.__class__ is TLam else AllTy)(t.hint, t.dom, body_ty)
+
+    # f : Pi x:A. B   a : A
+    # ---------------------------------------- f a : B[x := |a|]
+    def _app(self, t: App) -> Ty:
+        fn_ty = self._infer(t.fn)
+        if not isinstance(fn_ty, PiTy):
+            self._fail("app", t.fn, "application head is not a function",
+                       code="shape-mismatch", actual=fn_ty)
+        arg_ty = self._infer(t.arg)
+        self._expect_alpha("app", t.arg, arg_ty, fn_ty.dom,
+                           "function argument")
+        return instantiate(fn_ty.cod, (erase(t.arg),))
+
+    # f : All x:A. B   a : A
+    # ---------------------------------------- f @[a] : B[x := |a|]
+    # f : All x:A. B   w : A                  (large-elim mode only)
+    # ---------------------------------------- f @-[w] : B[x := |w|]
+    def _implicit_app(self, t: TAppImp | TQApp, head: str, what: str) -> Ty:
+        rule = _RULES[t.__class__][0]
+        fn, arg = t.children()
+        fn_ty = self._infer(fn)
+        if not isinstance(fn_ty, AllTy):
+            self._fail(rule, fn, head, code="shape-mismatch", actual=fn_ty)
+        arg_ty = self._infer_erased(arg)
+        self._expect_alpha(rule, arg, arg_ty, fn_ty.dom, what)
+        return instantiate(fn_ty.cod, (erase(arg),))
+
+    # t : A   t' : B   |t| and |t'| joinable
+    # ---------------------------------------- join t t' : |t| = |t'|
+    def _join(self, t: TJoin) -> Ty:
+        self._infer_erased(t.lhs)
+        self._infer_erased(t.rhs)
+        return self._join_type(t, erase(t.lhs), erase(t.rhs))
+
+    # p : a = b   t : M[x := a]
+    # ---------------------------------------- cast x.M p t : M[x := b]
+    def _cast(self, t: TCast) -> Ty:
+        self._scope_check("cast", t, t.motive, 1)
+        proof_ty = self._infer_erased(t.proof)
+        if not isinstance(proof_ty, EqTy):
+            self._fail("cast", t.proof, "cast proof is not an equation",
+                       code="shape-mismatch", actual=proof_ty)
+        body_ty = self._infer(t.body)
+        self._expect_alpha("cast", t.body, body_ty,
+                           instantiate(t.motive, (proof_ty.lhs,)),
+                           "cast subject")
+        return instantiate(t.motive, (proof_ty.rhs,))
+
+    # n : Nat   b : M[0]   s : Pi y:Nat. Pi u:M[y]. M[S y]
+    # ---------------------------------------- rnat x.M b s n : M[|n|]
+    def _rnat(self, t: TRNat) -> Ty:
+        motive, scrut = t.motive, t.scrut
+        self._scope_check("rnat", t, motive, 1)
+        scrut_ty = self._infer(scrut)
+        self._expect_alpha("rnat", scrut, scrut_ty, NatTy(),
+                           "recursor scrutinee")
+        base_ty = self._infer(t.base)
+        self._expect_alpha("rnat", t.base, base_ty,
+                           instantiate(motive, (Zero(),)), "recursor base")
+        step_ty = self._infer(t.step)
+        # Under y and u, M[y] is M itself and y is index 1.
+        self._expect_alpha("rnat", t.step, step_ty, PiTy(
+            "y", NatTy(), PiTy("u", motive, instantiate(
+                motive, (Succ(BVar(1)),), 2))), "recursor step")
+        return instantiate(motive, (erase(scrut),))
+
+    # v : Vec A n   b : M[0, nil]
+    # s : All l:Nat. Pi z:A. Pi v:Vec A l. Pi u:M[l, v]. M[S l, cons z v]
+    # ---------------------------------------- rvec x.y.M b s v : M[n, |v|]
+    def _rvec(self, t: TRVec) -> Ty:
+        motive, scrut = t.motive, t.scrut
+        self._scope_check("rvec", t, motive, 2)
+        scrut_ty = self._infer(scrut)
+        if not isinstance(scrut_ty, VecTy):
+            self._fail("rvec", scrut,
+                       "vector recursor scrutinee is not a vector",
+                       code="shape-mismatch", actual=scrut_ty)
+        base_ty = self._infer(t.base)
+        self._expect_alpha("rvec", t.base, base_ty,
+                           instantiate(motive, (Nil(), Zero())),
+                           "recursor base")
+        step_ty = self._infer(t.step)
+        # Under l, z, v and u; the motive takes (vector, length).
+        a1, a2 = (instantiate(scrut_ty.elem, (), k) for k in (1, 2))
+        self._expect_alpha("rvec", t.step, step_ty, AllTy(
+            "l", NatTy(), PiTy("z", a1, PiTy(
+                "v", VecTy(a2, BVar(1)), PiTy(
+                    "u", instantiate(motive, (BVar(0), BVar(2)), 3),
+                    instantiate(motive, (Cons(BVar(2), BVar(1)),
+                                         Succ(BVar(3))), 4))))),
+            "recursor step")
+        return instantiate(motive, (erase(scrut), scrut_ty.length))
+
+    # fold/unfold forms: large-elim mode only
+    # t : A
+    # -------------------------------------- foldz [B] t : ifzero 0 A B
+    def _fold_zero(self, t: TFoldZ) -> Ty:
+        self._scope_check("fold-zero", t, t.other)
+        return IfZeroTy(Zero(), self._infer(t.body), t.other)
+
+    # t : ifzero 0 A B
+    # ---------------------------------------- unfoldz t : A
+    def _unfold_zero(self, t: TUnfoldZ) -> Ty:
+        body_ty = self._infer(t.body)
+        if not isinstance(body_ty, IfZeroTy):
+            self._fail("unfold-zero", t.body,
+                       "unfoldz subject is not an ifzero type",
+                       code="shape-mismatch", actual=body_ty)
+        if not alpha_eq(body_ty.scrut, Zero()):
+            self._fail("unfold-zero", t.body,
+                       "unfoldz needs the scrutinee to be literally 0",
+                       code="scrutinee-mismatch", actual=body_ty)
+        return body_ty.on_zero
+
+    # w : Nat   t : B
+    # ----------------------------- folds [w][A] t : ifzero (S |w|) A B
+    def _fold_succ(self, t: TFoldS) -> Ty:
+        self._scope_check("fold-succ", t, t.zero_ty)
+        wit_ty = self._infer_erased(t.witness)
+        self._expect_alpha("fold-succ", t.witness, wit_ty, NatTy(),
+                           "folds witness")
+        body_ty = self._infer(t.body)
+        return IfZeroTy(Succ(erase(t.witness)), t.zero_ty, body_ty)
+
+    # w : Nat   t : ifzero (S |w|) A B
+    # ---------------------------------------- unfolds [w] t : B
+    def _unfold_succ(self, t: TUnfoldS) -> Ty:
+        wit_ty = self._infer_erased(t.witness)
+        self._expect_alpha("unfold-succ", t.witness, wit_ty, NatTy(),
+                           "unfolds witness")
+        body_ty = self._infer(t.body)
+        if not isinstance(body_ty, IfZeroTy):
+            self._fail("unfold-succ", t.body,
+                       "unfolds subject is not an ifzero type",
+                       code="shape-mismatch", actual=body_ty)
+        scrut = Succ(erase(t.witness))
+        if not alpha_eq(body_ty.scrut, scrut):
+            self._fail("unfold-succ", t.body, "unfolds needs the scrutinee "
+                       "to be literally S of the erased witness; no "
+                       "normalization is applied", code="scrutinee-mismatch",
+                       expected=scrut, actual=body_ty.scrut)
+        return body_ty.on_succ
 
     # -- shared rule bodies ---------------------------------------------
 
@@ -498,38 +502,6 @@ class Checker:
         ty = self._infer(t)
         self._kept = kept
         return ty
-
-    def _binder(self, rule: str, t, product: type[PiTy | AllTy]) -> Ty:
-        """The `product` of a binder form's domain and its body's type, as
-        it stands.  The variable of an `AllTy` must not survive erasure."""
-        self._scope_check(rule, t, t.dom)
-        level = len(self._env)
-        self._env.append((t.hint, t.dom))
-        self._kept += 1
-        body_ty = self._infer(t.body)
-        self._kept -= 1
-        if level in self._live:
-            self._live.discard(level)
-            if product is AllTy:
-                name = t.hint or _named(self._ctx, self._root, self._env,
-                                        BVar(0))
-                self._fail(rule, t,
-                           f"bound variable {name} survives erasure; "
-                           "it may only occur in annotations",
-                           code="erased-occurrence")
-        self._env.pop()
-        return product(t.hint, t.dom, body_ty)
-
-    def _implicit_app(self, rule: str, fn, arg, head_message: str,
-                      what: str) -> Ty:
-        """Instantiate an implicit or quasi-implicit product."""
-        fn_ty = self._infer(fn)
-        if not isinstance(fn_ty, AllTy):
-            self._fail(rule, fn, head_message,
-                       code="shape-mismatch", actual=fn_ty)
-        arg_ty = self._infer_erased(arg)
-        self._expect_alpha(rule, arg, arg_ty, fn_ty.dom, what)
-        return instantiate(fn_ty.cod, (erase(arg),))
 
     def _join_type(self, t, lhs, rhs) -> Ty:
         """The equation `join t` proves, given the erasures of its sides."""
@@ -559,3 +531,32 @@ class Checker:
                                   _span(t.rhs), code="note", severity="note"),
                    ))
 
+
+# (rule, construct named in a mode violation, handler) per annotated-term
+# class.  A subclass may override what handlers call, such as `_join_type`.
+_RULES: dict[type, tuple[str, str, Callable]] = {
+    FVar: ("var", "variable", Checker._free_var),
+    BVar: ("var", "variable", Checker._bound_var),
+    Zero: ("zero", "zero", Checker._zero),
+    Succ: ("succ", "successor", Checker._succ),
+    TNil: ("nil", "nil", Checker._nil),
+    Cons: ("cons", "cons", Checker._cons),
+    TLam: ("abs", "abstraction", Checker._binder),
+    TLamImp: ("spec-abs", "implicit abstraction", Checker._binder),
+    TQLam: ("quasi-abs", "quasi-implicit abstraction", Checker._binder),
+    App: ("app", "application", Checker._app),
+    TAppImp: ("spec-app", "implicit application", partial(
+        Checker._implicit_app, head="implicit application head is not an "
+        "implicit product", what="implicit argument")),
+    TQApp: ("quasi-app", "quasi-implicit application", partial(
+        Checker._implicit_app, head="quasi-implicit application head is "
+        "not a quasi-implicit product", what="quasi-implicit witness")),
+    TJoin: ("join", "join", Checker._join),
+    TCast: ("cast", "cast", Checker._cast),
+    TRNat: ("rnat", "Nat recursor", Checker._rnat),
+    TRVec: ("rvec", "vector recursor", Checker._rvec),
+    TFoldZ: ("fold-zero", "ifzero introduction", Checker._fold_zero),
+    TUnfoldZ: ("unfold-zero", "ifzero elimination", Checker._unfold_zero),
+    TFoldS: ("fold-succ", "ifzero introduction", Checker._fold_succ),
+    TUnfoldS: ("unfold-succ", "ifzero elimination", Checker._unfold_succ),
+}

@@ -2,13 +2,14 @@
 
 The kernel fills binders only with `syntax.instantiate` and replaces free
 names only with `syntax.subst`, both over its walker `map_vars`.  The
-reference implementations (`reference_checker`, `reference_parser`,
-`reference_reduce`) follow the plain locally nameless discipline instead:
-they open a binder with a name and close it again (Charguéraud, *The
-Locally Nameless Representation*, JAR 2012).  This module does that with a
-recursive walk of its own over `SCOPES` that rebuilds nodes with
-`dataclasses.replace`, so a reference shares no walker with the code it is
-compared against, and `test_syntax.py` can compare `instantiate` with it.
+reference implementations (`reference_checker`, `reference_erase`,
+`reference_parser`, `reference_reduce`) follow the plain locally nameless
+discipline instead: they open a binder with a name and close it again
+(Charguéraud, *The Locally Nameless Representation*, JAR 2012).  This
+module does that with a recursive walk of its own over `SCOPES` that
+rebuilds nodes with `dataclasses.replace`, so a reference shares no walker
+with the code it is compared against, and `test_syntax.py` can compare
+`instantiate` with it.
 """
 
 from __future__ import annotations

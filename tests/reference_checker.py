@@ -5,7 +5,8 @@ with a fresh free name (`open1`), picks that name by collecting the free
 names of the body, closes the body's type again (`close1`), and for
 implicit binders erases the opened body again to look for the name.  Its
 open and close come from `locally_nameless`, which walks terms on its
-own, so this checker shares no walker with `tvec.typecheck`.
+own, and its erasure from `reference_erase`, so this checker shares no
+walker with `tvec.typecheck` and does not use `tvec.erase`.
 `tvec.typecheck` keeps every type in de Bruijn form instead, and makes
 names only when a diagnostic is printed.  `test_typecheck.py` checks
 that both checkers give the same verdict, alpha-equal types, the same
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 from collections import Counter
 
-from tvec.erase import erase
 from tvec.frontend import pretty
 from tvec.reduce import DEFAULT_FUEL, FuelExhausted, normalize
 from tvec.syntax import (
@@ -35,6 +35,7 @@ from tvec.typecheck import (
 )
 
 from locally_nameless import close1, open1, open2
+from reference_erase import erase
 
 
 class _CheckError(Exception):

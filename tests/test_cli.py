@@ -284,6 +284,12 @@ class TestSelftest:
         assert code == 0
         assert "result: ok" in out
 
+    def test_default_size_is_7(self, capsys):
+        assert cli._build_parser().parse_args(["selftest"]).size == 7
+        code, out, err = run_cli(capsys, "selftest", "--help")
+        text = " ".join(out.split())    # as argparse wraps it
+        assert code == "SystemExit(0)" and "(default 7)" in text
+
     def test_rule_gap_fails_the_run(self, capsys):
         code, out, err = run_cli(capsys, "selftest", "--size", "4",
                                  "--mode", "large-elim")

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+import tvec.oracle
 from tvec import corpus
 from tvec.oracle import (
     ANNOTATION_TYPES, ENUM_CAP, PROPERTY_NAMES, Counterexample,
@@ -264,10 +265,9 @@ class TestPropertySuite:
         for name in PROPERTY_NAMES:
             assert name in text
 
-    def test_unsound_join_rule_is_caught(self):
-        rep = run_property_suite(
-            size=4, mode=Mode.BASE,
-            checker_factory=lambda mode, fuel: NoJoinPremise(fuel))
+    def test_unsound_join_rule_is_caught(self, monkeypatch):
+        monkeypatch.setattr(tvec.oracle, "Checker", NoJoinPremise)
+        rep = run_property_suite(size=4, mode=Mode.BASE)
         assert not rep.ok
         p1, p2 = rep.properties[0], rep.properties[1]
         assert len(p1.failures) == 4

@@ -16,8 +16,8 @@ import pytest
 from tvec.erase import erase, subst_annotated
 from tvec.frontend import parse_term, pretty
 from tvec.syntax import (
-    BVar, Cons, Context, FVar, NatTy, Nil, Succ, TNil, VecTy, Zero,
-    free_vars, instantiate, map_spine, numeral, subst,
+    BVar, Cons, Context, FVar, Lam, NatTy, Nil, Span, Succ, TNil, VecTy,
+    Zero, free_vars, instantiate, map_spine, numeral, subst,
 )
 from tvec.typecheck import Checker, Failure, Inferred
 
@@ -62,8 +62,8 @@ def levels(t):
 
 class TestFrameGuard:
     """Every walker returns on a 5,000-deep numeral and on a 500-cell
-    vector of numerals, and `==` and `pretty` on vectors of up to 1,000
-    cells, with stack for a few dozen frames."""
+    vector of numerals, `==` and `pretty` on vectors of up to 1,000 cells,
+    and `hash` on 2,000 levels, with stack for a few dozen frames."""
 
     @staticmethod
     def guarded(fn, *args):
@@ -133,10 +133,39 @@ class TestFrameGuard:
         u, w = vector(1000, Zero()), vector(1000, Zero())
         assert self.guarded(pretty, u) == self.guarded(pretty, w)
 
+    @pytest.mark.parametrize("build", [
+        lambda base: tower(2000, base),
+        lambda base: vector(2000, base),
+        lambda base: tower(700, vector(700, tower(600, base))),
+    ], ids=["numeral", "vector", "mixed"])
+    def test_hash_in_a_loop(self, build):
+        """`hash` crosses a tower or a spine in one loop, at the default
+        recursion limit and under the guard, and agrees with `==`:
+        spans and binder hints change neither."""
+        assert sys.getrecursionlimit() == 1000
+        a = build(Zero())
+        b = build(Zero(span=Span(3, 4)))
+        assert a == b and hash(a) == hash(b)
+        assert self.guarded(hash, a) == hash(a)
+        assert self.guarded(lambda: len({a, b, build(FVar("x"))})) == 2
+
+    def test_hash_ignores_spans_and_hints_in_heads(self):
+        heads = [(Lam("x", BVar(0)), Lam("y", BVar(0), span=Span(0, 9))),
+                 (Succ(FVar("a")), Succ(FVar("a"), span=Span(1, 2)))]
+        for h1, h2 in heads:
+            a = Cons(h1, Succ(Cons(h1, Nil())), span=Span(5, 6))
+            b = Cons(h2, Succ(Cons(h2, Nil(span=Span(7, 8)))))
+            assert a == b and hash(a) == hash(b)
+        assert hash(Succ(Zero())) != hash(Cons(Zero(), Zero()))
+        assert hash(vector(3, Zero())) != hash(vector(4, Zero()))
+
     def test_the_class_keeps_its_own_equality(self):
         assert Succ.__eq__ is Cons.__eq__
-        assert Succ.__eq__.__code__.co_filename.endswith("syntax.py")
+        assert Succ.__hash__ is Cons.__hash__
+        for method in (Succ.__eq__, Succ.__hash__):
+            assert method.__code__.co_filename.endswith("syntax.py")
         assert FVar.__eq__.__code__.co_filename == "<node>"
+        assert FVar.__hash__.__code__.co_filename == "<node>"
 
 
 # The values below are what checking gave when each level cost a frame.

@@ -2,6 +2,7 @@
 
 import sys
 from collections import Counter
+from typing import get_args
 
 import pytest
 
@@ -14,16 +15,16 @@ from tvec.corpus import (
     append_body, append_ty, base_corpus, ext_assumptions, ext_corpus, num,
     p1_body, p1_ty, plus_body, plus_ty,
 )
-from tvec.erase import erase
+from tvec.erase import _ERASE, erase
 from tvec.frontend import parse, parse_term, pretty, resolve_defs
 from tvec.oracle import enumerate_terms
 from tvec.syntax import (
-    AllTy, BVar, Context, EqTy, FVar, NatTy, PiTy, Span, Succ, App, TAppImp,
-    TCast, Cons, TJoin, TLam, TLamImp, TNil, TQLam, TRNat,
-    VecTy, Zero, alpha_eq, node_count,
+    AllTy, AnnTerm, BVar, Context, EqTy, FVar, Join, Lam, NatTy, Nil, PiTy,
+    QApp, QLam, RNat, Span, Succ, App, TAppImp, TCast, Cons, TJoin, TLam,
+    TLamImp, TNil, TQLam, TRNat, VecTy, Zero, alpha_eq, node_count,
 )
 from tvec.typecheck import (
-    BASE_RULES, Checker, Diagnostic, Failure, Inferred, Mode,
+    BASE_RULES, RULES, Checker, Diagnostic, Failure, Inferred, Mode,
 )
 
 NAT = NatTy()
@@ -459,3 +460,35 @@ class TestCheckingWork:
         for _ in range(1000):
             assert isinstance(checker.infer(ctx, FVar("v")), Inferred)
         assert passes == len(ctx), "one free_vars call per context type"
+
+
+class TestRuleTable:
+    """The checker and erasure each find a node's rule in one table keyed
+    by class, and the tables cover exactly the annotated terms."""
+
+    def test_tables_cover_exactly_the_annotated_terms(self):
+        classes = set(get_args(AnnTerm))
+        assert set(tvec.typecheck._RULES) == classes
+        assert set(_ERASE) == classes
+
+    def test_every_rule_has_a_row_and_every_row_a_mode(self):
+        rows = {rule for rule, _, _ in tvec.typecheck._RULES.values()}
+        for mode in Mode:
+            assert RULES[mode] <= rows
+        assert rows <= RULES[Mode.BASE] | RULES[Mode.LARGE_ELIM]
+
+    @pytest.mark.parametrize("foreign", [
+        NAT, VecTy(NAT, Zero()), Lam("x", BVar(0)), Join(), Nil(),
+        QLam(Zero()), QApp(Zero()), RNat(Zero(), Zero(), Zero()),
+    ], ids=repr)
+    def test_a_foreign_class_is_a_type_error(self, foreign):
+        with pytest.raises(TypeError, match="not an annotated term"):
+            Checker().infer(Context(), foreign)
+        with pytest.raises(TypeError, match="not an annotated term"):
+            Checker().infer(Context(), TLam("x", NAT, foreign))
+        with pytest.raises(TypeError, match="not an annotated term"):
+            erase(foreign)
+
+    def test_the_printer_refuses_a_term_where_a_type_goes(self):
+        with pytest.raises(TypeError, match="not a type"):
+            pretty(TLam("x", Zero(), BVar(0)))
