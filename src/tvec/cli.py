@@ -194,18 +194,19 @@ def _failed_to_check(args: argparse.Namespace, name: str,
 
 def _cmd_check(args: argparse.Namespace, fuel: int) -> Report:
     resolved = _load(args)
-    checker = Checker(fuel, resolved.mode)
+    checker = Checker(fuel, resolved.mode, resolved.defs)
     report: list[dict] = []
     lines: list[str] = []
     note = None
     for d in resolved.defs:
         res = checker.check_against(resolved.assumptions, d.body, d.ty)
+        declared = pretty(d.declared)
         if isinstance(res, Inferred):
-            lines.append(f"{d.name} : {pretty(d.declared)}")
-            report.append({"name": d.name, "type": pretty(d.declared),
+            lines.append(f"{d.name} : {declared}")
+            report.append({"name": d.name, "type": declared,
                            "status": "ok", "diagnostic": None})
         else:
-            report.append({"name": d.name, "type": pretty(d.declared),
+            report.append({"name": d.name, "type": declared,
                            "status": "error",
                            "diagnostic": res.diagnostic.to_json()})
             note = _failed_to_check(args, d.name, res.diagnostic)
@@ -222,7 +223,7 @@ def _print_step(step: int, term) -> None:
 def _cmd_eval(args: argparse.Namespace, fuel: int) -> Report:
     resolved = _load(args, args.name)
     d = _find_def(args, resolved)
-    checker = Checker(fuel, resolved.mode)
+    checker = Checker(fuel, resolved.mode, resolved.defs)
     res = checker.check_against(resolved.assumptions, d.body, d.ty)
     if not isinstance(res, Inferred):
         raise _Failure(EXIT_FAIL, res.diagnostic.to_json(),

@@ -16,10 +16,18 @@ Variables, application, zero, successor and `cons` carry no annotation,
 so erasure returns an annotation-free subterm (a numeral, a vector
 literal, `f (g 0)`) as it is, not a copy.  Erasure and `subst_annotated`
 cross a numeral or a vector literal in one loop (`syntax.map_spine`).
+
+Resolution inlines a def's body as one shared object at every use, so an
+item is a DAG.  While a table of their erasures is installed (`share`),
+`erase` answers the erasure recorded for such a body (by node identity)
+instead of walking it again: the answer equals a fresh erasure, since
+erasure depends on nothing but its argument, and the result shares the
+body's erasure as the item shares the body.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import get_args
 
 from .syntax import (
@@ -34,10 +42,26 @@ _ERASED = (frozenset(get_args(Ty) + get_args(UnannTerm))
 
 
 def erase(t: AnnTerm) -> UnannTerm:
-    clause = _ERASE.get(t.__class__)
+    clause = _clauses.get(t.__class__)
     if clause is None:
         raise TypeError(f"not an annotated term: {t!r}")
     return clause(t)
+
+
+def share(erasures: dict[int, UnannTerm]) -> dict[int, UnannTerm]:
+    """Make `erase` answer `erasures[id(t)]` at a node t that is a key, and
+    return the table this replaces.  The caller gives that table back with
+    `share` in a `finally`, and keeps the nodes that the keys are ids of
+    alive until then."""
+    global _shared, _clauses
+    outer, _shared = _shared, erasures
+    _clauses = _SHARING if erasures else _ERASE
+    return outer
+
+
+def _recorded(clause, t: AnnTerm) -> UnannTerm:
+    done = _shared.get(id(t))
+    return clause(t) if done is None else done
 
 
 def _erase(t: AnnTerm, _a, _b, _c) -> UnannTerm:   # as `map_spine` calls it
@@ -69,6 +93,12 @@ _ERASE = {
     TLamImp: lambda t: _release(erase(t.body), t.hint),
     TQLam: lambda t: QLam(_release(erase(t.body), t.hint), span=t.span),
 }
+
+# `erase` reads `_SHARING`, the clauses behind a look-up in `_shared`, only
+# while `share` has installed a table, so a plain walk pays nothing for it.
+_shared: dict[int, UnannTerm] = {}     # id(body) -> erase(body)
+_SHARING = {cls: partial(_recorded, clause) for cls, clause in _ERASE.items()}
+_clauses = _ERASE
 
 
 def _release(body: UnannTerm, hint: str) -> UnannTerm:

@@ -69,7 +69,7 @@ from __future__ import annotations
 import re
 from typing import get_args
 
-from .erase import erase, subst_annotated
+from .erase import erase, share, subst_annotated
 from .syntax import (
     AllTy, AnnTerm, App, BVar, Cons, Context, EqTy, FVar, IfZeroTy, Join,
     Lam, NatTy, Nil, Node, PiTy, QApp, QLam, RNat, RVec, Span, Succ,
@@ -666,7 +666,9 @@ def resolve_defs(source: SourceFile, mode_override: Mode | None = None,
     erasure releases (see `tvec.erase`), which no def can take and which
     the checker rejects.  So each item substitutes just the earlier defs
     it names, in any order, and each body is erased once, when its def is
-    resolved: one pass per item, not one per pair of items.
+    resolved: one pass per item, not one per pair of items.  That erasure
+    answers for the body wherever a later body inlines it (`share`), so
+    it is walked once and the erasures share it as the bodies do.
 
     With `name`, only the defs that `name` or an assumed type reaches are
     inlined and erased, and `defs` holds just those.  Every item has its
@@ -678,6 +680,7 @@ def resolve_defs(source: SourceFile, mode_override: Mode | None = None,
     assumptions: list[tuple[str, Ty]] = []
     bound: set[str] = set()     # the names of the earlier defs and assumes
     resolved: dict[str, ResolvedDef] = {}
+    erasures: dict[int, UnannTerm] = {}     # id(d.body) -> d.erased
 
     def fail(message: str, span: Span, code: str):
         raise ResolveError(Diagnostic("resolve", message, span, code=code))
@@ -719,9 +722,14 @@ def resolve_defs(source: SourceFile, mode_override: Mode | None = None,
                 (item_name, inline(item.ty, ty_names, annotated=False)))
         elif needed is None or item_name in needed:
             body = inline(item.body, body_names, annotated=True)
+            outer = share(erasures)
+            try:
+                erased = erasures[id(body)] = erase(body)
+            finally:
+                share(outer)
             resolved[item_name] = ResolvedDef(
                 item_name, inline(item.ty, ty_names, annotated=False), body,
-                erase(body), item.ty, span)
+                erased, item.ty, span)
 
     return ResolvedFile(mode_override or mode or Mode.BASE,
                         Context(tuple(assumptions)), tuple(resolved.values()))

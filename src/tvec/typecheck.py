@@ -1,11 +1,13 @@
 """Syntax-directed type computation for annotated terms.
 
 Each annotated construct determines exactly one rule, so checking is a
-single recursive pass.  All type comparisons are alpha-equivalence; there
-is no conversion rule.  Conversion happens only through explicit casts,
-whose equations are produced by `join`, which in turn decides joinability
-by fuel-bounded normalization of erasures.  A fuel-exhausted joinability
-test is reported as undecided, never as a mismatch.
+single recursive pass over the term as a tree, except at the def bodies
+that the term shares (see the last paragraph).  All type comparisons are
+alpha-equivalence; there is no conversion rule.  Conversion happens only
+through explicit casts, whose equations are produced by `join`, which in
+turn decides joinability by fuel-bounded normalization of erasures.  A
+fuel-exhausted joinability test is reported as undecided, never as a
+mismatch.
 
 The checker runs in one of two modes, and a mode is its set of rules
 (`RULES`).  Base mode accepts implicit abstraction and application;
@@ -31,6 +33,19 @@ time linear in binder depth.  Whether a bound variable survives erasure
 is noted by level as the pass meets it, so the side condition of
 implicit binders erases nothing.  Names are made only when a diagnostic
 that points at the binders is read (`_named`).
+
+Resolution inlines each def's body as one object at every use, so a
+resolved item is a DAG, and walking it as a tree costs time exponential in
+a chain of defs that each use the last twice.  A checker given the
+resolved defs (`Checker(defs=...)`) walks each of their bodies once per
+context: a body is locally closed, so its type and the rule hits of its
+check are the same at every use, and a later use takes both from a memo
+keyed by the body's identity (`_infer_shared`), the hits counted again so
+that `rule_hits` reads as for the tree.  Such a checker finds its rules in
+`_SHARING_RULES`, whose handlers look for a shared body first, and
+erasure in its rules answers a shared body with the erasure that
+resolution recorded (`erase.share`); a checker without defs uses `_RULES`
+and pays nothing for sharing.
 """
 
 from __future__ import annotations
@@ -39,16 +54,16 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterable
 
-from .erase import erase
+from .erase import erase, share
 from .reduce import DEFAULT_FUEL, FuelExhausted, normalize
 from .syntax import (
     AllTy, AnnTerm, App, BVar, Cons, Context, EqTy, FVar, IfZeroTy, NatTy,
     Nil, Node, PiTy, Span, Succ, TAppImp, TCast, TFoldS, TFoldZ, TJoin,
     TLam, TLamImp, TNil, TQApp, TQLam, TRNat, TRVec, TUnfoldS, TUnfoldZ, Ty,
-    VecTy, Zero, alpha_eq, free_vars, fresh_name, frozen, instantiate,
-    map_vars, numeral,
+    UnannTerm, VecTy, Zero, alpha_eq, free_vars, fresh_name, frozen,
+    instantiate, map_vars, numeral,
 )
 
 
@@ -173,13 +188,25 @@ def _named(ctx: Context, root: AnnTerm, env, node: Node) -> str:
 
 
 class Checker:
-    """The checker for one mode; it accepts exactly the rules in RULES."""
+    """The checker for one mode; it accepts exactly the rules in RULES.
 
-    def __init__(self, fuel: int = DEFAULT_FUEL, mode: Mode = Mode.BASE):
+    `defs` are the resolved defs (`frontend.ResolvedDef`: a `body` and its
+    erasure `erased`) whose bodies the checked terms share; see
+    `_infer_shared`."""
+
+    def __init__(self, fuel: int = DEFAULT_FUEL, mode: Mode = Mode.BASE,
+                 defs: Iterable = ()):
         self.fuel = fuel
         self.mode = mode
         self.rules = RULES[mode]
         self.rule_hits: Counter[str] = Counter()
+        # id(body) -> erasure of each shared def body, held alive by `_defs`,
+        # and id(body) -> (type, rule-hit delta) of those checked in `_ctx`
+        self._defs = tuple(defs)
+        self._shared: dict[int, UnannTerm] = {
+            id(d.body): d.erased for d in self._defs}
+        self._memo: dict[int, tuple[Ty, Counter[str]]] = {}
+        self._rows = _SHARING_RULES if self._shared else _RULES
         # The state of one `infer` call: its context `_ctx` and term `_root`;
         # `_env`, the enclosing binders' (hint, dom) pairs, outermost first,
         # so `BVar(i)` is `_env[-1 - i]`; `_kept`, how many innermost binders
@@ -198,6 +225,11 @@ class Checker:
             return Failure(Diagnostic(
                 "context", "context is not well-scoped", Span(0, 0),
                 code="context-ill-scoped"))
+        shared = self._shared
+        if shared:
+            if ctx is not self._ctx:
+                self._memo.clear()      # a stored type holds in one context
+            outer = share(shared)
         self._ctx, self._root, self._kept = ctx, t, 0
         self._env.clear()       # a failure leaves its binders behind
         self._live.clear()
@@ -205,6 +237,9 @@ class Checker:
             return Inferred(self._infer(t))
         except _CheckError as err:
             return Failure(err.diagnostic)
+        finally:
+            if shared:
+                share(outer)
 
     def check_against(self, ctx: Context, t: AnnTerm, expected: Ty) -> CheckResult:
         res = self.infer(ctx, t)
@@ -261,7 +296,7 @@ class Checker:
 
     def _infer(self, t: AnnTerm) -> Ty:
         try:
-            rule, construct, handler = _RULES[t.__class__]
+            rule, construct, handler = self._rows[t.__class__]
         except KeyError:
             raise TypeError(f"not an annotated term: {t!r}") from None
         if rule not in self.rules:
@@ -269,6 +304,24 @@ class Checker:
                        f"{self.mode.value} mode", code="mode-violation")
         self.rule_hits[rule] += 1   # after the gate: a violation is no hit
         return handler(self, t)
+
+    def _infer_shared(self, t: AnnTerm, handler: Callable) -> Ty:
+        """A def body, which resolution inlines as one object at every use.
+        It is locally closed and mentions only assumed names, so in one
+        context its type and the rule hits of checking it are the same
+        wherever it occurs, and so is its effect on `_live` (none).  The
+        first occurrence is checked; a later one takes the stored type and
+        counts the stored hits again.  A failure is never stored: it ends
+        the check, and a later check meets the body afresh."""
+        known = self._memo.get(id(t))
+        if known is not None:
+            ty, hits = known
+            self.rule_hits.update(hits)
+            return ty
+        before = self.rule_hits.copy()
+        ty = handler(self, t)
+        self._memo[id(t)] = ty, self.rule_hits - before
+        return ty
 
     # ---------------------------------------- x : ctx(x)
     def _free_var(self, t: FVar) -> Ty:
@@ -560,3 +613,18 @@ _RULES: dict[type, tuple[str, str, Callable]] = {
     TFoldS: ("fold-succ", "ifzero introduction", Checker._fold_succ),
     TUnfoldS: ("unfold-succ", "ifzero elimination", Checker._unfold_succ),
 }
+
+
+def _sharing(handler: Callable) -> Callable:
+    """`handler`, or at a shared def body `Checker._infer_shared`."""
+    def check(checker: Checker, t: AnnTerm) -> Ty:
+        if id(t) in checker._shared:
+            return checker._infer_shared(t, handler)
+        return handler(checker, t)
+    return check
+
+
+# The rows of a checker given defs; a closure, not a `partial` with a
+# keyword, which builds a dict per call.
+_SHARING_RULES = {cls: (rule, construct, _sharing(handler))
+                  for cls, (rule, construct, handler) in _RULES.items()}

@@ -1,6 +1,10 @@
 """Base-mode checking: one syntax-directed rule per construct."""
 
+import gc
+import importlib
 import sys
+import time
+import weakref
 from collections import Counter
 from typing import get_args
 
@@ -10,13 +14,17 @@ import reference_checker
 import tvec.frontend
 import tvec.syntax
 import tvec.typecheck
-from conftest import EXAMPLES
+from cli_transcript import BROKEN, FAMILY
+from conftest import EXAMPLES, VEC_PATH
+from tvec.cli import main
 from tvec.corpus import (
     append_body, append_ty, base_corpus, ext_assumptions, ext_corpus, num,
     p1_body, p1_ty, plus_body, plus_ty,
 )
 from tvec.erase import _ERASE, erase
-from tvec.frontend import parse, parse_term, pretty, resolve_defs
+from tvec.frontend import (
+    ParseError, ResolveError, parse, parse_term, pretty, resolve_defs,
+)
 from tvec.oracle import enumerate_terms
 from tvec.syntax import (
     AllTy, AnnTerm, BVar, Context, EqTy, FVar, Join, Lam, NatTy, Nil, PiTy,
@@ -28,6 +36,7 @@ from tvec.typecheck import (
 )
 
 NAT = NatTy()
+ERASE = importlib.import_module("tvec.erase")   # `tvec.erase` is the function
 
 
 def inferred(ctx, t):
@@ -271,10 +280,11 @@ def _spans(diag: Diagnostic) -> list[Span]:
     return [diag.span, *(s for c in diag.children for s in _spans(c))]
 
 
-def assert_same_check(ctx, t, expected=None, *, mode=Mode.BASE):
+def assert_same_check(ctx, t, expected=None, *, mode=Mode.BASE, defs=()):
     """Both checkers agree on `t`: verdict, type up to alpha, diagnostic and
-    rule hits.  A span may differ only where the reference has none."""
-    new = Checker(mode=mode)
+    rule hits.  A span may differ only where the reference has none.  The
+    checker shares the bodies of `defs`; the reference walks every copy."""
+    new = Checker(mode=mode, defs=defs)
     ref = reference_checker.Checker(mode=mode)
     if expected is None:
         got, want = new.infer(ctx, t), ref.infer(ctx, t)
@@ -382,9 +392,9 @@ def deep_recursion():
     sys.setrecursionlimit(old)
 
 
-def counting(monkeypatch, names):
-    """Count the calls of the functions `names` in `tvec.syntax` and
-    `tvec.typecheck`, recursive calls included."""
+def counting(monkeypatch, names, homes=(tvec.syntax, tvec.typecheck)):
+    """Count the calls of the functions `names` in the modules or classes
+    `homes`, recursive calls included."""
     calls = Counter()
 
     def counted(name, fn):
@@ -393,7 +403,7 @@ def counting(monkeypatch, names):
             return fn(*args)
         return call
 
-    for module in (tvec.syntax, tvec.typecheck):
+    for module in homes:
         for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name,
@@ -492,3 +502,145 @@ class TestRuleTable:
     def test_the_printer_refuses_a_term_where_a_type_goes(self):
         with pytest.raises(TypeError, match="not a type"):
             pretty(TLam("x", Zero(), BVar(0)))
+
+
+# --------------------------------------------------------------------------
+# the def bodies that resolution shares
+
+
+def def_chain(lines: int) -> str:
+    """Each def after the first uses the last one twice, so its inlined
+    body, walked as a tree, is twice as large as the last one's."""
+    defs = ["def d0 : Nat = 0"]
+    defs += [f"def d{i} : Nat = rnat [x. Nat] d{i - 1} "
+             f"(fun y : Nat => fun u : Nat => u) d{i - 1}"
+             for i in range(1, lines)]
+    return "\n".join(defs) + "\n"
+
+
+def _sources():
+    programs = EXAMPLES.parent / "perfbench" / "programs"
+    files = sorted([*EXAMPLES.glob("*.tvec"), *programs.glob("*.tvec")])
+    yield from ((f"{p.parent.name}/{p.name}", p.read_text(encoding="utf-8"))
+                for p in files)
+    yield "programs/family3", (programs / "vec.tvec").read_text(
+        encoding="utf-8") + FAMILY
+    yield from ((f"broken/{label}", text) for label, text in BROKEN.items())
+    yield "chain10", def_chain(10)
+
+
+SOURCES = dict(_sources())
+
+
+def _loaded(text: str, name: str | None = None):
+    """The file resolved (with `name`, for that def only), or None if it
+    does not load."""
+    try:
+        return resolve_defs(parse(text), None, name)
+    except (ParseError, ResolveError, RecursionError):
+        return None
+
+
+def _same(shared: Checker, plain: Checker, ctx, d) -> None:
+    """Both checkers give `d` the same verdict, type (hints included),
+    diagnostic and rule hits, checked against its type and inferred."""
+    for run in (lambda c: c.check_against(ctx, d.body, d.ty),
+                lambda c: c.infer(ctx, d.body)):
+        got, want = run(shared), run(plain)
+        assert type(got) is type(want), d.name
+        if isinstance(want, Inferred):
+            assert repr(got.type) == repr(want.type), d.name
+        else:
+            assert got.diagnostic.to_json() == want.diagnostic.to_json(), \
+                d.name
+        assert shared.rule_hits == plain.rule_hits, d.name
+
+
+@pytest.mark.usefixtures("deep_recursion")     # a deep numeral's `repr`
+class TestSharedDefs:
+    """A checker given the resolved defs checks each inlined body once per
+    context and erases it through its recorded erasure; nothing it reports
+    differs from a walk of every copy."""
+
+    @pytest.mark.parametrize("label", SOURCES)
+    def test_same_as_without_sharing(self, label):
+        resolved = _loaded(SOURCES[label])
+        if resolved is None:
+            return
+        ctx, mode = resolved.assumptions, resolved.mode
+        # As `tvec check` does, one checker for the file, in order; and on
+        # past a failure, where the memo holds what checked before it.
+        shared = Checker(mode=mode, defs=resolved.defs)
+        plain = Checker(mode=mode)
+        for d in resolved.defs:
+            _same(shared, plain, ctx, d)
+            assert d.erased == erase(d.body)
+            assert repr(d.erased) == repr(erase(d.body))
+        # As `tvec eval` does, a checker for one def and what it needs.
+        for d in resolved.defs:
+            alone = _loaded(SOURCES[label], d.name)
+            target, = (e for e in alone.defs if e.name == d.name)
+            _same(Checker(mode=mode, defs=alone.defs), Checker(mode=mode),
+                  alone.assumptions, target)
+
+    @pytest.mark.parametrize("label", SOURCES)
+    def test_same_as_the_reference(self, label):
+        resolved = _loaded(SOURCES[label])
+        if resolved is None:
+            return
+        for d in resolved.defs:
+            assert_same_check(resolved.assumptions, d.body, d.ty,
+                              mode=resolved.mode, defs=resolved.defs)
+            assert_same_check(resolved.assumptions, d.body,
+                              mode=resolved.mode, defs=resolved.defs)
+
+    def test_the_broken_files_reach_the_checker(self):
+        loaded = [label for label in BROKEN
+                  if _loaded(SOURCES[f"broken/{label}"]) is not None]
+        assert len(loaded) >= 8
+
+    def test_def_chain_costs_linear_work(self, tmp_path, monkeypatch,
+                                         capsys):
+        lines = 18
+        path = tmp_path / "chain.tvec"
+        path.write_text(def_chain(lines), encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["check", str(path)]) == 0
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr().out.count(" : Nat\n") == lines
+
+        calls = counting(monkeypatch, ("_infer", "erase"),
+                         (Checker, ERASE, tvec.typecheck, tvec.frontend))
+        assert main(["check", str(path)]) == 0
+        assert calls["_infer"] <= 10 * lines
+        assert calls["erase"] <= 10 * lines
+
+    def test_a_checker_is_freed_without_the_collector(self):
+        resolved = resolve_defs(parse(VEC_PATH.read_text(encoding="utf-8")))
+        gc.disable()
+        try:
+            checker = Checker(mode=resolved.mode, defs=resolved.defs)
+            for d in resolved.defs:
+                assert isinstance(checker.check_against(
+                    resolved.assumptions, d.body, d.ty), Inferred)
+            assert checker._memo
+            ref = weakref.ref(checker)
+            del checker
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_nothing_outlives_a_command(self, capsys):
+        def checkers():
+            return sum(isinstance(o, Checker) for o in gc.get_objects())
+
+        gc.disable()
+        try:
+            before = checkers()
+            for argv in (["check", str(VEC_PATH)],
+                         ["eval", str(VEC_PATH), "appendDemo"]):
+                assert main(argv) == 0
+                assert not ERASE._shared
+            assert checkers() == before
+        finally:
+            gc.enable()
