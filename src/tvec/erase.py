@@ -14,11 +14,12 @@ annotation or context that still mentions one.
 
 Variables, application, zero, successor and `cons` carry no annotation,
 so erasure returns an annotation-free subterm (a numeral, a vector
-literal, `f (g 0)`) as it is, not a copy.  Erasure and `subst_annotated`
-cross a numeral or a vector literal in one loop (`syntax.map_spine`).
+literal, `f (g 0)`) as it is, not a copy.  Erasure and `inline` cross a
+numeral or a vector literal in one loop (`syntax.map_spine`).
 
-Resolution inlines a def's body as one shared object at every use, so an
-item is a DAG.  While a table of their erasures is installed (`share`),
+Resolution inlines (`inline`) every earlier def that an item names in one
+walk, a def's body as one shared object at every use, so an item is a
+DAG.  While a table of their erasures is installed (`share`),
 `erase` answers the erasure recorded for such a body (by node identity)
 instead of walking it again: the answer equals a fresh erasure, since
 erasure depends on nothing but its argument, and the result shares the
@@ -34,11 +35,14 @@ from .syntax import (
     AnnTerm, App, BVar, Cons, FVar, Join, Lam, Nil, Node, QApp, QLam, RNat,
     RVec, Succ, TAppImp, TCast, TFoldS, TFoldZ, TJoin, TLam, TLamImp, TNil,
     TQApp, TQLam, TRNat, TRVec, TUnfoldS, TUnfoldZ, Ty, UnannTerm, Zero,
-    free_vars, fresh_name, map_spine, map_vars, subst,
+    free_vars, fresh_name, map_spine, map_vars,
 )
 
 _ERASED = (frozenset(get_args(Ty) + get_args(UnannTerm))
            - frozenset(get_args(AnnTerm)))
+# The leaves with no free name, which no substitution changes.
+_CLOSED = frozenset(cls for cls in get_args(Ty) + get_args(UnannTerm)
+                    + get_args(AnnTerm) if not cls.SCOPES) - {FVar}
 
 
 def erase(t: AnnTerm) -> UnannTerm:
@@ -127,26 +131,50 @@ def _release(body: UnannTerm, hint: str) -> UnannTerm:
 
 def subst_annotated(t: AnnTerm, name: str, repl: AnnTerm,
                     repl_erased: UnannTerm) -> AnnTerm:
-    """Substitute an annotated term for a free variable.
+    """Substitute an annotated term for a free variable: `inline` with the
+    one entry `name` to `(repl, repl_erased)`."""
+    def leaf(v: FVar, _depth: int) -> Node:
+        return repl_erased if v.name == name else v
+    return _inline(t, {name: (repl, repl_erased)}, leaf)
 
-    Annotated-term nodes are walked, and their free occurrences receive
-    `repl` itself.  Any other node, a type (a domain, a motive) or a node
-    only unannotated terms have, embeds unannotated terms only, so it
-    receives the erasure `repl_erased`, which must be `erase(repl)`;
-    callers hold it already.
+
+def inline(t: AnnTerm | Ty, defs: dict[str, tuple[AnnTerm, UnannTerm]]
+           ) -> AnnTerm | Ty:
+    """Substitute for every free name of `t` that `defs` maps, in one walk.
+
+    Annotated-term nodes are walked, and a free occurrence there receives
+    the annotated term the name maps to.  Any other node, a type (a
+    domain, a motive) or a node only unannotated terms have, embeds
+    unannotated terms only, so its occurrences receive the erasure paired
+    with it, which must be `erase` of that term; callers hold it already.
+    A replacement is put in place as it is and never walked, so a body
+    inlined at many uses, or inlined inside another body, costs nothing.
     """
+    def leaf(v: FVar, _depth: int) -> Node:
+        entry = defs.get(v.name)
+        return v if entry is None else entry[1]
+    return _inline(t, defs, leaf)
+
+
+def _inline(t: Node, defs: dict, leaf, _c=None) -> Node:
+    # `_c` because `map_spine` passes three arguments after the node
     cls = type(t)
-    if cls in _ERASED:
-        return subst(t, name, repl_erased)
     if cls is FVar:
-        return repl if t.name == name else t
+        entry = defs.get(t.name)
+        return t if entry is None else entry[0]
+    if cls in _ERASED:
+        return map_vars(t, FVar, leaf)
     if cls is Succ or cls is Cons:
-        return map_spine(t, subst_annotated, name, repl, repl_erased)
-    kids = None
-    for i, fname in enumerate(cls.SCOPES):
+        return map_spine(t, _inline, defs, leaf, None)
+    kids, i = None, -1
+    for fname in cls.SCOPES:
+        i += 1
         child = getattr(t, fname)
-        new = (subst(child, name, repl_erased) if type(child) in _ERASED
-               else subst_annotated(child, name, repl, repl_erased))
+        kind = type(child)
+        if kind in _CLOSED:
+            continue
+        new = (map_vars(child, FVar, leaf) if kind in _ERASED
+               else _inline(child, defs, leaf))
         if new is not child:
             if kids is None:
                 kids = t.children()

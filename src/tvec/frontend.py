@@ -47,13 +47,17 @@ and an identifier becomes `BVar(k)`, k being the distance to the innermost
 binder of that name, or an `FVar` if no binder in scope has that name.  No
 finished body is walked again.  A name that erasure releases from an
 ill-typed implicit binder (`b#`) is no identifier, so no binder takes it.
+In a file, the parser also records each item's free names (`names`): the
+`FVar`s it makes, and inside a term it erases those of the erasure.
 
 Definitions are transparent, non-recursive abbreviations: resolution
 substitutes each earlier def into later items, annotated bodies into term
-positions and erased bodies into type positions.  `assume` introduces a
-context binding for everything after it.  A resolved item mentions only
-assumed names, its own binders and released `#` names, which no def or
-assumption can take and which the checker rejects.
+positions and erased bodies into type positions, all of an item's defs in
+one walk that never enters an inlined body, so it is linear in the text.
+`assume` introduces a context binding for everything after it.  A
+resolved item mentions only assumed names, its own binders and released
+`#` names, which no def or assumption can take and which the checker
+rejects.
 
 The pretty-printer inverts the grammar with minimal parentheses and is the
 source of the textual forms used in diagnostics and reports.  Binders,
@@ -69,13 +73,13 @@ from __future__ import annotations
 import re
 from typing import get_args
 
-from .erase import erase, share, subst_annotated
+from .erase import erase, inline, share
 from .syntax import (
     AllTy, AnnTerm, App, BVar, Cons, Context, EqTy, FVar, IfZeroTy, Join,
     Lam, NatTy, Nil, Node, PiTy, QApp, QLam, RNat, RVec, Span, Succ,
     TAppImp, TCast, TFoldS, TFoldZ, TJoin, TLam, TLamImp, TNil, TQApp,
     TQLam, TRNat, TRVec, TUnfoldS, TUnfoldZ, Ty, UnannTerm, VecTy, Zero,
-    free_vars, fresh_name, frozen, numeral, subst,
+    free_vars, fresh_name, frozen, numeral,
 )
 from .typecheck import Diagnostic, Mode
 
@@ -213,6 +217,7 @@ class DefItem:
     ty: Ty
     body: AnnTerm
     span: Span
+    names: frozenset[str]   # the free names of `ty` and `body`
 
 
 @frozen
@@ -220,6 +225,7 @@ class AssumeItem:
     name: str
     ty: Ty
     span: Span
+    names: frozenset[str]   # the free names of `ty`
 
 
 @frozen
@@ -256,6 +262,9 @@ class _Parser:
         # so `type_` goes straight to the equation there on a retry; a
         # retry without it costs twice the work per level of nesting.
         self.not_a_type: set[int] = set()
+        # The free names met in the current item, with repeats, or None
+        # outside a file: only resolution reads them.
+        self.names: list[str] | None = None
 
     def expect(self, kind: str, what: str | None = None) -> Tok:
         tok = self.toks[self.pos]
@@ -297,12 +306,15 @@ class _Parser:
             self.pos += 1
             name = self.expect("ident", "a name")[1]
             self.expect(":")
+            self.names = []
             ty = self.type_()
             if kind == "assume":
-                return AssumeItem(name, ty, self._span(start))
+                return AssumeItem(name, ty, self._span(start),
+                                  frozenset(self.names))
             self.expect("=")
             body = self.term()
-            return DefItem(name, ty, body, self._span(start))
+            return DefItem(name, ty, body, self._span(start),
+                           frozenset(self.names))
         self._err("expected 'def', 'assume', or 'mode'", tok)
 
     # -- types ---------------------------------------------------------
@@ -331,8 +343,8 @@ class _Parser:
             return NatTy(span=Span(start, end))
         if kind == "Vec":
             elem = self.tyatom()
-            length = self.atom()
-            return VecTy(elem, erase(length), span=self._span(start))
+            length = self._erased(self.atom)
+            return VecTy(elem, length, span=self._span(start))
         if kind in ("Pi", "All"):
             name = self.expect("ident", "a bound variable")[1]
             self.expect(":")
@@ -344,11 +356,10 @@ class _Parser:
             cls = PiTy if kind == "Pi" else AllTy
             return cls(name, dom, cod, span=self._span(start))
         if kind == "ifzero":
-            scrut = self.atom()
+            scrut = self._erased(self.atom)
             on_zero = self.tyatom()
             on_succ = self.tyatom()
-            return IfZeroTy(erase(scrut), on_zero, on_succ,
-                            span=self._span(start))
+            return IfZeroTy(scrut, on_zero, on_succ, span=self._span(start))
         raise AssertionError(kind)
 
     def tyatom(self) -> Ty:
@@ -365,10 +376,26 @@ class _Parser:
 
     def _equation(self) -> Ty:
         start = self.toks[self.pos][2]
-        lhs = self.apply()
+        lhs = self._erased(self.apply)
         self.expect("=", "'=' (equation type)")
-        rhs = self.apply()
-        return EqTy(erase(lhs), erase(rhs), span=self._span(start))
+        rhs = self._erased(self.apply)
+        return EqTy(lhs, rhs, span=self._span(start))
+
+    def _erased(self, parse) -> UnannTerm:
+        """The erasure of the term that `parse` reads.  In a file, the
+        names recorded for it become those of the erasure, which differ
+        only if erasure changed the term: it drops annotations, and may
+        release a `#` name from an implicit binder."""
+        names = self.names
+        if names is None:
+            return erase(parse())
+        mark = len(names)
+        t = parse()
+        erased = erase(t)
+        if erased is not t:
+            del names[mark:]
+            names += free_vars(erased)
+        return erased
 
     # -- terms ---------------------------------------------------------
 
@@ -440,6 +467,9 @@ class _Parser:
                 # the distance to the innermost binder of that name
                 return BVar(self.scope[::-1].index(text),
                             span=Span(start, end))
+            names = self.names
+            if names is not None:
+                names.append(text)
             return FVar(text, span=Span(start, end))
         if kind == "(":
             self.pos += 1
@@ -629,25 +659,15 @@ class ResolvedFile:
     defs: tuple[ResolvedDef, ...]
 
 
-def _mentions(item: Item) -> tuple[frozenset[str], frozenset[str]]:
-    """The free names of an item's type and of its body."""
-    ty = frozenset() if isinstance(item, ModeItem) else free_vars(item.ty)
-    return ty, (free_vars(item.body) if isinstance(item, DefItem)
-                else frozenset())
-
-
-def _needed(source: SourceFile,
-            mentions: list[tuple[frozenset[str], frozenset[str]]],
-            name: str) -> set[str]:
+def _needed(source: SourceFile, name: str) -> set[str]:
     """The names that `name` and the assumed types reach through the
     items' free names, the defs to resolve among them.  In a file that
     resolves, items name only earlier items: one backward pass will do."""
     needed = {name}
-    for item, (ty_names, body_names) in zip(reversed(source.items),
-                                            reversed(mentions)):
+    for item in reversed(source.items):
         if isinstance(item, AssumeItem) or (isinstance(item, DefItem)
                                             and item.name in needed):
-            needed |= ty_names | body_names
+            needed |= item.names
     return needed
 
 
@@ -656,54 +676,48 @@ def resolve_defs(source: SourceFile, mode_override: Mode | None = None,
     """Inline definitions and collect assumptions.
 
     Each def or assume may reference only earlier defs, earlier assumes,
-    and its own binders; any other free name of its type or body is an
-    unknown reference, or a recursive one if it names the def itself.  A
-    `#` name there was released from an implicit binder when the parser
-    erased a term inside a type, and is reported as the checker reports
-    it: a bound variable that survives erasure.
+    and its own binders; any other free name of its type or body (the
+    names the parser recorded) is an unknown reference, or a recursive one
+    if it names the def itself.  A `#` name there was released from an
+    implicit binder when the parser erased a term inside a type, and is
+    reported as the checker reports it: a bound variable that survives
+    erasure.
 
     A resolved item mentions only assumed names and the `#` names that
     erasure releases (see `tvec.erase`), which no def can take and which
-    the checker rejects.  So each item substitutes just the earlier defs
-    it names, in any order, and each body is erased once, when its def is
-    resolved: one pass per item, not one per pair of items.  That erasure
-    answers for the body wherever a later body inlines it (`share`), so
-    it is walked once and the erasures share it as the bodies do.
+    the checker rejects.  So every earlier def an item names is inlined in
+    one walk of the item as written (`erase.inline`), and no inlined body
+    is walked again: resolution is linear in the text.  Each body is
+    erased once, when its def is resolved; that erasure fills the def's
+    type positions, and answers for the body wherever a later body inlines
+    it (`share`), so it is walked once and the erasures share it as the
+    bodies do.
 
     With `name`, only the defs that `name` or an assumed type reaches are
     inlined and erased, and `defs` holds just those.  Every item has its
     names checked either way, so the errors are those of the whole file.
     """
-    mentions = [_mentions(item) for item in source.items]
-    needed = None if name is None else _needed(source, mentions, name)
+    needed = None if name is None else _needed(source, name)
     mode: Mode | None = None
     assumptions: list[tuple[str, Ty]] = []
     bound: set[str] = set()     # the names of the earlier defs and assumes
-    resolved: dict[str, ResolvedDef] = {}
-    erasures: dict[int, UnannTerm] = {}     # id(d.body) -> d.erased
+    resolved: list[ResolvedDef] = []
+    defs: dict[str, tuple[AnnTerm, UnannTerm]] = {}  # name -> body, erasure
+    erasures: dict[int, UnannTerm] = {}     # id(body) -> its erasure
 
     def fail(message: str, span: Span, code: str):
         raise ResolveError(Diagnostic("resolve", message, span, code=code))
 
-    def inline(node: Node, names: frozenset[str], annotated: bool) -> Node:
-        """`node` with the earlier defs among its free `names` inlined."""
-        for n in names:
-            d = resolved.get(n)
-            if d is not None:
-                node = (subst_annotated(node, n, d.body, d.erased)
-                        if annotated else subst(node, n, d.erased))
-        return node
-
-    for item, (ty_names, body_names) in zip(source.items, mentions):
+    for item in source.items:
         if isinstance(item, ModeItem):
             if mode is not None:
                 fail("duplicate mode pragma", item.span, "duplicate-pragma")
             mode = item.mode
             continue
-        item_name, span = item.name, item.span
+        item_name, span, names = item.name, item.span, item.names
         if item_name in bound:
             fail(f"duplicate name {item_name}", span, "duplicate-name")
-        loose = (ty_names | body_names) - bound
+        loose = names - bound
         kind = "def" if isinstance(item, DefItem) else "assume"
         if kind == "def" and item_name in loose:
             fail(f"def {item_name} refers to itself; definitions are "
@@ -717,19 +731,22 @@ def resolve_defs(source: SourceFile, mode_override: Mode | None = None,
                  "erasure; it may only occur in annotations", span,
                  "erased-occurrence")
         bound.add(item_name)
+        if needed is not None and kind == "def" and item_name not in needed:
+            continue
+        named = not defs.keys().isdisjoint(names)
+        ty = inline(item.ty, defs) if named else item.ty
         if kind == "assume":
-            assumptions.append(
-                (item_name, inline(item.ty, ty_names, annotated=False)))
-        elif needed is None or item_name in needed:
-            body = inline(item.body, body_names, annotated=True)
-            outer = share(erasures)
-            try:
-                erased = erasures[id(body)] = erase(body)
-            finally:
-                share(outer)
-            resolved[item_name] = ResolvedDef(
-                item_name, inline(item.ty, ty_names, annotated=False), body,
-                erased, item.ty, span)
+            assumptions.append((item_name, ty))
+            continue
+        body = inline(item.body, defs) if named else item.body
+        outer = share(erasures)
+        try:
+            erased = erasures[id(body)] = erase(body)
+        finally:
+            share(outer)
+        defs[item_name] = body, erased
+        resolved.append(
+            ResolvedDef(item_name, ty, body, erased, item.ty, span))
 
     return ResolvedFile(mode_override or mode or Mode.BASE,
-                        Context(tuple(assumptions)), tuple(resolved.values()))
+                        Context(tuple(assumptions)), tuple(resolved))

@@ -16,7 +16,7 @@ The two term categories share `FVar`, `BVar`, `App`, `Zero`, `Succ` and
 `Cons`: these carry no annotation, so erasure leaves them as they are.
 The categories also decide annotation positions: a type inside an
 annotated term (a domain, a motive) is an annotation, which erasure drops
-and `erase.subst_annotated` fills with erased terms.
+and `erase.inline` fills with erased terms.
 
 Bound variables are de Bruijn indices (`BVar`), free variables are names
 (`FVar`).  Binder name hints are kept for printing and diagnostics but are
@@ -25,8 +25,10 @@ alpha-equivalence.  Every binding construct declares, per child field, how
 many extra binder levels that child sits under (`SCOPES`).  One walker,
 `map_vars`, follows those levels down to the variables and rebuilds only
 what changes.  The kernel fills binders one way, with `instantiate`, and
-replaces a free name one way, with `subst`; both are leaf functions over
-the walker, as is erasure's index lowering (`erase._release`).  The folds
+replaces free names with leaf functions over the same walker: one name
+with `subst`, and in `erase.inline` the names of a mapping, in the types
+inside an annotated term.  Erasure's index lowering (`erase._release`)
+is one too.  The folds
 `free_vars` and `node_count` walk the same children.  The walkers cross a
 numeral or a vector literal in one loop (`map_spine`), not a frame a level.
 

@@ -7,14 +7,16 @@ program and a set of broken files, and prints for each invocation its
 command line, exit status, stdout and stderr.  The invocations are `check`,
 `eval` (cbv and full, each with and without `--trace`) and `erase`, each
 with and without `--json`, plus `selftest --size 6 --json` in each mode
-with the timings removed.  The `tvec` package is imported from the `src/`
-directory next to this script's directory, so running the script of one
-checkout on another checkout means copying it there.  Two checkouts whose
-command lines behave alike print the same bytes, so a change that must not
-alter any output is checked with one `diff`.
+with the timings removed, and last `check`, `eval` and `erase` of the last
+def of a short chain of defs that each name two earlier ones.  The `tvec`
+package is imported from the `src/` directory next to this script's
+directory, so running the script of one checkout on another checkout means
+copying it there.  Two checkouts whose command lines behave alike print the
+same bytes, so a change that must not alter any output is checked with one
+`diff`.
 
 Pytest does not collect this file; `tests/test_frontend.py` imports
-`BROKEN` and `FAMILY` from it.
+`BROKEN`, `FAMILY` and `two_name_chain` from it.
 """
 
 from __future__ import annotations
@@ -156,6 +158,22 @@ def abEq3 : append a3 b3 = abLit3 = join (append @[3] @[3] a3 b3) abLit3
 """
 
 
+def two_name_chain(levels: int) -> str:
+    """`a0`, `b0`, then for each level i up to `levels` an `a<i>` and a
+    `b<i>` that each name both defs of the level below.  Inlined, the last
+    def is a tree of 2**levels leaves that shares its subtrees."""
+    lines = ["def a0 : Nat = 0", "def b0 : Nat = 1"]
+    for i in range(1, levels + 1):
+        for x, y in ("ab", "ba"):
+            lines.append(f"def {x}{i} : Nat = rnat [x. Nat] {x}{i - 1} "
+                         f"(fun y : Nat => fun u : Nat => u) {y}{i - 1}")
+    return "\n".join(lines) + "\n"
+
+
+# Only the last def of the chain is run: its erasure prints a tree.
+CHAIN_FILE, CHAIN_LAST = "programs/chain6.tvec", "a6"
+
+
 def _files(workdir: Path) -> list[str]:
     """Write every input under `workdir`; their paths relative to it."""
     sources = {f"examples/{p.name}": p.read_text(encoding="utf-8")
@@ -170,6 +188,7 @@ def _files(workdir: Path) -> list[str]:
         (workdir / rel).parent.mkdir(parents=True, exist_ok=True)
         (workdir / rel).write_text(text, encoding="utf-8")
     (workdir / "broken/not_utf8.tvec").write_bytes(b"def n : Nat = \xff\n")
+    (workdir / CHAIN_FILE).write_text(two_name_chain(6), encoding="utf-8")
     return [*sources, "broken/not_utf8.tvec", "broken/missing.tvec"]
 
 
@@ -198,6 +217,12 @@ def _invocations(files: list[str], workdir: Path) -> list[list[str]]:
                 runs.append(["erase", rel, name, *json_flag])
     for mode in ("base", "large-elim"):
         runs.append(["selftest", "--size", "6", "--json", "--mode", mode])
+    for json_flag in ([], ["--json"]):
+        runs.append(["check", CHAIN_FILE, *json_flag])
+        for strategy in ("cbv", "full"):
+            runs.append(["eval", CHAIN_FILE, CHAIN_LAST, "--strategy",
+                         strategy, *json_flag])
+        runs.append(["erase", CHAIN_FILE, CHAIN_LAST, *json_flag])
     return runs
 
 

@@ -1,15 +1,17 @@
-"""Open and close for the tests, independent of the walkers in `tvec.syntax`.
+"""Open, close and substitution for the tests, independent of the walkers
+in `tvec.syntax`.
 
 The kernel fills binders only with `syntax.instantiate` and replaces free
-names only with `syntax.subst`, both over its walker `map_vars`.  The
-reference implementations (`reference_checker`, `reference_erase`,
-`reference_parser`, `reference_reduce`) follow the plain locally nameless
-discipline instead: they open a binder with a name and close it again
-(Charguéraud, *The Locally Nameless Representation*, JAR 2012).  This
-module does that with a recursive walk of its own over `SCOPES` that
-rebuilds nodes with `dataclasses.replace`, so a reference shares no walker
-with the code it is compared against, and `test_syntax.py` can compare
-`instantiate` with it.
+names only with `syntax.subst` and `erase.inline`, over its walker
+`map_vars`.  The reference implementations (`reference_checker`,
+`reference_erase`, `reference_parser`, `reference_reduce`,
+`reference_resolve`) follow the plain locally nameless discipline instead:
+they open a binder with a name and close it again (Charguéraud, *The
+Locally Nameless Representation*, JAR 2012), and substitute for a free
+name one name at a time.  This module does that with a recursive walk of
+its own over `SCOPES` that rebuilds nodes with `dataclasses.replace`, so a
+reference shares no walker with the code it is compared against, and
+`test_syntax.py` can compare `instantiate` with it.
 """
 
 from __future__ import annotations
@@ -49,6 +51,26 @@ def close_at(t: Node, k: int, name: str) -> Node:
             return BVar(depth, span=v.span)
         return v
     return _walk(t, leaf, k)
+
+
+def subst(t: Node, name: str, repl: Node) -> Node:
+    """Replace the free variable `name` with `repl`, which must be locally
+    closed, so that no binder of `t` catches its names."""
+    def leaf(v: Node, depth: int) -> Node:
+        return repl if isinstance(v, FVar) and v.name == name else v
+    return _walk(t, leaf, 0)
+
+
+def free_names(t: Node) -> frozenset[str]:
+    """The names of the free variables of `t`."""
+    names: set[str] = set()
+
+    def leaf(v: Node, depth: int) -> Node:
+        if isinstance(v, FVar):
+            names.add(v.name)
+        return v
+    _walk(t, leaf, 0)
+    return frozenset(names)
 
 
 def open1(t: Node, repl: Node) -> Node:

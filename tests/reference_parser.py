@@ -8,7 +8,9 @@ erased before the enclosing binder closes them, so a name that erasure
 releases from an ill-typed implicit binder can be captured by an outer
 binder of the same name; `tvec.frontend` leaves it free.  Apart from that
 case, `test_frontend.py` checks that both parsers give equal terms, binder
-hints and spans, and the same error at the same span.
+hints and spans, and the same error at the same span.  It finds an
+item's free names by walking the finished item (`free_names`), where
+`tvec.frontend` records them while it parses.
 
 It lexes with `reference_lexer`, not with `tvec.frontend.tokenize`, so the
 pair checks the production lexer and parser together against code that
@@ -30,7 +32,7 @@ from tvec.syntax import (
 )
 from tvec.typecheck import Diagnostic, Mode
 
-from locally_nameless import close1, close_at
+from locally_nameless import close1, close_at, free_names
 from reference_lexer import tokenize
 
 _ATOM_STARTS = frozenset({"zero", "number", "ident", "nil", "("})
@@ -99,7 +101,8 @@ class _Parser:
             name = self.expect("ident", "a name")
             self.expect(":")
             ty = self.type_()
-            return AssumeItem(name.text, ty, Span(tok.start, self._prev_end()))
+            return AssumeItem(name.text, ty, Span(tok.start, self._prev_end()),
+                              free_names(ty))
         if tok.kind == "def":
             self.next()
             name = self.expect("ident", "a name")
@@ -108,7 +111,8 @@ class _Parser:
             self.expect("=")
             body = self.term()
             return DefItem(name.text, ty, body,
-                           Span(tok.start, self._prev_end()))
+                           Span(tok.start, self._prev_end()),
+                           free_names(ty) | free_names(body))
         self._err("expected 'def', 'assume', or 'mode'", tok)
 
     def _prev_end(self) -> int:

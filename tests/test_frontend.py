@@ -5,6 +5,7 @@ import importlib
 import json
 import sys
 import threading
+import time
 from dataclasses import fields, is_dataclass
 
 import pytest
@@ -12,21 +13,22 @@ from hypothesis import given, settings, strategies as st
 
 import reference_lexer
 import reference_parser
+import reference_resolve
 import tvec.frontend
 import tvec.syntax
-from cli_transcript import BROKEN, FAMILY
+from cli_transcript import BROKEN, FAMILY, two_name_chain
 from conftest import EXAMPLES
 from tvec.cli import main as cli_main
 from tvec.erase import erase
 from tvec.frontend import (
-    KEYWORDS, MAX_NUMERAL, DefItem, ParseError, ResolveError, parse,
-    parse_term, parse_type, pretty, resolve_defs, tokenize,
+    KEYWORDS, MAX_NUMERAL, DefItem, ModeItem, ParseError, ResolveError,
+    parse, parse_term, parse_type, pretty, resolve_defs, tokenize,
 )
 from tvec.oracle import enumerate_terms
 from tvec.syntax import (
     AllTy, App, BVar, Context, EqTy, FVar, IfZeroTy, Lam, NatTy, PiTy, RNat,
     RVec, Succ, TAppImp, TCast, Cons, TJoin, TLam, TLamImp, TNil, TQApp, TQLam,
-    Span, TRNat, TRVec, TUnfoldZ, VecTy, Zero, alpha_eq,
+    Span, TRNat, TRVec, TUnfoldZ, VecTy, Zero, alpha_eq, free_vars,
 )
 from tvec.typecheck import Checker, Inferred, Mode
 
@@ -593,25 +595,19 @@ class TestFileParsing:
         def b : Nat = 0
         def g : f = b = join 0 0
         """
-        substituted = []
-        subst = tvec.frontend.subst
-
-        def counted(t, name, repl):
-            substituted.append(name)
-            return subst(t, name, repl)
-
-        monkeypatch.setattr(tvec.frontend, "subst", counted)
+        substituted = _record_inlining(monkeypatch)
         resolved = resolve_defs(parse(src))
         assert resolved.defs[-1].ty == EqTy(FVar("b#"), Zero())
         assert sorted(substituted) == ["b", "f"]
 
     @staticmethod
     def _resolution_work(monkeypatch, src, name=None):
-        """Resolve `src` counting the frontend's `erase` and
-        `subst_annotated` calls, and the top-level `erase` calls; parsing,
-        which erases the terms in types, is not counted."""
+        """Resolve `src` counting the frontend's `erase` calls, the names
+        its walks replace (`inlined`, once per occurrence replaced), and
+        the top-level `erase` calls; parsing, which erases the terms in
+        types, is not counted."""
         source = parse(src)
-        work = {"erase": 0, "subst_annotated": 0, "top_level_erase": 0}
+        work = {"erase": 0, "top_level_erase": 0}
 
         def counted(fn, key):
             def wrapper(*args):
@@ -635,11 +631,10 @@ class TestFileParsing:
 
         with monkeypatch.context() as m:
             m.setattr(erase_module, "erase", erase_counted)
-            m.setattr(tvec.frontend, "erase", erase_counted)
-            for key in ("erase", "subst_annotated"):
-                m.setattr(tvec.frontend, key,
-                          counted(getattr(tvec.frontend, key), key))
+            m.setattr(tvec.frontend, "erase", counted(erase_counted, "erase"))
+            inlined = _record_inlining(m)
             resolved = resolve_defs(source, None, name)
+        work["inlined"] = len(inlined)
         return resolved, work
 
     CHAIN = "def n0 : Nat = 0\n" + "".join(
@@ -650,15 +645,68 @@ class TestFileParsing:
         resolved, work = self._resolution_work(monkeypatch, self.CHAIN)
         assert resolved.defs[-1].body == parse_term(str(n - 1))
         # one erasure per def and one substitution per reference
-        assert work["erase"] + work["subst_annotated"] <= 2 * n
+        assert work["erase"] + work["inlined"] <= 2 * n
         assert work["top_level_erase"] == n
+
+    @staticmethod
+    def _walk_visits(monkeypatch, source, name, budget):
+        """Resolve `source` (for `name`) counting the visits of the
+        substitution walk, the annotated walker's and `map_vars`'s; fail
+        as soon as they exceed `budget`, so an exponential walk stops."""
+        erase_module = importlib.import_module("tvec.erase")
+        visits = 0
+
+        def counted(walk):
+            def wrapper(*args):
+                nonlocal visits
+                visits += 1
+                assert visits <= budget, "the walk is not linear"
+                return walk(*args)
+            return wrapper
+
+        with monkeypatch.context() as m:
+            m.setattr(erase_module, "_inline",
+                      counted(erase_module._inline))
+            walk = counted(tvec.syntax.map_vars)
+            m.setattr(erase_module, "map_vars", walk)
+            m.setattr(tvec.syntax, "map_vars", walk)
+            resolved = resolve_defs(source, None, name)
+        return resolved, visits
+
+    @pytest.mark.parametrize("name", [None, "a99", "b50"])
+    def test_two_name_chain_resolves_in_linear_work(self, monkeypatch,
+                                                     name):
+        # each def names both defs of the level below, so a walk that
+        # entered inlined bodies would make 2**levels visits
+        source = parse(two_name_chain(99))
+        n = len(source.items)
+        assert n == 200
+        resolved, visits = self._walk_visits(monkeypatch, source, name,
+                                             budget=10 * n)
+        # (plain values only: printing a resolved body prints a tree)
+        names = [d.name for d in resolved.defs]
+        assert names[-1] == (name or "b99")
+        # the type and the body as written, 7 nodes; `a0` and `b0` name no
+        # def and are not walked
+        assert visits == 7 * (len(names) - 2)
+
+    def test_two_name_chain_checks_fast(self, tmp_path, capsys):
+        path = tmp_path / "chain.tvec"
+        path.write_text(two_name_chain(20))
+        assert len(path.read_text().splitlines()) == 42
+        start = time.perf_counter()
+        status = cli_main(["check", str(path)])
+        elapsed = time.perf_counter() - start
+        assert status == 0
+        assert capsys.readouterr().out.endswith("a20 : Nat\nb20 : Nat\n")
+        assert elapsed < 0.5
 
     def test_resolving_one_def_does_only_its_work(self, monkeypatch):
         resolved, work = self._resolution_work(monkeypatch, self.CHAIN,
                                                "n0")
         assert [d.name for d in resolved.defs] == ["n0"]
         assert work["top_level_erase"] == 1
-        assert work["subst_annotated"] == 0
+        assert work["inlined"] == 0
         # the last def needs every other one
         _, full = self._resolution_work(monkeypatch, self.CHAIN)
         _, last = self._resolution_work(monkeypatch, self.CHAIN, "n199")
@@ -683,6 +731,25 @@ class TestFileParsing:
     def test_each_def_keeps_its_erasure(self, path):
         for d in resolve_defs(parse(path.read_text())).defs:
             assert d.erased == erase(d.body)
+
+
+def _record_inlining(monkeypatch) -> list[str]:
+    """Make `resolve_defs` record each name that its walks replace, once
+    per occurrence replaced, in the list returned."""
+    replaced: list[str] = []
+    inline = tvec.frontend.inline
+
+    class Recorded(dict):
+        # `erase.inline` looks each free name up with `get`
+        def get(self, name, default=None):
+            entry = super().get(name, default)
+            if entry is not None:
+                replaced.append(name)
+            return entry
+
+    monkeypatch.setattr(tvec.frontend, "inline",
+                        lambda t, defs: inline(t, Recorded(defs)))
+    return replaced
 
 
 def _resolution(source, name, whole):
@@ -737,8 +804,78 @@ class TestResolveOneDef:
             "def c mentions unknown names: zz"
 
 
+# What the reference resolver and the names check run on: every carried
+# file, the benchmark's family, and every broken file that parses.
+RESOLVED_TEXTS = {
+    **{f"{path.parent.name}/{path.name}": path.read_text()
+       for path in CARRIED},
+    "family": (EXAMPLES / "vec.tvec").read_text() + FAMILY,
+    **{f"broken/{label}": BROKEN[label]
+       for label in sorted(set(BROKEN) - UNPARSED)},
+}
+
+
+def _spelled(x) -> list:
+    """Every field of `x`, binder hints and spans included, in preorder;
+    a loop, as `repr` overflows the stack on a deep numeral."""
+    out, todo = [], [x]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, tuple):
+            out.append(len(x))
+            todo.extend(reversed(x))
+        elif is_dataclass(x):
+            out.append(type(x).__name__)
+            todo.extend(getattr(x, f.name) for f in reversed(fields(x)))
+        else:
+            out.append(x)
+    return out
+
+
+def _resolved_or_error(resolve, source):
+    try:
+        return resolve(source)
+    except ResolveError as err:
+        return err.diagnostic.to_json()
+
+
+class TestReferenceResolver:
+    @pytest.mark.parametrize("label", sorted(RESOLVED_TEXTS))
+    def test_resolves_as_one_name_at_a_time(self, label):
+        source = parse(RESOLVED_TEXTS[label])
+        got = _resolved_or_error(resolve_defs, source)
+        want = _resolved_or_error(reference_resolve.resolve_defs, source)
+        assert got == want
+        assert _spelled(got) == _spelled(want)
+        if isinstance(got, dict) or label.startswith("broken/deep"):
+            return
+        assert repr(got) == repr(want)
+
+
+class TestRecordedNames:
+    @pytest.mark.parametrize("label", sorted(RESOLVED_TEXTS))
+    def test_recorded_names_are_the_free_names(self, label):
+        for item in parse(RESOLVED_TEXTS[label]).items:
+            if isinstance(item, ModeItem):
+                continue
+            body = item.body if isinstance(item, DefItem) else NAT
+            assert item.names == free_vars(item.ty) | free_vars(body)
+
+    @pytest.mark.parametrize("src, names", [
+        # an erased annotation drops its names, and erasure releases `b#`
+        ("def v : Vec Nat (cast [w. Nat] typo 0) = nil [Nat]", set()),
+        ("assume h : Pi b : Nat. Vec Nat (ifun b : Nat => b)", {"b#"}),
+        # a failed `( type )` leaves no name behind
+        ("def d : (cast [w. Nat] typo 0) = 0 = join 0 0", set()),
+        ("def d : (f @[x] y) = z = join 0 0", {"f", "y", "z"}),
+        ("def d : Nat = f @[x] (fun y : Vec Nat n => y)", {"f", "x", "n"}),
+    ])
+    def test_names_of_erased_terms_are_those_of_the_erasure(self, src,
+                                                            names):
+        assert parse(src).items[0].names == names
+
+
 def free_vars_empty(t) -> bool:
-    from tvec.syntax import free_vars
     return not free_vars(t)
 
 

@@ -296,8 +296,8 @@ def _record_pair(cls):
         return {
             NormalForm: (term, n), FuelExhausted: (term, n),
             Value: (term, n), Stuck: (term, a, n), Inferred: (ty,),
-            Failure: (diag,), DefItem: (a, ty, term, span),
-            AssumeItem: (a, ty, span), ModeItem: (mode, span),
+            Failure: (diag,), DefItem: (a, ty, term, span, frozenset(a)),
+            AssumeItem: (a, ty, span, frozenset(a)), ModeItem: (mode, span),
             SourceFile: ((ModeItem(mode, span),),),
             ResolvedDef: (a, ty, term, term, ty, span),
             ResolvedFile: (mode, ctx, (r,)),
