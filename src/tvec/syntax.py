@@ -30,7 +30,8 @@ with `subst`, and in `erase.inline` the names of a mapping, in the types
 inside an annotated term.  Erasure's index lowering (`erase._release`)
 is one too.  The folds
 `free_vars` and `node_count` walk the same children.  The walkers cross a
-numeral or a vector literal in one loop (`map_spine`), not a frame a level.
+numeral or a vector literal in one loop (`map_spine`), not a frame a level,
+and so do `==`, `hash` and `repr`.
 
 Only printing names bound variables.  The parser binds names as it reads
 them.  The checker instantiates codomains and motives with `instantiate`,
@@ -49,6 +50,9 @@ and `__hash__` over the compared fields, and on nodes `children()` and
 `rebuild()`, which walkers use; `__repr__`, `__setattr__`/`__delattr__` and
 `__getstate__`/`__setstate__` are shared by all.  A method the class defines
 itself is kept (the `__eq__` and `__hash__` that `Succ` and `Cons` share).
+`__setstate__` stores through the class's attribute for each field, so a
+record may put a property with a setter over a field's slot
+(`typecheck.Failure`).
 Nodes must stay frozen, as subterms are shared: by the enumerator's cache
 (`oracle._exact`), by def bodies inlined at every use, and by the
 reducer's memo of normal subterms by `id`.
@@ -101,9 +105,18 @@ def frozen(cls: type) -> type:
 
 
 def _repr(self) -> str:
+    opened = []         # an `S` tower or a `cons` spine in one loop
+    while (cls := type(self)) is Succ or cls is Cons:
+        if cls is Succ:
+            opened.append("Succ(pred=")
+            self = self.pred
+        else:
+            opened.append(f"Cons(head={self.head!r}, tail=")
+            self = self.tail
     shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}"
                       for f in fields(self) if f.repr)
-    return f"{type(self).__qualname__}({shown})"
+    inner = f"{type(self).__qualname__}({shown})"
+    return "".join(opened) + inner + ")" * len(opened)
 
 
 def _setattr(self, name: str, value: object) -> None:

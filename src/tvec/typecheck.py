@@ -31,8 +31,14 @@ motives and the recursor step types are built by `syntax.instantiate`;
 join sides are normalized under the enclosing binders.  So checking costs
 time linear in binder depth.  Whether a bound variable survives erasure
 is noted by level as the pass meets it, so the side condition of
-implicit binders erases nothing.  Names are made only when a diagnostic
-that points at the binders is read (`_named`).
+implicit binders erases nothing.
+
+A failed check costs only the rules it ran.  The failing rule raises the
+parts its diagnostic is made from (`_fail`): the nodes, the enclosing
+binders and, for distinct join sides, the two normal forms.  The
+`Failure` that `infer` returns makes the diagnostic when it is first read
+(`_diagnose`), and its texts when they are read; only then are the
+binders named (`_named`).  The self-test reads none of its failures.
 
 Resolution inlines each def's body as one object at every use, so a
 resolved item is a DAG, and walking it as a tree costs time exponential in
@@ -88,9 +94,10 @@ RULES = {Mode.BASE: BASE_RULES, Mode.LARGE_ELIM: EXT_RULES}
 
 class _Shown:
     """A `Diagnostic` field that holds a node, a function that makes its
-    text, or the text, and reads as the text, made on first read.  Most
-    diagnostics are never shown (the self-test drops nearly all of its
-    failures), so they leave the formatting to whoever reads them."""
+    text, or the text, and reads as the text, made on first read.  A
+    checker's whole diagnostic is made only when it is read (`Failure`);
+    a reader may still want only its rule or code, so the diagnostic
+    leaves the formatting of its types to whoever reads them."""
 
     def __set_name__(self, owner, name: str) -> None:
         self.slot = "_" + name
@@ -153,16 +160,32 @@ class Inferred:
 
 @frozen
 class Failure:
+    """A failed check.  `diagnostic` may be given as the function that
+    makes it; it is then made on first read and kept."""
+
     diagnostic: Diagnostic
 
+
+def _made_on_read(slot) -> property:
+    """A property that reads `slot` and, if it holds a function, calls it
+    once and keeps the value there.  Its setter is the slot's, which
+    `frozen`'s `__setstate__` calls."""
+    def read(self) -> Diagnostic:
+        value = slot.__get__(self)
+        if not isinstance(value, Diagnostic):
+            value = value()
+            slot.__set__(self, value)
+        return value
+    return property(read, slot.__set__)
+
+
+Failure.diagnostic = _made_on_read(Failure.diagnostic)
 
 CheckResult = Inferred | Failure
 
 
 class _CheckError(Exception):
-    def __init__(self, diagnostic: Diagnostic):
-        super().__init__(diagnostic.message)
-        self.diagnostic = diagnostic
+    """A failed rule; its `args` are those of `_diagnose`."""
 
 
 def _fmt(node) -> str:
@@ -172,6 +195,30 @@ def _fmt(node) -> str:
 
 def _span(node) -> Span:
     return node.span or Span(0, 0)
+
+
+def _diagnose(rule: str, node, message: str, code: str,
+              expected: Ty | None = None, actual: Node | None = None,
+              forms: tuple[Node, Node] | None = None,
+              ctx: Context | None = None, root: AnnTerm | None = None,
+              env: tuple[tuple[str, Ty], ...] = ()) -> Diagnostic:
+    """The diagnostic of a failure at `node`.  `expected`, `actual` and
+    the normal `forms` of the two sides of a join (`node`) may point at
+    the enclosing binders `env`, which their texts name (`_named`)."""
+    text = _fmt
+    if env:
+        text = partial(_named, ctx, root, env)
+        expected = expected and partial(text, expected)
+        actual = actual and partial(text, actual)
+    children = ()
+    if forms:
+        children = (
+            Diagnostic("join", f"left normalizes to {text(forms[0])}",
+                       _span(node.lhs), code="note", severity="note"),
+            Diagnostic("join", f"right normalizes to {text(forms[1])}",
+                       _span(node.rhs), code="note", severity="note"))
+    return Diagnostic(rule, message, _span(node), code=code,
+                      expected=expected, actual=actual, children=children)
 
 
 def _named(ctx: Context, root: AnnTerm, env, node: Node) -> str:
@@ -236,7 +283,7 @@ class Checker:
         try:
             return Inferred(self._infer(t))
         except _CheckError as err:
-            return Failure(err.diagnostic)
+            return Failure(partial(_diagnose, *err.args))
         finally:
             if shared:
                 share(outer)
@@ -246,24 +293,20 @@ class Checker:
         if isinstance(res, Failure):
             return res
         if not alpha_eq(res.type, expected):
-            return Failure(Diagnostic(
-                "check", "inferred type does not match the declared type",
-                _span(t), code="type-mismatch",
-                expected=expected, actual=res.type))
+            return Failure(partial(
+                _diagnose, "check", t, "inferred type does not match the "
+                "declared type", "type-mismatch", expected, res.type))
         return res
 
     # -- failure helpers -----------------------------------------------
 
     def _fail(self, rule: str, node, message: str, *, code: str,
               expected: Ty | None = None, actual: Node | None = None,
-              children: tuple[Diagnostic, ...] = ()) -> None:
-        if self._env:           # the nodes may point at the binders
-            named = partial(_named, self._ctx, self._root, tuple(self._env))
-            expected = expected and partial(named, expected)
-            actual = actual and partial(named, actual)
-        raise _CheckError(Diagnostic(
-            rule, message, _span(node), code=code,
-            expected=expected, actual=actual, children=children))
+              forms: tuple[Node, Node] | None = None) -> None:
+        """Raise the parts of the diagnostic; `_env` is copied, as the
+        failure outlives this check."""
+        raise _CheckError(rule, node, message, code, expected, actual,
+                          forms, self._ctx, self._root, tuple(self._env))
 
     def _scope_check(self, rule: str, node, ty: Ty, binders: int = 0) -> None:
         """An annotation (under `binders` of its own) may mention only the
@@ -571,18 +614,8 @@ class Checker:
         left, right = forms
         if alpha_eq(left.term, right.term):
             return EqTy(lhs, rhs)
-        text = (partial(_named, self._ctx, self._root, self._env)
-                if self._env else _fmt)
         self._fail("join", t, "the two sides have distinct normal forms",
-                   code="join-distinct",
-                   children=(
-                       Diagnostic("join",
-                                  f"left normalizes to {text(left.term)}",
-                                  _span(t.lhs), code="note", severity="note"),
-                       Diagnostic("join",
-                                  f"right normalizes to {text(right.term)}",
-                                  _span(t.rhs), code="note", severity="note"),
-                   ))
+                   code="join-distinct", forms=(left.term, right.term))
 
 
 # (rule, construct named in a mode violation, handler) per annotated-term

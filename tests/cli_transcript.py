@@ -31,9 +31,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Files that fail to load, or that load only in part of their defs, each
+# Files that fail to load, or that load only in part of their defs, most
 # with a def before the fault; `eval` and `erase` of that def must report
-# the same error as `check`.
+# the same error as `check`.  The last ones fail to check.
 BROKEN = {
     "later_unknown_in_body": """
 def a : Nat = 0
@@ -143,6 +143,15 @@ def n : Nat = 1000
     "deep_parens_later": """
 def a : Nat = 0
 def n : Nat = """ + "(" * 3000 + "0" + ")" * 3000 + "\n",
+    # the notes of a join print both normal forms
+    "join_distinct": """
+def j : 0 = 1 = join 0 1
+""",
+    # ... under the binders, the inner `x` named `x'`
+    "join_distinct_shadowed": """
+def s : Pi x : Nat. Pi x : Nat. S x = x =
+  fun x : Nat => fun x : Nat => join (S x) x
+""",
 }
 
 # A file like the benchmark's families: vec.tvec and closed defs over it.

@@ -24,7 +24,7 @@ from tvec.syntax import (
     TFoldZ, TJoin, TLam, TLamImp, TNil, TQApp, TQLam, TRNat, TRVec,
     TUnfoldS, TUnfoldZ, VecTy, Zero, free_vars, node_count,
 )
-from tvec.typecheck import Checker, Mode
+from tvec.typecheck import Checker, Diagnostic, Mode
 
 NAT = NatTy()
 OMEGA = App(Lam("x", App(BVar(0), BVar(0))),
@@ -229,6 +229,21 @@ class NoJoinPremise(Checker):
         return EqTy(lhs, rhs)
 
 
+# enumerated, well typed, P1-P3 checked, P4-P5 checked, rule hits
+SIZE_FIVE = {
+    Mode.BASE: (249, 51, 61, 1863, {
+        "abs": 546, "app": 739, "cast": 78, "cons": 631, "join": 636,
+        "nil": 136, "rnat": 84, "rvec": 43, "spec-abs": 337,
+        "spec-app": 671, "succ": 848, "var": 2109, "zero": 1012}),
+    Mode.LARGE_ELIM: (586, 74, 77, 4078, {
+        "abs": 373, "app": 973, "cast": 82, "cons": 970, "fold-succ": 83,
+        "fold-zero": 243, "join": 970, "nil": 289, "quasi-abs": 374,
+        "quasi-app": 971, "rnat": 28, "rvec": 28, "succ": 1669,
+        "unfold-succ": 971, "unfold-zero": 1674, "var": 3670,
+        "zero": 2259}),
+}
+
+
 class TestPropertySuite:
     def test_base_suite_is_green(self):
         rep = run_property_suite(size=4, mode=Mode.BASE)
@@ -264,6 +279,36 @@ class TestPropertySuite:
         assert "result: ok" in text
         for name in PROPERTY_NAMES:
             assert name in text
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_size_five_counts_are_pinned(self, mode):
+        """What the size-5 suite counts, as it counted when every failed
+        check built its diagnostic at once: making diagnostics later must
+        not change which terms check or which rules they hit."""
+        enumerated, well_typed, closed, open_, hits = SIZE_FIVE[mode]
+        rep = run_property_suite(size=5, mode=mode)
+        assert (rep.enumerated, rep.well_typed) == (enumerated, well_typed)
+        assert [(p.name, p.checked, p.undecided) for p in rep.properties] \
+            == [(p, closed, 0) for p in ("P1", "P2", "P3")] \
+            + [(p, open_, 0) for p in ("P4", "P5")]
+        assert rep.rule_hits == hits
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_the_suite_makes_no_diagnostic(self, mode, monkeypatch):
+        """The suite reads none of its failed checks' diagnostics, so it
+        makes none."""
+        made = 0
+        init = Diagnostic.__init__
+
+        def counted(self, *args, **kwargs):
+            nonlocal made
+            made += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Diagnostic, "__init__", counted)
+        rep = run_property_suite(size=5, mode=mode)
+        assert rep.ok and rep.enumerated > rep.well_typed
+        assert made == 0
 
     def test_unsound_join_rule_is_caught(self, monkeypatch):
         monkeypatch.setattr(tvec.oracle, "Checker", NoJoinPremise)

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from tvec.erase import erase, subst_annotated
-from tvec.frontend import parse_term, pretty
+from tvec.frontend import parse, parse_term, pretty, resolve_defs
 from tvec.syntax import (
     BVar, Cons, Context, FVar, Lam, NatTy, Nil, Span, Succ, TNil, VecTy,
     Zero, free_vars, instantiate, map_spine, numeral, subst,
@@ -61,9 +61,10 @@ def levels(t):
 
 
 class TestFrameGuard:
-    """Every walker returns on a 5,000-deep numeral and on a 500-cell
-    vector of numerals, `==` and `pretty` on vectors of up to 1,000 cells,
-    and `hash` on 2,000 levels, with stack for a few dozen frames."""
+    """Every walker and `repr` return on a 5,000-deep numeral and on a
+    500-cell vector of numerals, `==` and `pretty` on vectors of up to
+    1,000 cells, and `hash` on 2,000 levels, with stack for a few dozen
+    frames."""
 
     @staticmethod
     def guarded(fn, *args):
@@ -148,6 +149,20 @@ class TestFrameGuard:
         assert a == b and hash(a) == hash(b)
         assert self.guarded(hash, a) == hash(a)
         assert self.guarded(lambda: len({a, b, build(FVar("x"))})) == 2
+
+    def test_repr_in_a_loop(self):
+        """`repr` crosses a tower or a spine in one loop and stays the
+        dataclass repr; a resolved file's numeral of 1,000 prints at the
+        default recursion limit."""
+        assert self.guarded(repr, tower(5000, Zero())) == \
+            "Succ(pred=" * 5000 + "Zero()" + ")" * 5000
+        heads = [repr(tower(i % 5, Zero())) for i in range(500)]
+        assert self.guarded(repr, vector(500, Zero(span=Span(1, 2)))) == \
+            "".join(f"Cons(head={h}, tail=" for h in heads) + \
+            "TNil(elem=NatTy())" + ")" * 500
+        assert sys.getrecursionlimit() == 1000
+        text = repr(resolve_defs(parse("def n : Nat = 1000")))
+        assert "body=" + repr(tower(1000, Zero())) in text
 
     def test_hash_ignores_spans_and_hints_in_heads(self):
         heads = [(Lam("x", BVar(0)), Lam("y", BVar(0), span=Span(0, 9))),

@@ -1,7 +1,10 @@
 """Base-mode checking: one syntax-directed rule per construct."""
 
+import copy
+import dataclasses
 import gc
 import importlib
+import pickle
 import sys
 import time
 import weakref
@@ -246,6 +249,17 @@ class TestLazyDiagnostics:
         assert "actual:   Nat" in diag.render()
         assert calls == 2
 
+    def test_join_notes_are_made_only_when_read(self, monkeypatch):
+        calls = counting(monkeypatch, ("pretty",), (tvec.frontend,))
+        res = Checker().infer(Context(), parse_term("join 0 1"))
+        assert isinstance(res, Failure)
+        assert calls["pretty"] == 0
+        notes = [c.message for c in res.diagnostic.children]
+        assert notes == ["left normalizes to 0", "right normalizes to 1"]
+        assert calls["pretty"] == 2
+        assert res.diagnostic.children[0].message == notes[0]
+        assert calls["pretty"] == 2
+
     def test_binders_are_named_only_when_read(self, monkeypatch):
         calls = counting(monkeypatch, ("fresh_name",))
         diag = failure(Context(), parse_term(
@@ -253,6 +267,45 @@ class TestLazyDiagnostics:
         assert calls["fresh_name"] == 0
         assert diag.actual == "Vec Nat x"
         assert calls["fresh_name"] == 2
+
+    @pytest.mark.parametrize("src", [
+        "join 0 1",
+        "fun x : Nat => fun y : Vec Nat x => join (S x) (S (S x))",
+        "fun x : Nat => cons (nil [Nat]) (nil [Vec Nat x])",
+    ])
+    def test_a_failure_is_a_record_like_the_reference(self, src):
+        """A failure made before it is read equals, hashes and prints as
+        the reference checker's eager one, and survives pickle and copy
+        whether read or not."""
+        t = parse_term(src)
+        want = reference_checker.Checker().infer(Context(), t)
+        for read in (False, True):
+            got = Checker().infer(Context(), t)
+            if read:
+                got.diagnostic.render()
+            copies = [pickle.loads(pickle.dumps(got, protocol))
+                      for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for new in [got, *copies, copy.copy(got), copy.deepcopy(got)]:
+                assert type(new) is Failure
+                assert new == want and hash(new) == hash(want)
+                assert repr(new) == repr(want)
+                assert dataclasses.fields(new) == dataclasses.fields(want)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got.diagnostic = want.diagnostic
+
+    def test_a_failure_holds_no_checker(self):
+        t = parse_term("fun x : Nat => join (S x) x")
+        gc.disable()
+        try:
+            checker = Checker()
+            res = checker.infer(Context(), t)
+            ref = weakref.ref(checker)
+            del checker
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert [c.message for c in res.diagnostic.children] == \
+            ["left normalizes to S x", "right normalizes to x"]
 
     def test_text_and_node_diagnostics_are_equal(self):
         by_node = Diagnostic("check", "m", Span(0, 0), expected=NAT,
