@@ -30,17 +30,22 @@ are those of the row.  A NUMBER is a run of decimal digits (what
 `_` followed by letters, digits, `_` and `'`, and is not a keyword.
 
 The lexer is one `findall` pass of one pattern, whose every match is the
-run of whitespace and comments before a token and the token itself.  A
-token is a plain `(kind, text, start, end)` tuple: one dict lookup gives
-the kind of a keyword or symbol, the first character that of any other
-token, and the offsets are the running sum of the match lengths.  The
-parser indexes that list itself; it makes no call to look at a token.
+whitespace before a token and the token itself; a comment is a token,
+which the lexer drops.  A token is a plain `(kind, text, start, end)`
+tuple: one dict lookup gives the kind of a keyword or symbol, the first
+character that of any other token, and the offsets are the running sum
+of the match lengths.  The parser indexes that list itself; it makes no
+call to look at a token.
 
 Application is juxtaposition, left-associative; arguments are atoms, so
 compound arguments take parentheses.  Numerals abbreviate towers of S over
 zero and are pure sugar.  Terms embedded in types (vector lengths, ifzero
 scrutinees, equation sides) are parsed as annotated terms and erased on
-the spot, since types embed unannotated terms only.
+the spot, since types embed unannotated terms only.  Literals cost no
+Python frame per level: a numeral is built in one loop (`syntax.tower`),
+and a chain of one keyword form through its last atom, as in `cons a
+(cons b ...)` or `S (S x)`, is read in one loop, as the printer lays it
+out.  Other nesting, parentheses and binders, costs frames per level.
 
 Names bind as they are parsed: the parser keeps the binder names in scope,
 and an identifier becomes `BVar(k)`, k being the distance to the innermost
@@ -79,7 +84,7 @@ from .syntax import (
     Lam, NatTy, Nil, Node, PiTy, QApp, QLam, RNat, RVec, Span, Succ,
     TAppImp, TCast, TFoldS, TFoldZ, TJoin, TLam, TLamImp, TNil, TQApp,
     TQLam, TRNat, TRVec, TUnfoldS, TUnfoldZ, Ty, UnannTerm, VecTy, Zero,
-    free_vars, fresh_name, frozen, numeral,
+    free_vars, fresh_name, frozen, numeral, tower,
 )
 from .typecheck import Diagnostic, Mode
 
@@ -157,16 +162,16 @@ KEYWORDS = frozenset(
     {"def", "mode", "assume", "zero", "nil", "large-elim"} | _TYPE_KEYWORDS
     | _BINDERS.keys() | {form[0] for form in _FORMS})
 
-# Each match is the run of whitespace and comments before a token, then
-# the token.  The token alternatives end in `\Z | .`, so one of them
-# matches wherever the run stops and the run never gives back what it
-# took: the matches cover the text without gaps, and the last one is the
-# empty token at the end.  `\s`, `\w` and `\d` accept exactly the
-# characters that `str.isspace`, `str.isalnum` (plus `_`) and
-# `str.isdecimal` accept.
+# Each match is the whitespace before a token, then the token; a comment
+# is a token, which `tokenize` drops.  The token alternatives end in
+# `\Z | .`, so one of them matches wherever the whitespace stops and the
+# whitespace never gives back what it took: the matches cover the text
+# without gaps, and the last one is the empty token at the end.  `\s`,
+# `\w` and `\d` accept exactly the characters that `str.isspace`,
+# `str.isalnum` (plus `_`) and `str.isdecimal` accept.
 _TOKEN = re.compile(r"""
-    ( (?: \s+ | --[^\n]* )* )
-    ( large-elim(?![\w']) | @-\[ | @\[ | => | [()\[\]:.=]
+    ( \s* )
+    ( --[^\n]* | large-elim(?![\w']) | @-\[ | @\[ | => | [()\[\]:.=]
     | \d+ | [^\W\d][\w']* | \Z | . )
 """, re.VERBOSE | re.DOTALL)
 
@@ -196,12 +201,14 @@ def tokenize(text: str) -> list[Tok]:
                 kind = "number"
             elif first.isalpha() or first == "_":
                 kind = "ident"
+            elif word[:2] == "--":
+                continue
             else:
                 raise ParseError(Diagnostic(
                     "lex", f"unexpected character {first!r}",
                     Span(start, start + 1), code="parse-error"))
         toks.append((kind, word, start, end))
-    # After a trailing comment or whitespace the end matches once more.
+    # After trailing whitespace the end matches once more.
     if len(toks) > 1 and toks[-2] == toks[-1]:
         toks.pop()
     return toks
@@ -416,7 +423,10 @@ class _Parser:
 
     def apply(self) -> AnnTerm:
         start = self.toks[self.pos][2]
-        t = self.head()
+        return self._args(self.head(), start)
+
+    def _args(self, t: AnnTerm, start: int) -> AnnTerm:
+        """`t`, read from `start`, applied to the arguments that follow."""
         while True:
             kind = self.toks[self.pos][0]
             if kind in _ATOM_STARTS:
@@ -432,31 +442,53 @@ class _Parser:
                 return t
 
     def head(self) -> AnnTerm:
-        kind, _, start, _ = self.toks[self.pos]
+        toks = self.toks
+        kind, _, start, _ = toks[self.pos]
         # atoms, the common case, first; `atom` also reports a non-term
         if kind in _ATOM_STARTS or kind not in _PARSED:
             return self.atom()
         _, cls, pieces, _ = _PARSED[kind]
-        self.pos += 1
-        args: list = []
-        for piece, _, _, _ in pieces:
-            if piece is _ATOM:
-                args.append(self.atom())
-                continue
-            self.expect("[")
-            if piece is _TERM:
-                args.append(self.term())
-            else:   # `x. y. type`, its variables in scope for the type
-                depth = len(self.scope)
-                for what in piece:
-                    self.scope.append(self.expect("ident", what)[1])
-                    self.expect(".")
-                args += self.scope[depth:]
-                args.append(self.type_())
-                del self.scope[depth:]
-            self.expect("]")
+        # A chain of the form, as in `cons a (cons b ...)`: while the last
+        # atom is `(` and the same keyword, the loop goes on into it, and
+        # keeps the levels around in `outer`.  No Python frame per link.
+        outer = None
+        while True:
+            self.pos += 1
+            args: list = []
+            for piece, _, _, _ in pieces:
+                if piece is _ATOM:
+                    args.append(self.atom())
+                    continue
+                self.expect("[")
+                if piece is _TERM:
+                    args.append(self.term())
+                else:   # `x. y. type`, its variables in scope for the type
+                    depth = len(self.scope)
+                    for what in piece:
+                        self.scope.append(self.expect("ident", what)[1])
+                        self.expect(".")
+                    args += self.scope[depth:]
+                    args.append(self.type_())
+                    del self.scope[depth:]
+                self.expect("]")
+            if toks[self.pos][0] != "(" or toks[self.pos + 1][0] != kind:
+                break
+            if outer is None:
+                outer = []
+            outer.append((args, start))
+            self.pos += 1
+            start = toks[self.pos][2]
         args.append(self.atom())
-        return cls(*args, span=self._span(start))
+        t = cls(*args, span=self._span(start))
+        if outer is None:
+            return t
+        # Each link closes as `( term )` does around the level within it.
+        for args, outer_start in reversed(outer):
+            t = self._args(t, start)
+            self.expect(")")
+            args.append(t)
+            t, start = cls(*args, span=self._span(outer_start)), outer_start
+        return t
 
     def atom(self) -> AnnTerm:
         tok = self.toks[self.pos]
@@ -485,10 +517,8 @@ class _Parser:
             if n > MAX_NUMERAL:
                 self._err(f"numeral is larger than {MAX_NUMERAL}", tok)
             span = Span(start, end)
-            t: AnnTerm = Zero(span=span)
-            for _ in range(n):
-                t = Succ(t, span=span)
-            return t
+            t = Zero(span=span)
+            return tower(n, t, span) if n else t    # most numerals are 0
         if kind == "zero":
             self.pos += 1
             return Zero(span=Span(start, end))

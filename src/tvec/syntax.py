@@ -49,7 +49,9 @@ that cannot change (`frozen`).  Per field shape, `frozen` compiles once an
 and `__hash__` over the compared fields, and on nodes `children()` and
 `rebuild()`, which walkers use; `__repr__`, `__setattr__`/`__delattr__` and
 `__getstate__`/`__setstate__` are shared by all.  A method the class defines
-itself is kept (the `__eq__` and `__hash__` that `Succ` and `Cons` share).
+itself is kept (the `__eq__`, `__hash__` and `__reduce__` that `Succ` and
+`Cons` share: pickle and `copy` take a tower or a spine apart into its
+heads, spans and base, and `_spine` rebuilds it, each in one loop).
 `__setstate__` stores through the class's attribute for each field, so a
 record may put a property with a setter over a field's slot
 (`typecheck.Failure`).
@@ -219,6 +221,18 @@ class Succ(Node):
             self = self.pred if cls is Succ else self.tail
         return hash((h, self))
 
+    def __reduce__(self):       # pickle and copy flat, rebuilt by `_spine`
+        heads, spans = [], []
+        while (cls := self.__class__) is Succ or cls is Cons:
+            spans.append(self.span)
+            if cls is Succ:
+                heads.append(None)
+                self = self.pred
+            else:
+                heads.append(self.head)
+                self = self.tail
+        return _spine, (heads, spans, self)
+
 
 @frozen
 class RNat(Node):
@@ -240,7 +254,8 @@ class Cons(Node):
     head: "UnannTerm"
     tail: "UnannTerm"
     SCOPES = {"head": 0, "tail": 0}
-    __eq__, __hash__ = Succ.__eq__, Succ.__hash__   # one loop for both
+    # one loop for both classes
+    __eq__, __hash__, __reduce__ = Succ.__eq__, Succ.__hash__, Succ.__reduce__
 
 
 @frozen
@@ -492,6 +507,28 @@ def numeral(t: Node) -> tuple[int, Node]:
     while type(t) is Succ:
         t, n = t.pred, n + 1
     return n, t
+
+
+def tower(n: int, base: Node, span: Span) -> Node:
+    """`n` levels of `S` over `base`, each with `span`.  A level is made as
+    `rebuild` makes a node, through the slot setters: a parsed numeral has
+    a level per unit, and the constructor's call would double its cost."""
+    new, pred, at = object.__new__, Succ.pred.__set__, Succ.span.__set__
+    for _ in range(n):
+        level = new(Succ)
+        pred(level, base)
+        at(level, span)
+        base = level
+    return base
+
+
+def _spine(heads: list, spans: list, base: Node) -> Node:
+    """The `S` and `cons` levels that `Succ.__reduce__` took apart, rebuilt
+    over `base` innermost first: a head of None is an `S` level."""
+    for head, span in zip(reversed(heads), reversed(spans)):
+        base = (Succ(base, span=span) if head is None
+                else Cons(head, base, span=span))
+    return base
 
 
 def map_spine(t: Succ | Cons, f: Callable[..., Node], a, b, c) -> Node:

@@ -3,9 +3,10 @@
     python3 tests/cli_transcript.py > transcript.txt
 
 Runs `tvec.cli.main` in one process on every example, every benchmark
-program and a set of broken files, and prints for each invocation its
-command line, exit status, stdout and stderr.  The invocations are `check`,
-`eval` (cbv and full, each with and without `--trace`) and `erase`, each
+program, a 200-cell vector literal and a set of broken files, and prints
+for each invocation its command line, exit status, stdout and stderr.
+The invocations are `check`, `eval` (cbv and full, each with and without
+`--trace`) and `erase`, each
 with and without `--json`, plus `selftest --size 6 --json` in each mode
 with the timings removed, and last `check`, `eval` and `erase` of the last
 def of a short chain of defs that each name two earlier ones.  The `tvec`
@@ -166,6 +167,11 @@ def abLit3 : Vec Nat 6 =
 def abEq3 : append a3 b3 = abLit3 = join (append @[3] @[3] a3 b3) abLit3
 """
 
+# A written vector literal of 200 cells, a parenthesis per cell.
+LITERAL = ("def v : Vec Nat 200 =\n  "
+           + "".join(f"cons {i % 7} (" for i in range(200))
+           + "nil [Nat]" + ")" * 200 + "\n")
+
 
 def two_name_chain(levels: int) -> str:
     """`a0`, `b0`, then for each level i up to `levels` an `a<i>` and a
@@ -191,6 +197,7 @@ def _files(workdir: Path) -> list[str]:
         (f"programs/{p.name}", p.read_text(encoding="utf-8"))
         for p in sorted((ROOT / "perfbench" / "programs").glob("*.tvec")))
     sources["programs/family3.tvec"] = sources["programs/vec.tvec"] + FAMILY
+    sources["programs/literal200.tvec"] = LITERAL
     sources.update((f"broken/{label}.tvec", text)
                    for label, text in BROKEN.items())
     for rel, text in sources.items():

@@ -536,9 +536,9 @@ class TestErrorPaths:
 
 
 class TestDeepNumerals:
-    """The largest numeral, and a join of two 1,201-deep ones, check and
-    evaluate at the default recursion limit: the walkers cross a numeral
-    in a loop."""
+    """The largest numeral, a written 2,000-deep `S` tower, and a join of
+    two 1,201-deep numerals check and evaluate at the default recursion
+    limit: the parser and the walkers cross a numeral in a loop."""
 
     @pytest.fixture(autouse=True)
     def default_limit(self):
@@ -555,6 +555,16 @@ class TestDeepNumerals:
             assert run_cli(capsys, "eval", str(src), "n", "--strategy",
                            strategy) == (0, f"{MAX_NUMERAL}, {kind}, 0 steps\n", "")
 
+    def test_written_tower(self, tmp_path, capsys):
+        """`S (S (... 0))` written out 2,000 deep: the parser reads the
+        chain in a loop."""
+        src = tmp_path / "s.tvec"
+        src.write_text("def n : Nat = " + "S (" * 2000 + "0" + ")" * 2000)
+        assert run_cli(capsys, "check", str(src)) == (0, "n : Nat\n", "")
+        for strategy, kind in (("cbv", "Value"), ("full", "NormalForm")):
+            assert run_cli(capsys, "eval", str(src), "n", "--strategy",
+                           strategy) == (0, f"2000, {kind}, 0 steps\n", "")
+
     def test_join_of_deep_numerals(self, tmp_path, capsys, vec_source):
         src = tmp_path / "j.tvec"
         src.write_text(vec_source + "\ndef j : plus 1200 1 = 1201 = "
@@ -567,8 +577,9 @@ class TestDeepNumerals:
 
 
 class TestDeepVectors:
-    """A 600-cell vector that evaluation builds prints, and an equation
-    between two such vectors checks, at the default recursion limit:
+    """A 600-cell vector that evaluation builds prints, an equation
+    between two such vectors checks, and a written 2,000-cell literal
+    checks and evaluates, at the default recursion limit: the parser,
     `pretty` and `==` cross a `cons` spine in a loop."""
 
     @pytest.fixture(autouse=True)
@@ -605,6 +616,20 @@ def e : abab = abab = join abab abab
         assert (code, err) == (0, "")
         assert out.endswith("\nabab : Vec Nat (plus (plus 150 150) "
                             "(plus 150 150))\ne : abab = abab\n")
+
+    def test_long_literal(self, tmp_path, capsys):
+        """A written vector literal of 2,000 cells checks and evaluates:
+        the parser reads the chain in a loop."""
+        cells = [f"cons {i % 7}" for i in range(2000)]
+        path = tmp_path / "lit.tvec"
+        path.write_text("def v : Vec Nat 2000 =\n  "
+                        + " (".join(cells) + " (nil [Nat])" + ")" * 1999)
+        assert run_cli(capsys, "check", str(path)) == \
+            (0, "v : Vec Nat 2000\n", "")
+        printed = " (".join(cells) + " nil" + ")" * 1999
+        for strategy, kind in (("cbv", "Value"), ("full", "NormalForm")):
+            assert run_cli(capsys, "eval", str(path), "v", "--strategy",
+                           strategy) == (0, f"{printed}, {kind}, 0 steps\n", "")
 
 
 # --------------------------------------------------------------------------

@@ -146,6 +146,11 @@ class TestLexer:
         "mode large-elim", "large-elim'", "large-elim_", "large-elim--",
         "large-elim.", "f=>x=y", "f @-[x]@[y]", "x--y\nz", "v1'' \u0663",
         "\u00e9t\u00e9\u00b2", "\u00a0zero\u2028",
+        # comments: at the end without a newline, right after a token,
+        # of dashes only; and a lone dash, which is no comment
+        "zero -- end", "zero--end", "zero--", "(--)\n)", "--", "---",
+        "zero ---\n--- zero", "-", "zero - zero", "zero -", "large-elim--x",
+        "\t--\r\n", "@-[--]\n]",
     ])
     def test_matches_reference_lexer_at_boundaries(self, text):
         assert lexed(tokenize, text) == lexed(reference_lexer.tokenize, text)
@@ -354,15 +359,17 @@ class TestBinding:
         assert ty == VecTy(NAT, BVar(0))
 
     @pytest.mark.parametrize("make, levels", [
-        (lambda n: "cons 1 (" * n + "nil [Nat]" + ")" * n, 246),
-        (lambda n: "S (" * n + "0" + ")" * n, 246),
+        (lambda n: "cons 1 (" * n + "nil [Nat]" + ")" * n, 5000),
+        (lambda n: "S (" * n + "0" + ")" * n, 5000),
+        (lambda n: "(" * n + "0" + ")" * n, 247),
         (lambda n: "fun x : Nat => " * n + "x", 986),
-    ], ids=["cons", "S", "fun"])
+    ], ids=["cons", "S", "parens", "fun"])
     def test_nesting_limits(self, make, levels):
-        """The deepest nesting that parses at the default recursion limit
-        on CPython 3.11, pinned so that no parser change adds a frame per
-        level: a parenthesised `cons` or `S` level costs four frames, a
-        `fun` level one.  It runs in a fresh thread, whose stack holds
+        """Nesting that parses at the default recursion limit on CPython
+        3.11, pinned so that no parser change adds a frame per level: a
+        parenthesis costs four frames and a `fun` level one, so 247 and
+        986 are the deepest, and a chain of `cons` or `S` levels, read in
+        a loop, costs none.  It runs in a fresh thread, whose stack holds
         none of the test runner's frames."""
         outcome = []
 
@@ -1005,7 +1012,44 @@ ENTRY_POINTS = {
 }
 
 
+# Chains of one keyword form, which the parser reads in a loop: arguments
+# and brackets inside the parentheses, motives, mixed forms, and binders.
+CHAINS = [
+    "cons 1 (cons 2 nil[Nat] x)",
+    "cons 1 (cons 2 (cons 3 v @[0]) @-[1] w) y",
+    "S (S (S x) y @[zero]) z",
+    "join 0 (join 1 (join 2 3) 4) 5",
+    "rnat [x. Nat] 0 f (rnat [y. Vec Nat x] 0 f (rnat [z. Nat] 0 f n))",
+    "rvec [l. v. Vec Nat l] nil[Nat] s (rvec [l. v. Nat] 0 s w)",
+    "fun p : 1 = 1 => cast [x. Vec Nat x] p (cast [y. Nat] p (cast [z. Nat] "
+    "p 0) y)",
+    "folds [0] [Nat] (folds [1] [Nat] x)",
+    "unfolds [0] (unfolds [1] (unfoldz (unfoldz x)))",
+    "S (cons 1 (S (cons 2 (S (cons 3 nil[Nat])))))",
+    "cons (S (S 0)) (cons (cons 1 v) (cons 2 (fun x : Nat => x)))",
+    "fun v : Vec Nat 2 => fun v : Nat => cons v (cons v (cons 2 v))",
+    "(cons 1 (cons 2 nil[Nat])) = ((cons 1 (cons 2 nil[Nat])))",
+]
+
+
+def _unclosed(text: str) -> list[str]:
+    """`text`, and `text` cut short or missing one `)` at each of them."""
+    cuts = [i for i, ch in enumerate(text) if ch == ")"]
+    return [text, *(text[:i] for i in cuts),
+            *(text[:i] + text[i + 1:] for i in cuts)]
+
+
 class TestReferenceParser:
+    @pytest.mark.parametrize("text", CHAINS)
+    def test_chains(self, text):
+        for variant in _unclosed(text):
+            assert_same_parse(parse_term, reference_parser.parse_term,
+                              variant)
+            assert_same_parse(parse_type, reference_parser.parse_type,
+                              variant)
+            assert_same_parse(parse, reference_parser.parse,
+                              f"def d : Nat = {variant}\ndef e : Nat = 0")
+
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("ctx", [
         Context(),

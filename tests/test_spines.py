@@ -9,6 +9,8 @@ ones: the rule counts, the first failure and its span, and the spans of
 the levels rebuilt.
 """
 
+import copy
+import pickle
 import sys
 
 import pytest
@@ -16,8 +18,8 @@ import pytest
 from tvec.erase import erase, subst_annotated
 from tvec.frontend import parse, parse_term, pretty, resolve_defs
 from tvec.syntax import (
-    BVar, Cons, Context, FVar, Lam, NatTy, Nil, Span, Succ, TNil, VecTy,
-    Zero, free_vars, instantiate, map_spine, numeral, subst,
+    BVar, Cons, Context, FVar, Lam, NatTy, Nil, Span, Succ, TJoin, TNil,
+    VecTy, Zero, free_vars, instantiate, map_spine, numeral, subst,
 )
 from tvec.typecheck import Checker, Failure, Inferred
 
@@ -63,8 +65,9 @@ def levels(t):
 class TestFrameGuard:
     """Every walker and `repr` return on a 5,000-deep numeral and on a
     500-cell vector of numerals, `==` and `pretty` on vectors of up to
-    1,000 cells, and `hash` on 2,000 levels, with stack for a few dozen
-    frames."""
+    1,000 cells, `hash` on 2,000 levels, and the parser on 5,000-link
+    chains, with stack for a few dozen frames; pickle and copy return on
+    5,000 levels at the default recursion limit."""
 
     @staticmethod
     def guarded(fn, *args):
@@ -173,6 +176,44 @@ class TestFrameGuard:
             assert a == b and hash(a) == hash(b)
         assert hash(Succ(Zero())) != hash(Cons(Zero(), Zero()))
         assert hash(vector(3, Zero())) != hash(vector(4, Zero()))
+
+    @pytest.mark.parametrize("keyword, cls, last, base, end", [
+        ("cons", Cons, "tail", "nil [Nat]", TNil(NAT)),
+        ("join", TJoin, "rhs", "0", Zero()),
+    ])
+    def test_long_chains_parse_in_a_loop(self, keyword, cls, last, base,
+                                         end):
+        """A chain of one form is read in one loop: a 5,000-cell vector
+        literal and a 5,000-link `join` chain parse under the guard, each
+        level with its own span."""
+        n = 5000
+        text = f"{keyword} 0 (" * n + base + ")" * n
+        t = self.guarded(parse_term, text)
+        for i in range(n):
+            assert type(t) is cls and t.span == Span(8 * i, len(text) - i)
+            first = getattr(t, cls.__match_args__[0])
+            assert first == Zero() and first.span == Span(8 * i + 5, 8 * i + 6)
+            t = getattr(t, last)
+        assert t == end and t.span == Span(8 * n, 8 * n + len(base))
+
+    @pytest.mark.parametrize("text", [
+        "S (" * 5000 + "0" + ")" * 5000,
+        "cons 1 (" * 5000 + "nil [Nat]" + ")" * 5000,
+        "cons 5000 (cons (S (S y)) (S (cons 2 v)))",
+    ], ids=["numeral", "vector", "mixed"])
+    def test_pickle_and_copy_in_a_loop(self, text):
+        """pickle at every protocol, `copy` and `deepcopy` take a tower or
+        a spine apart and rebuild it in one loop, at the default recursion
+        limit, with every level's span."""
+        assert sys.getrecursionlimit() == 1000
+        t = parse_term(text)
+        copies = [pickle.loads(pickle.dumps(t, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        spans = [(lv.span, getattr(lv, "head", lv).span) for lv in levels(t)]
+        for new in copies + [copy.copy(t), copy.deepcopy(t)]:
+            assert new == t and new is not t
+            assert [(lv.span, getattr(lv, "head", lv).span)
+                    for lv in levels(new)] == spans
 
     def test_the_class_keeps_its_own_equality(self):
         assert Succ.__eq__ is Cons.__eq__
