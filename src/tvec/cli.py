@@ -323,8 +323,13 @@ def main(argv: list[str] | None = None) -> int:
     rejected = args is None     # argparse rejected the command line
     as_json = "--json" in argv if rejected else args.json
     out = json.dumps(report.payload, indent=2) if as_json else report.text
-    if out:
-        print(out)
+    try:
+        if out:
+            print(out, flush=True)
+    except BrokenPipeError:
+        # The reader has gone.  Stdout goes to the null device, so that
+        # the flush at exit has nowhere to fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if report.note:
         print(report.note, file=sys.stderr)
     if rejected and not as_json:

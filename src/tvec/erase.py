@@ -19,17 +19,19 @@ numeral or a vector literal in one loop (`syntax.map_spine`).
 
 Resolution inlines (`inline`) every earlier def that an item names in one
 walk, a def's body as one shared object at every use, so an item is a
-DAG.  While a table of their erasures is installed (`share`),
-`erase` answers the erasure recorded for such a body (by node identity)
-instead of walking it again: the answer equals a fresh erasure, since
-erasure depends on nothing but its argument, and the result shares the
-body's erasure as the item shares the body.
+DAG.  `erase(t, shared)` takes a table from the id of such a body to its
+erasure, which its caller owns and whose bodies it keeps alive, and
+answers the stored erasure at a body that is a key instead of walking it
+again: the answer equals a fresh erasure, since erasure depends on nothing
+but its argument, and the result shares the body's erasure as the item
+shares the body.  Erasure only reads the table; without one it walks the
+whole term.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import get_args
+from types import MappingProxyType
+from typing import Mapping, get_args
 
 from .syntax import (
     AnnTerm, App, BVar, Cons, FVar, Join, Lam, Nil, Node, QApp, QLam, RNat,
@@ -43,66 +45,52 @@ _ERASED = (frozenset(get_args(Ty) + get_args(UnannTerm))
 # The leaves with no free name, which no substitution changes.
 _CLOSED = frozenset(cls for cls in get_args(Ty) + get_args(UnannTerm)
                     + get_args(AnnTerm) if not cls.SCOPES) - {FVar}
+_UNSHARED: Mapping[int, UnannTerm] = MappingProxyType({})
 
 
-def erase(t: AnnTerm) -> UnannTerm:
-    clause = _clauses.get(t.__class__)
+def erase(t: AnnTerm, shared: Mapping[int, UnannTerm] = _UNSHARED
+          ) -> UnannTerm:
+    """The erasure of `t`, which is `shared[id(t)]` at a node that is a
+    key."""
+    if shared:
+        done = shared.get(id(t))
+        if done is not None:
+            return done
+    clause = _ERASE.get(t.__class__)
     if clause is None:
         raise TypeError(f"not an annotated term: {t!r}")
-    return clause(t)
+    return clause(t, shared)
 
 
-def share(erasures: dict[int, UnannTerm]) -> dict[int, UnannTerm]:
-    """Make `erase` answer `erasures[id(t)]` at a node t that is a key, and
-    return the table this replaces.  The caller gives that table back with
-    `share` in a `finally`, and keeps the nodes that the keys are ids of
-    alive until then."""
-    global _shared, _clauses
-    outer, _shared = _shared, erasures
-    _clauses = _SHARING if erasures else _ERASE
-    return outer
+def _erase(t: AnnTerm, shared, _b, _c) -> UnannTerm:   # for `map_spine`
+    return erase(t, shared)
 
 
-def _recorded(clause, t: AnnTerm) -> UnannTerm:
-    done = _shared.get(id(t))
-    return clause(t) if done is None else done
-
-
-def _erase(t: AnnTerm, _a, _b, _c) -> UnannTerm:   # as `map_spine` calls it
-    return erase(t)
-
-
-def _app(t: App) -> UnannTerm:
-    f, a = erase(t.fn), erase(t.arg)
+def _app(t: App, shared) -> UnannTerm:
+    f, a = erase(t.fn, shared), erase(t.arg, shared)
     return t if f is t.fn and a is t.arg else App(f, a, span=t.span)
 
 
-# One clause per annotated-term class.
+# One clause per annotated-term class; each passes `shared` down.
 _ERASE = {
-    **dict.fromkeys((FVar, BVar, Zero), lambda t: t),
+    **dict.fromkeys((FVar, BVar, Zero), lambda t, s: t),
     **dict.fromkeys((Succ, Cons),
-                    lambda t: map_spine(t, _erase, None, None, None)),
+                    lambda t, s: map_spine(t, _erase, s, None, None)),
     **dict.fromkeys((TCast, TFoldZ, TUnfoldZ, TFoldS, TUnfoldS),
-                    lambda t: erase(t.body)),
+                    lambda t, s: erase(t.body, s)),
     App: _app,
-    TLam: lambda t: Lam(t.hint, erase(t.body), span=t.span),
-    TRNat: lambda t: RNat(erase(t.base), erase(t.step), erase(t.scrut),
-                          span=t.span),
-    TNil: lambda t: Nil(span=t.span),
-    TRVec: lambda t: RVec(erase(t.base), erase(t.step), erase(t.scrut),
-                          span=t.span),
-    TJoin: lambda t: Join(span=t.span),
-    TQApp: lambda t: QApp(erase(t.fn), span=t.span),
-    TAppImp: lambda t: erase(t.fn),
-    TLamImp: lambda t: _release(erase(t.body), t.hint),
-    TQLam: lambda t: QLam(_release(erase(t.body), t.hint), span=t.span),
+    TLam: lambda t, s: Lam(t.hint, erase(t.body, s), span=t.span),
+    TRNat: lambda t, s: RNat(erase(t.base, s), erase(t.step, s),
+                             erase(t.scrut, s), span=t.span),
+    TNil: lambda t, s: Nil(span=t.span),
+    TRVec: lambda t, s: RVec(erase(t.base, s), erase(t.step, s),
+                             erase(t.scrut, s), span=t.span),
+    TJoin: lambda t, s: Join(span=t.span),
+    TQApp: lambda t, s: QApp(erase(t.fn, s), span=t.span),
+    TAppImp: lambda t, s: erase(t.fn, s),
+    TLamImp: lambda t, s: _release(erase(t.body, s), t.hint),
+    TQLam: lambda t, s: QLam(_release(erase(t.body, s), t.hint), span=t.span),
 }
-
-# `erase` reads `_SHARING`, the clauses behind a look-up in `_shared`, only
-# while `share` has installed a table, so a plain walk pays nothing for it.
-_shared: dict[int, UnannTerm] = {}     # id(body) -> erase(body)
-_SHARING = {cls: partial(_recorded, clause) for cls, clause in _ERASE.items()}
-_clauses = _ERASE
 
 
 def _release(body: UnannTerm, hint: str) -> UnannTerm:

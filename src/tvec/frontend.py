@@ -78,7 +78,7 @@ from __future__ import annotations
 import re
 from typing import get_args
 
-from .erase import erase, inline, share
+from .erase import erase, inline
 from .syntax import (
     AllTy, AnnTerm, App, BVar, Cons, Context, EqTy, FVar, IfZeroTy, Join,
     Lam, NatTy, Nil, Node, PiTy, QApp, QLam, RNat, RVec, Span, Succ,
@@ -719,9 +719,10 @@ def resolve_defs(source: SourceFile, mode_override: Mode | None = None,
     one walk of the item as written (`erase.inline`), and no inlined body
     is walked again: resolution is linear in the text.  Each body is
     erased once, when its def is resolved; that erasure fills the def's
-    type positions, and answers for the body wherever a later body inlines
-    it (`share`), so it is walked once and the erasures share it as the
-    bodies do.
+    type positions, and goes into the table `erasures`, from the body's
+    id, that the erasure of each later body is given.  So `erase` answers
+    it wherever a later body inlines the body, which is walked once, and
+    the erasures share it as the bodies do.
 
     With `name`, only the defs that `name` or an assumed type reaches are
     inlined and erased, and `defs` holds just those.  Every item has its
@@ -769,11 +770,7 @@ def resolve_defs(source: SourceFile, mode_override: Mode | None = None,
             assumptions.append((item_name, ty))
             continue
         body = inline(item.body, defs) if named else item.body
-        outer = share(erasures)
-        try:
-            erased = erasures[id(body)] = erase(body)
-        finally:
-            share(outer)
+        erased = erasures[id(body)] = erase(body, erasures)
         defs[item_name] = body, erased
         resolved.append(
             ResolvedDef(item_name, ty, body, erased, item.ty, span))

@@ -47,11 +47,12 @@ resolved defs (`Checker(defs=...)`) walks each of their bodies once per
 context: a body is locally closed, so its type and the rule hits of its
 check are the same at every use, and a later use takes both from a memo
 keyed by the body's identity (`_infer_shared`), the hits counted again so
-that `rule_hits` reads as for the tree.  Such a checker finds its rules in
-`_SHARING_RULES`, whose handlers look for a shared body first, and
-erasure in its rules answers a shared body with the erasure that
-resolution recorded (`erase.share`); a checker without defs uses `_RULES`
-and pays nothing for sharing.
+that `rule_hits` reads as for the tree.  The checker holds one table,
+`_shared`, from the id of each such body to the erasure that resolution
+made of it.  `_infer` sends a node that is a key to `_infer_shared`, and
+the rules pass the table to `erase`, which answers a shared body from it
+(`erase.erase`).  A checker without defs has an empty table, which
+`_infer` tests for truth before it takes a node's id.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable
 
-from .erase import erase, share
+from .erase import erase
 from .reduce import DEFAULT_FUEL, FuelExhausted, normalize
 from .syntax import (
     AllTy, AnnTerm, App, BVar, Cons, Context, EqTy, FVar, IfZeroTy, NatTy,
@@ -253,7 +254,6 @@ class Checker:
         self._shared: dict[int, UnannTerm] = {
             id(d.body): d.erased for d in self._defs}
         self._memo: dict[int, tuple[Ty, Counter[str]]] = {}
-        self._rows = _SHARING_RULES if self._shared else _RULES
         # The state of one `infer` call: its context `_ctx` and term `_root`;
         # `_env`, the enclosing binders' (hint, dom) pairs, outermost first,
         # so `BVar(i)` is `_env[-1 - i]`; `_kept`, how many innermost binders
@@ -272,11 +272,8 @@ class Checker:
             return Failure(Diagnostic(
                 "context", "context is not well-scoped", Span(0, 0),
                 code="context-ill-scoped"))
-        shared = self._shared
-        if shared:
-            if ctx is not self._ctx:
-                self._memo.clear()      # a stored type holds in one context
-            outer = share(shared)
+        if ctx is not self._ctx:
+            self._memo.clear()      # a stored type holds in one context
         self._ctx, self._root, self._kept = ctx, t, 0
         self._env.clear()       # a failure leaves its binders behind
         self._live.clear()
@@ -284,9 +281,6 @@ class Checker:
             return Inferred(self._infer(t))
         except _CheckError as err:
             return Failure(partial(_diagnose, *err.args))
-        finally:
-            if shared:
-                share(outer)
 
     def check_against(self, ctx: Context, t: AnnTerm, expected: Ty) -> CheckResult:
         res = self.infer(ctx, t)
@@ -339,13 +333,15 @@ class Checker:
 
     def _infer(self, t: AnnTerm) -> Ty:
         try:
-            rule, construct, handler = self._rows[t.__class__]
+            rule, construct, handler = _RULES[t.__class__]
         except KeyError:
             raise TypeError(f"not an annotated term: {t!r}") from None
         if rule not in self.rules:
             self._fail(rule, t, f"{construct} is not part of "
                        f"{self.mode.value} mode", code="mode-violation")
         self.rule_hits[rule] += 1   # after the gate: a violation is no hit
+        if self._shared and id(t) in self._shared:
+            return self._infer_shared(t, handler)
         return handler(self, t)
 
     def _infer_shared(self, t: AnnTerm, handler: Callable) -> Ty:
@@ -457,7 +453,7 @@ class Checker:
         arg_ty = self._infer(t.arg)
         self._expect_alpha("app", t.arg, arg_ty, fn_ty.dom,
                            "function argument")
-        return instantiate(fn_ty.cod, (erase(t.arg),))
+        return instantiate(fn_ty.cod, (erase(t.arg, self._shared),))
 
     # f : All x:A. B   a : A
     # ---------------------------------------- f @[a] : B[x := |a|]
@@ -471,14 +467,15 @@ class Checker:
             self._fail(rule, fn, head, code="shape-mismatch", actual=fn_ty)
         arg_ty = self._infer_erased(arg)
         self._expect_alpha(rule, arg, arg_ty, fn_ty.dom, what)
-        return instantiate(fn_ty.cod, (erase(arg),))
+        return instantiate(fn_ty.cod, (erase(arg, self._shared),))
 
     # t : A   t' : B   |t| and |t'| joinable
     # ---------------------------------------- join t t' : |t| = |t'|
     def _join(self, t: TJoin) -> Ty:
         self._infer_erased(t.lhs)
         self._infer_erased(t.rhs)
-        return self._join_type(t, erase(t.lhs), erase(t.rhs))
+        return self._join_type(t, erase(t.lhs, self._shared),
+                               erase(t.rhs, self._shared))
 
     # p : a = b   t : M[x := a]
     # ---------------------------------------- cast x.M p t : M[x := b]
@@ -510,7 +507,7 @@ class Checker:
         self._expect_alpha("rnat", t.step, step_ty, PiTy(
             "y", NatTy(), PiTy("u", motive, instantiate(
                 motive, (Succ(BVar(1)),), 2))), "recursor step")
-        return instantiate(motive, (erase(scrut),))
+        return instantiate(motive, (erase(scrut, self._shared),))
 
     # v : Vec A n   b : M[0, nil]
     # s : All l:Nat. Pi z:A. Pi v:Vec A l. Pi u:M[l, v]. M[S l, cons z v]
@@ -537,7 +534,8 @@ class Checker:
                     instantiate(motive, (Cons(BVar(2), BVar(1)),
                                          Succ(BVar(3))), 4))))),
             "recursor step")
-        return instantiate(motive, (erase(scrut), scrut_ty.length))
+        return instantiate(motive, (erase(scrut, self._shared),
+                                    scrut_ty.length))
 
     # fold/unfold forms: large-elim mode only
     # t : A
@@ -568,7 +566,8 @@ class Checker:
         self._expect_alpha("fold-succ", t.witness, wit_ty, NatTy(),
                            "folds witness")
         body_ty = self._infer(t.body)
-        return IfZeroTy(Succ(erase(t.witness)), t.zero_ty, body_ty)
+        return IfZeroTy(Succ(erase(t.witness, self._shared)), t.zero_ty,
+                        body_ty)
 
     # w : Nat   t : ifzero (S |w|) A B
     # ---------------------------------------- unfolds [w] t : B
@@ -581,7 +580,7 @@ class Checker:
             self._fail("unfold-succ", t.body,
                        "unfolds subject is not an ifzero type",
                        code="shape-mismatch", actual=body_ty)
-        scrut = Succ(erase(t.witness))
+        scrut = Succ(erase(t.witness, self._shared))
         if not alpha_eq(body_ty.scrut, scrut):
             self._fail("unfold-succ", t.body, "unfolds needs the scrutinee "
                        "to be literally S of the erased witness; no "
@@ -646,18 +645,3 @@ _RULES: dict[type, tuple[str, str, Callable]] = {
     TFoldS: ("fold-succ", "ifzero introduction", Checker._fold_succ),
     TUnfoldS: ("unfold-succ", "ifzero elimination", Checker._unfold_succ),
 }
-
-
-def _sharing(handler: Callable) -> Callable:
-    """`handler`, or at a shared def body `Checker._infer_shared`."""
-    def check(checker: Checker, t: AnnTerm) -> Ty:
-        if id(t) in checker._shared:
-            return checker._infer_shared(t, handler)
-        return handler(checker, t)
-    return check
-
-
-# The rows of a checker given defs; a closure, not a `partial` with a
-# keyword, which builds a dict per call.
-_SHARING_RULES = {cls: (rule, construct, _sharing(handler))
-                  for cls, (rule, construct, handler) in _RULES.items()}

@@ -43,6 +43,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def package_env() -> dict[str, str]:
+    """The environment for a fresh interpreter that imports the tvec
+    package imported here rather than any `tvec` on PATH."""
+    src = str(Path(tvec.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, inherited])))
+
+
 # --------------------------------------------------------------------------
 # check
 
@@ -517,22 +526,46 @@ class TestErrorPaths:
     def test_exhausted_stack_is_a_diagnostic(self):
         # The recursion limit is set after the imports, so only the command
         # runs short of stack.
-        src = str(Path(tvec.__file__).resolve().parents[1])
-        inherited = os.environ.get("PYTHONPATH")
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, inherited])))
         script = ("import sys\n"
                   "from tvec.cli import main\n"
                   "sys.setrecursionlimit(50)\n"
                   f"sys.exit(main(['check', {VEC!r}, '--json']))\n")
         proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True,
+                              env=package_env())
         assert proc.returncode == 2, proc.stderr
         blob = json.loads(proc.stdout)
         assert blob["defs"] == []
         assert blob["error"]["code"] == "resource-exhausted"
         assert proc.stderr.startswith("tvec: ")
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("last, code", [("0", 0), ("nil [Nat]", 1)],
+                             ids=["checks", "fails"])
+    def test_a_reader_that_stops_early(self, tmp_path, last, code):
+        """`tvec check --json FILE | head -1`: the reader takes one line
+        and closes the pipe while the report, larger than a pipe holds,
+        is being written.  No traceback follows, and the exit code is the
+        command's."""
+        path = tmp_path / "many.tvec"
+        path.write_text("".join(f"def d{i} : Nat = 0\n" for i in range(3000))
+                        + f"def last : Nat = {last}\n", encoding="utf-8")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tvec.cli", "check", "--json", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=package_env())
+        try:
+            assert proc.stdout.readline() == "{\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == code, err
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert "Traceback" not in err and "Exception ignored" not in err
+        # stderr holds the failed check's note, and nothing else
+        assert err.startswith("tvec: ") if code else err == ""
 
 
 class TestDeepNumerals:

@@ -627,12 +627,12 @@ class TestFileParsing:
         erase_module = importlib.import_module("tvec.erase")
         erase, depth = erase_module.erase, 0
 
-        def erase_counted(t):
+        def erase_counted(*args):
             nonlocal depth
             work["top_level_erase"] += depth == 0
             depth += 1
             try:
-                return erase(t)
+                return erase(*args)
             finally:
                 depth -= 1
 

@@ -46,6 +46,17 @@ SOURCES = sorted(Path(tvec.__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_rebinds_its_globals(path):
+    """State that a command needs belongs to an object the command makes
+    and passes on, such as the table of shared def erasures that
+    `resolve_defs` gives `erase`: a rebound module global is one state for
+    every caller in the process."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Global)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_source_parses_as_python_3_10(path):
     """`pyproject.toml` promises Python 3.10."""
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -18,7 +18,7 @@ import tvec.frontend
 import tvec.syntax
 import tvec.typecheck
 from cli_transcript import BROKEN, FAMILY
-from conftest import EXAMPLES, VEC_PATH
+from conftest import EXAMPLES, QUODLIBET_PATH, VEC_PATH
 from tvec.cli import main
 from tvec.corpus import (
     append_body, append_ty, base_corpus, ext_assumptions, ext_corpus, num,
@@ -647,6 +647,34 @@ class TestSharedDefs:
             assert_same_check(resolved.assumptions, d.body,
                               mode=resolved.mode, defs=resolved.defs)
 
+    def test_interleaved_checkers_keep_their_own_tables(self):
+        """Two sharing checkers, one per file and mode, take turns def by
+        def while a third file is resolved between turns; each reports
+        what it reports for its file checked alone."""
+        files = [resolve_defs(parse(path.read_text(encoding="utf-8")))
+                 for path in (VEC_PATH, QUODLIBET_PATH)]
+        assert [f.mode for f in files] == [Mode.BASE, Mode.LARGE_ELIM]
+
+        def outcome(checker, resolved, d):
+            res = checker.check_against(resolved.assumptions, d.body, d.ty)
+            shown = (repr(res.type) if isinstance(res, Inferred)
+                     else res.diagnostic.to_json())
+            return type(res), shown, checker.rule_hits.copy()
+
+        alone = []
+        for f in files:
+            checker = Checker(mode=f.mode, defs=f.defs)
+            alone.append([outcome(checker, f, d) for d in f.defs])
+        checkers = [Checker(mode=f.mode, defs=f.defs) for f in files]
+        turns = [[] for _ in files]
+        for i in range(max(len(f.defs) for f in files)):
+            for f, checker, seen in zip(files, checkers, turns):
+                if i < len(f.defs):
+                    seen.append(outcome(checker, f, f.defs[i]))
+                    resolve_defs(parse(def_chain(6)))
+        assert turns == alone
+        assert all(kind is Inferred for seen in turns for kind, _, _ in seen)
+
     def test_the_broken_files_reach_the_checker(self):
         loaded = [label for label in BROKEN
                   if _loaded(SOURCES[f"broken/{label}"]) is not None]
@@ -693,7 +721,6 @@ class TestSharedDefs:
             for argv in (["check", str(VEC_PATH)],
                          ["eval", str(VEC_PATH), "appendDemo"]):
                 assert main(argv) == 0
-                assert not ERASE._shared
             assert checkers() == before
         finally:
             gc.enable()
