@@ -216,8 +216,19 @@ def _cmd_check(args: argparse.Namespace, fuel: int) -> Report:
                   "\n".join(lines), note)
 
 
+def _write(stream, text: str | None) -> None:
+    """Print `text`, if any, to `stream`.  If its reader has gone, the
+    stream goes to the null device, where later writes cannot fail."""
+    try:
+        if text:
+            print(text, file=stream, flush=True)
+    except BrokenPipeError:
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), stream.fileno())
+
+
 def _print_step(step: int, term) -> None:
-    print(f"{step:>5}  {pretty(term)}", file=sys.stderr)
+    _write(sys.stderr, f"{step:>5}  {pretty(term)}")
 
 
 def _cmd_eval(args: argparse.Namespace, fuel: int) -> Report:
@@ -323,15 +334,8 @@ def main(argv: list[str] | None = None) -> int:
     rejected = args is None     # argparse rejected the command line
     as_json = "--json" in argv if rejected else args.json
     out = json.dumps(report.payload, indent=2) if as_json else report.text
-    try:
-        if out:
-            print(out, flush=True)
-    except BrokenPipeError:
-        # The reader has gone.  Stdout goes to the null device, so that
-        # the flush at exit has nowhere to fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    if report.note:
-        print(report.note, file=sys.stderr)
+    _write(sys.stdout, out)
+    _write(sys.stderr, report.note)
     if rejected and not as_json:
         sys.exit(report.status)     # as argparse itself would
     return report.status

@@ -45,8 +45,9 @@ the test suite's reference implementations carry their own open and close.
 Storage.  Node classes, `Span` and the records of the other modules
 (`reduce.NormalForm`, `frontend.ResolvedDef`, ...) are slotted dataclasses
 that cannot change (`frozen`).  Per field shape, `frozen` compiles once an
-`__init__` that stores each field through its slot descriptor, `__eq__`
-and `__hash__` over the compared fields, and on nodes `children()` and
+`__init__` that takes each field, positional or keyword, with its default
+if it has one, and stores it through its slot descriptor, `__eq__` and
+`__hash__` over the compared fields, and on nodes `children()` and
 `rebuild()`, which walkers use; `__repr__`, `__setattr__`/`__delattr__` and
 `__getstate__`/`__setstate__` are shared by all.  A method the class defines
 itself is kept (the `__eq__`, `__hash__` and `__reduce__` that `Succ` and
@@ -62,7 +63,7 @@ reducer's memo of normal subterms by `id`.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from functools import cache, cached_property
 from typing import Callable, ClassVar, Iterator
 
@@ -77,8 +78,9 @@ def frozen(cls: type) -> type:
     cls = dataclass(init=False, repr=False, eq=False, slots=True)(cls)
     names = [f.name for f in fields(cls)]
     kw = [f"{f.name}={f.default!r}" for f in fields(cls) if f.kw_only]
-    sig = ", ".join([f.name for f in fields(cls) if not f.kw_only]
-                    + ["*"] * bool(kw) + kw)
+    pos = [f.name if f.default is MISSING else f"{f.name}={f.default!r}"
+           for f in fields(cls) if not f.kw_only]
+    sig = ", ".join(pos + ["*"] * bool(kw) + kw)
     cls.__doc__ = doc or f"{cls.__name__}({sig})"
     same = "".join(f"{{0}}.{f.name}," for f in fields(cls) if f.compare)
     kids = list(getattr(cls, "SCOPES", ()))

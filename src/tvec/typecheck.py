@@ -37,8 +37,8 @@ A failed check costs only the rules it ran.  The failing rule raises the
 parts its diagnostic is made from (`_fail`): the nodes, the enclosing
 binders and, for distinct join sides, the two normal forms.  The
 `Failure` that `infer` returns makes the diagnostic when it is first read
-(`_diagnose`), and its texts when they are read; only then are the
-binders named (`_named`).  The self-test reads none of its failures.
+(`_diagnose`), and only then are the binders named (`_named`).  The
+self-test reads none of its failures.
 
 Resolution inlines each def's body as one object at every use, so a
 resolved item is a DAG, and walking it as a tree costs time exponential in
@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable
 
@@ -93,38 +92,14 @@ EXT_RULES = frozenset({
 RULES = {Mode.BASE: BASE_RULES, Mode.LARGE_ELIM: EXT_RULES}
 
 
-class _Shown:
-    """A `Diagnostic` field that holds a node, a function that makes its
-    text, or the text, and reads as the text, made on first read.  A
-    checker's whole diagnostic is made only when it is read (`Failure`);
-    a reader may still want only its rule or code, so the diagnostic
-    leaves the formatting of its types to whoever reads them."""
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.slot = "_" + name
-
-    def __get__(self, obj, owner=None) -> str | None:
-        if obj is None:
-            return None         # the field's default
-        value = obj.__dict__[self.slot]
-        if isinstance(value, Node):
-            value = obj.__dict__[self.slot] = _fmt(value)
-        elif callable(value):
-            value = obj.__dict__[self.slot] = value()
-        return value
-
-    def __set__(self, obj, value: str | Node | Callable | None) -> None:
-        obj.__dict__[self.slot] = value
-
-
-@dataclass(frozen=True)   # not `frozen`: `_Shown` needs a `__dict__`
+@frozen
 class Diagnostic:
     rule: str
     message: str
     span: Span
     code: str = "error"
-    expected: str | Node | Callable | None = _Shown()
-    actual: str | Node | Callable | None = _Shown()
+    expected: str | None = None
+    actual: str | None = None
     severity: str = "error"
     children: tuple["Diagnostic", ...] = ()
 
@@ -206,11 +181,7 @@ def _diagnose(rule: str, node, message: str, code: str,
     """The diagnostic of a failure at `node`.  `expected`, `actual` and
     the normal `forms` of the two sides of a join (`node`) may point at
     the enclosing binders `env`, which their texts name (`_named`)."""
-    text = _fmt
-    if env:
-        text = partial(_named, ctx, root, env)
-        expected = expected and partial(text, expected)
-        actual = actual and partial(text, actual)
+    text = _named(ctx, root, env) if env else _fmt
     children = ()
     if forms:
         children = (
@@ -219,20 +190,21 @@ def _diagnose(rule: str, node, message: str, code: str,
             Diagnostic("join", f"right normalizes to {text(forms[1])}",
                        _span(node.rhs), code="note", severity="note"))
     return Diagnostic(rule, message, _span(node), code=code,
-                      expected=expected, actual=actual, children=children)
+                      expected=expected and text(expected),
+                      actual=actual and text(actual), children=children)
 
 
-def _named(ctx: Context, root: AnnTerm, env, node: Node) -> str:
-    """The text of `node`, whose loose indices point at the binders `env`
+def _named(ctx: Context, root: AnnTerm, env) -> Callable[[Node], str]:
+    """The printer of nodes whose loose indices point at the binders `env`
     ((hint, dom) pairs, outermost first).  Each binder, outermost first,
-    is named by the first of hint, hint', ... that is not a name of `ctx`,
-    a free name of `root` (the checked term) or an outer binder's name."""
+    is named once by the first of hint, hint', ... that is not a name of
+    `ctx`, a free name of `root` (the checked term) or an outer binder's."""
     taken = set(ctx.names() | free_vars(root))
-    names = []
+    args = []           # innermost binder first, as `instantiate` takes them
     for hint, _ in env:
-        names.append(fresh_name(hint, taken))
-        taken.add(names[-1])
-    return _fmt(instantiate(node, tuple(FVar(x) for x in reversed(names))))
+        args.insert(0, FVar(fresh_name(hint, taken)))
+        taken.add(args[0].name)
+    return lambda node: _fmt(instantiate(node, tuple(args)))
 
 
 class Checker:
@@ -434,8 +406,8 @@ class Checker:
         if level in self._live:
             self._live.discard(level)
             if t.__class__ is not TLam:
-                name = t.hint or _named(self._ctx, self._root, self._env,
-                                        BVar(0))
+                name = t.hint or _named(self._ctx, self._root,
+                                        self._env)(BVar(0))
                 self._fail(rule, t,
                            f"bound variable {name} survives erasure; "
                            "it may only occur in annotations",

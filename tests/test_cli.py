@@ -567,6 +567,45 @@ class TestErrorPaths:
         # stderr holds the failed check's note, and nothing else
         assert err.startswith("tvec: ") if code else err == ""
 
+    @staticmethod
+    def run_with_stderr_closed(*argv):
+        """Exit status and stdout of `python -m tvec.cli ARGV` whose stderr
+        is a pipe with its read end closed before the command starts, so
+        that every write there fails."""
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "tvec.cli", *argv], stderr=write,
+                stdout=subprocess.PIPE, text=True, env=package_env(),
+                timeout=60)
+        finally:
+            os.close(write)
+        return proc.returncode, proc.stdout
+
+    @pytest.mark.parametrize("strategy", ["cbv", "full"])
+    def test_a_trace_reader_that_has_gone(self, capsys, strategy):
+        """`tvec eval --trace FILE NAME 2>&1 >/dev/null | head -1`: the
+        steps have no reader.  The evaluation runs on to the result and
+        step count it reports without `--trace`, and the exit code is
+        still the command's."""
+        want = run_cli(capsys, "eval", VEC, "appendDemo",
+                       "--strategy", strategy)
+        assert want[0] == 0
+        assert self.run_with_stderr_closed(
+            "eval", "--trace", VEC, "appendDemo",
+            "--strategy", strategy) == want[:2]
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)],
+                             ids=["text", "json"])
+    def test_a_note_reader_that_has_gone(self, capsys, json_flag):
+        """`tvec check MISSING 2>&1 >/dev/null | true`: the note has no
+        reader, and the command still exits 2 with its report on stdout."""
+        argv = ("check", "/nonexistent.tvec", *json_flag)
+        want = run_cli(capsys, *argv)
+        assert want[0] == 2
+        assert self.run_with_stderr_closed(*argv) == want[:2]
+
 
 class TestDeepNumerals:
     """The largest numeral, a written 2,000-deep `S` tower, and a join of

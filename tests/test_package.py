@@ -3,6 +3,8 @@ nothing else is defined in `src/` without a use there, and the sources
 keep to the oldest Python that `pyproject.toml` allows."""
 
 import ast
+import dataclasses
+import importlib
 import os
 import re
 import subprocess
@@ -54,6 +56,28 @@ def test_no_module_rebinds_its_globals(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert not [node.lineno for node in ast.walk(tree)
                 if isinstance(node, ast.Global)]
+
+
+def test_every_dataclass_is_made_by_frozen():
+    """One storage discipline: each dataclass that a module of `src/tvec`
+    defines is made by `syntax.frozen`, so it is slotted, its instances
+    have no `__dict__`, and it refuses assignment through the shared
+    `__setattr__`.  `syntax.Context` is the one exception, because it
+    caches `ok` in its instances' `__dict__` (`functools.cached_property`)."""
+    made = []
+    for path in SOURCES:
+        if path.stem != "__init__":
+            module = importlib.import_module(f"tvec.{path.stem}")
+            made += [value for value in vars(module).values()
+                     if isinstance(value, type)
+                     and dataclasses.is_dataclass(value)
+                     and value.__module__ == module.__name__]
+    assert tvec.syntax.Context in made and tvec.Diagnostic in made
+    odd = [cls.__qualname__ for cls in made
+           if cls is not tvec.syntax.Context
+           and ("__slots__" not in vars(cls) or cls.__dictoffset__
+                or cls.__setattr__ is not tvec.syntax._setattr)]
+    assert odd == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -296,6 +296,9 @@ def _record_pair(cls):
         return {
             NormalForm: (term, n), FuelExhausted: (term, n),
             Value: (term, n), Stuck: (term, a, n), Inferred: (ty,),
+            Diagnostic: (a, "message " + a, span, "code " + a,
+                         "expected " + a, "actual " + a, "severity " + a,
+                         (diag,)),
             Failure: (diag,), DefItem: (a, ty, term, span, frozenset(a)),
             AssumeItem: (a, ty, span, frozenset(a)), ModeItem: (mode, span),
             SourceFile: ((ModeItem(mode, span),),),
@@ -315,8 +318,8 @@ def _record_pair(cls):
 
 
 RECORD_CLASSES = [
-    NormalForm, FuelExhausted, Value, Stuck, Inferred, Failure, DefItem,
-    AssumeItem, ModeItem, SourceFile, ResolvedDef, ResolvedFile,
+    NormalForm, FuelExhausted, Value, Stuck, Inferred, Diagnostic, Failure,
+    DefItem, AssumeItem, ModeItem, SourceFile, ResolvedDef, ResolvedFile,
     Counterexample, PropertyResult, SuiteReport, CorpusDef,
 ]
 
