@@ -61,7 +61,7 @@ def _bind(t: Node, *names: str) -> Node:
 
     def leaf(v: FVar, depth: int) -> Node:
         i = level.get(v.name)
-        return v if i is None else BVar(depth + i, span=v.span)
+        return v if i is None else BVar(depth + i, v.span)
     return map_vars(t, FVar, leaf)
 
 

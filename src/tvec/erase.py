@@ -68,7 +68,7 @@ def _erase(t: AnnTerm, shared, _b, _c) -> UnannTerm:   # for `map_spine`
 
 def _app(t: App, shared) -> UnannTerm:
     f, a = erase(t.fn, shared), erase(t.arg, shared)
-    return t if f is t.fn and a is t.arg else App(f, a, span=t.span)
+    return t if f is t.fn and a is t.arg else App(f, a, t.span)
 
 
 # One clause per annotated-term class; each passes `shared` down.
@@ -79,17 +79,17 @@ _ERASE = {
     **dict.fromkeys((TCast, TFoldZ, TUnfoldZ, TFoldS, TUnfoldS),
                     lambda t, s: erase(t.body, s)),
     App: _app,
-    TLam: lambda t, s: Lam(t.hint, erase(t.body, s), span=t.span),
+    TLam: lambda t, s: Lam(t.hint, erase(t.body, s), t.span),
     TRNat: lambda t, s: RNat(erase(t.base, s), erase(t.step, s),
-                             erase(t.scrut, s), span=t.span),
-    TNil: lambda t, s: Nil(span=t.span),
+                             erase(t.scrut, s), t.span),
+    TNil: lambda t, s: Nil(t.span),
     TRVec: lambda t, s: RVec(erase(t.base, s), erase(t.step, s),
-                             erase(t.scrut, s), span=t.span),
-    TJoin: lambda t, s: Join(span=t.span),
-    TQApp: lambda t, s: QApp(erase(t.fn, s), span=t.span),
+                             erase(t.scrut, s), t.span),
+    TJoin: lambda t, s: Join(t.span),
+    TQApp: lambda t, s: QApp(erase(t.fn, s), t.span),
     TAppImp: lambda t, s: erase(t.fn, s),
     TLamImp: lambda t, s: _release(erase(t.body, s), t.hint),
-    TQLam: lambda t, s: QLam(_release(erase(t.body, s), t.hint), span=t.span),
+    TQLam: lambda t, s: QLam(_release(erase(t.body, s), t.hint), t.span),
 }
 
 
@@ -109,7 +109,7 @@ def _release(body: UnannTerm, hint: str) -> UnannTerm:
         if v.index < k:
             return v
         if v.index > k:
-            return BVar(v.index - 1, span=v.span)
+            return BVar(v.index - 1, v.span)
         if released is None:
             released = FVar(fresh_name((hint or "x") + "#", free_vars(body)))
         return released

@@ -206,7 +206,7 @@ def tokenize(text: str) -> list[Tok]:
             else:
                 raise ParseError(Diagnostic(
                     "lex", f"unexpected character {first!r}",
-                    Span(start, start + 1), code="parse-error"))
+                    (start, start + 1), code="parse-error"))
         toks.append((kind, word, start, end))
     # After trailing whitespace the end matches once more.
     if len(toks) > 1 and toks[-2] == toks[-1]:
@@ -283,12 +283,12 @@ class _Parser:
 
     def _err(self, message: str, tok: Tok):
         _, _, start, end = tok
-        raise ParseError(Diagnostic("parse", message, Span(start, end),
+        raise ParseError(Diagnostic("parse", message, (start, end),
                                     code="parse-error"))
 
     def _span(self, start: int) -> Span:
         """From `start` to the end of the last token taken."""
-        return Span(start, self.toks[self.pos - 1][3])
+        return (start, self.toks[self.pos - 1][3])
 
     # -- items ---------------------------------------------------------
 
@@ -347,11 +347,11 @@ class _Parser:
         kind, _, start, end = self.toks[self.pos]
         self.pos += 1
         if kind == "Nat":
-            return NatTy(span=Span(start, end))
+            return NatTy((start, end))
         if kind == "Vec":
             elem = self.tyatom()
             length = self._erased(self.atom)
-            return VecTy(elem, length, span=self._span(start))
+            return VecTy(elem, length, self._span(start))
         if kind in ("Pi", "All"):
             name = self.expect("ident", "a bound variable")[1]
             self.expect(":")
@@ -361,19 +361,19 @@ class _Parser:
             cod = self.type_()
             self.scope.pop()
             cls = PiTy if kind == "Pi" else AllTy
-            return cls(name, dom, cod, span=self._span(start))
+            return cls(name, dom, cod, self._span(start))
         if kind == "ifzero":
             scrut = self._erased(self.atom)
             on_zero = self.tyatom()
             on_succ = self.tyatom()
-            return IfZeroTy(scrut, on_zero, on_succ, span=self._span(start))
+            return IfZeroTy(scrut, on_zero, on_succ, self._span(start))
         raise AssertionError(kind)
 
     def tyatom(self) -> Ty:
         tok = self.toks[self.pos]
         if tok[0] == "Nat":
             self.pos += 1
-            return NatTy(span=Span(tok[2], tok[3]))
+            return NatTy((tok[2], tok[3]))
         if tok[0] == "(":
             self.pos += 1
             ty = self.type_()
@@ -386,7 +386,7 @@ class _Parser:
         lhs = self._erased(self.apply)
         self.expect("=", "'=' (equation type)")
         rhs = self._erased(self.apply)
-        return EqTy(lhs, rhs, span=self._span(start))
+        return EqTy(lhs, rhs, self._span(start))
 
     def _erased(self, parse) -> UnannTerm:
         """The erasure of the term that `parse` reads.  In a file, the
@@ -419,7 +419,7 @@ class _Parser:
         self.scope.append(name)
         body = self.term()
         self.scope.pop()
-        return cls(name, dom, body, span=self._span(start))
+        return cls(name, dom, body, self._span(start))
 
     def apply(self) -> AnnTerm:
         start = self.toks[self.pos][2]
@@ -431,13 +431,13 @@ class _Parser:
             kind = self.toks[self.pos][0]
             if kind in _ATOM_STARTS:
                 arg = self.atom()
-                t = App(t, arg, span=self._span(start))
+                t = App(t, arg, self._span(start))
             elif kind == "@[" or kind == "@-[":
                 self.pos += 1
                 arg = self.term()
                 self.expect("]")
                 cls = TAppImp if kind == "@[" else TQApp
-                t = cls(t, arg, span=self._span(start))
+                t = cls(t, arg, self._span(start))
             else:
                 return t
 
@@ -479,7 +479,7 @@ class _Parser:
             self.pos += 1
             start = toks[self.pos][2]
         args.append(self.atom())
-        t = cls(*args, span=self._span(start))
+        t = cls(*args, self._span(start))
         if outer is None:
             return t
         # Each link closes as `( term )` does around the level within it.
@@ -487,7 +487,7 @@ class _Parser:
             t = self._args(t, start)
             self.expect(")")
             args.append(t)
-            t, start = cls(*args, span=self._span(outer_start)), outer_start
+            t, start = cls(*args, self._span(outer_start)), outer_start
         return t
 
     def atom(self) -> AnnTerm:
@@ -497,12 +497,11 @@ class _Parser:
             self.pos += 1
             if text in self.scope:
                 # the distance to the innermost binder of that name
-                return BVar(self.scope[::-1].index(text),
-                            span=Span(start, end))
+                return BVar(self.scope[::-1].index(text), (start, end))
             names = self.names
             if names is not None:
                 names.append(text)
-            return FVar(text, span=Span(start, end))
+            return FVar(text, (start, end))
         if kind == "(":
             self.pos += 1
             t = self.term()
@@ -516,18 +515,18 @@ class _Parser:
                 n = MAX_NUMERAL + 1
             if n > MAX_NUMERAL:
                 self._err(f"numeral is larger than {MAX_NUMERAL}", tok)
-            span = Span(start, end)
-            t = Zero(span=span)
+            span = (start, end)
+            t = Zero(span)
             return tower(n, t, span) if n else t    # most numerals are 0
         if kind == "zero":
             self.pos += 1
-            return Zero(span=Span(start, end))
+            return Zero((start, end))
         if kind == "nil":
             self.pos += 1
             self.expect("[")
             elem = self.type_()
             self.expect("]")
-            return TNil(elem, span=self._span(start))
+            return TNil(elem, self._span(start))
         self._err("expected a term", tok)
 
 

@@ -203,11 +203,11 @@ def contract(t: UnannTerm, outer: int = 0) -> UnannTerm | None:
                 if i == d:
                     if outer and d not in copies:
                         copies[d] = _map_vars(
-                            arg, lambda w, e: BVar(w.index + d, span=w.span)
+                            arg, lambda w, e: BVar(w.index + d, w.span)
                             if e <= w.index < e + outer else w)
                     return copies.get(d, arg)
                 if d < i <= d + outer:
-                    return BVar(i - 1, span=v.span)
+                    return BVar(i - 1, v.span)
                 return v
 
             return _map_vars(fn.body, leaf)

@@ -42,13 +42,16 @@ here opens a binder with a name or closes a name into a binder: the
 corpus binds the names it builds terms from with a helper of its own, and
 the test suite's reference implementations carry their own open and close.
 
-Storage.  Node classes, `Span` and the records of the other modules
+Storage.  Node classes and the records of the other modules
 (`reduce.NormalForm`, `frontend.ResolvedDef`, ...) are slotted dataclasses
-that cannot change (`frozen`).  Per field shape, `frozen` compiles once an
+that cannot change (`frozen`).  A node's `span` is a plain `(start, end)`
+pair of character offsets into the parsed text, or None; it is left out
+of `==`, `hash` and `repr`.  Per field shape, `frozen` compiles once an
 `__init__` that takes each field, positional or keyword, with its default
-if it has one, and stores it through its slot descriptor, `__eq__` and
-`__hash__` over the compared fields, and on nodes `children()` and
-`rebuild()`, which walkers use; `__repr__`, `__setattr__`/`__delattr__` and
+if it has one (`span` last, so that it may be given by position), and
+stores it through its slot descriptor, `__eq__` and `__hash__` over the
+compared fields, and on nodes `children()` and `rebuild()`, which walkers
+use; `__repr__`, `__setattr__`/`__delattr__` and
 `__getstate__`/`__setstate__` are shared by all.  A method the class defines
 itself is kept (the `__eq__`, `__hash__` and `__reduce__` that `Succ` and
 `Cons` share: pickle and `copy` take a tower or a spine apart into its
@@ -73,14 +76,15 @@ _compile = cache(lambda src: compile(src, "<node>", "exec"))   # shared code
 
 def frozen(cls: type) -> type:
     """Make `cls` a slotted dataclass that cannot change.  `dataclass`
-    only records the fields; see "Storage" above for the methods."""
+    only records the fields; see "Storage" above for the methods.  A
+    `kw_only` field (a node's `span`) is the last parameter, positional or
+    keyword: `App(f, a, span)` costs no keyword call."""
     doc, cls.__doc__ = cls.__doc__, "-"   # else dataclass calls signature()
     cls = dataclass(init=False, repr=False, eq=False, slots=True)(cls)
     names = [f.name for f in fields(cls)]
-    kw = [f"{f.name}={f.default!r}" for f in fields(cls) if f.kw_only]
-    pos = [f.name if f.default is MISSING else f"{f.name}={f.default!r}"
-           for f in fields(cls) if not f.kw_only]
-    sig = ", ".join(pos + ["*"] * bool(kw) + kw)
+    sig = ", ".join(f"{f.name}={f.default!r}" if f.default is not MISSING
+                    else f.name
+                    for f in sorted(fields(cls), key=lambda f: f.kw_only))
     cls.__doc__ = doc or f"{cls.__name__}({sig})"
     same = "".join(f"{{0}}.{f.name}," for f in fields(cls) if f.compare)
     kids = list(getattr(cls, "SCOPES", ()))
@@ -144,12 +148,7 @@ _SHARED = {"__repr__": _repr, "__setattr__": _setattr, "__delattr__": _delattr,
            "__getstate__": _getstate, "__setstate__": _setstate}
 
 
-@frozen
-class Span:
-    """Half-open [start, end) source offsets, built like a node (`frozen`)."""
-
-    start: int
-    end: int
+Span = tuple[int, int]      # half-open [start, end) character offsets
 
 
 @frozen
@@ -528,8 +527,7 @@ def _spine(heads: list, spans: list, base: Node) -> Node:
     """The `S` and `cons` levels that `Succ.__reduce__` took apart, rebuilt
     over `base` innermost first: a head of None is an `S` level."""
     for head, span in zip(reversed(heads), reversed(spans)):
-        base = (Succ(base, span=span) if head is None
-                else Cons(head, base, span=span))
+        base = Succ(base, span) if head is None else Cons(head, base, span)
     return base
 
 
@@ -556,11 +554,11 @@ def map_spine(t: Succ | Cons, f: Callable[..., Node], a, b, c) -> Node:
         t = t.pred if type(t) is Succ else t.tail
     for level in reversed(levels):
         if type(level) is Succ:
-            end = level if end is level.pred else Succ(end, span=level.span)
+            end = level if end is level.pred else Succ(end, level.span)
         else:
             head = heads.get(id(level), level.head)
             end = (level if end is level.tail and head is level.head
-                   else Cons(head, end, span=level.span))
+                   else Cons(head, end, level.span))
     return end
 
 
@@ -604,7 +602,7 @@ def instantiate(t: Node, args: tuple[Node, ...], lift: int = 0) -> Node:
         if i < 0 or (i >= n and n == lift):
             return v
         if i >= n:
-            return BVar(v.index - n + lift, span=v.span)
+            return BVar(v.index - n + lift, v.span)
         if not depth:
             return args[i]
         if (i, depth) not in raised:

@@ -104,12 +104,13 @@ class Diagnostic:
     children: tuple["Diagnostic", ...] = ()
 
     def to_json(self) -> dict:
+        start, end = self.span
         return {
             "rule": self.rule,
             "code": self.code,
             "message": self.message,
             "severity": self.severity,
-            "span": {"start": self.span.start, "end": self.span.end},
+            "span": {"start": start, "end": end},
             "expected": self.expected,
             "actual": self.actual,
             "children": [c.to_json() for c in self.children],
@@ -118,8 +119,9 @@ class Diagnostic:
     def render(self, indent: int = 0) -> str:
         pad = "  " * indent
         lines = [f"{pad}{self.severity}[{self.rule}]: {self.message}"]
-        if self.span != Span(0, 0):
-            lines.append(f"{pad}  at {self.span.start}..{self.span.end}")
+        if self.span != (0, 0):
+            start, end = self.span
+            lines.append(f"{pad}  at {start}..{end}")
         if self.expected is not None:
             lines.append(f"{pad}  expected: {self.expected}")
         if self.actual is not None:
@@ -170,7 +172,7 @@ def _fmt(node) -> str:
 
 
 def _span(node) -> Span:
-    return node.span or Span(0, 0)
+    return node.span or (0, 0)
 
 
 def _diagnose(rule: str, node, message: str, code: str,
@@ -242,7 +244,7 @@ class Checker:
     def infer(self, ctx: Context, t: AnnTerm) -> CheckResult:
         if not ctx.ok:
             return Failure(Diagnostic(
-                "context", "context is not well-scoped", Span(0, 0),
+                "context", "context is not well-scoped", (0, 0),
                 code="context-ill-scoped"))
         if ctx is not self._ctx:
             self._memo.clear()      # a stored type holds in one context

@@ -13,7 +13,7 @@ that both checkers give the same verdict, alpha-equal types, the same
 diagnostic text and the same rule hits.  Two differences are intended.
 A diagnostic at a bound variable has a span only in `tvec.typecheck`:
 opening replaces the parsed `BVar` by an `FVar` without one, so this
-checker reports `Span(0, 0)` there.  And `tvec.typecheck` names a binder
+checker reports `(0, 0)` there.  And `tvec.typecheck` names a binder
 avoiding the free names of the whole term, not of the body, which picks
 the same name whenever the term's free names are in the context.
 """
@@ -49,7 +49,7 @@ def _fmt(node) -> str:
 
 
 def _span(node) -> Span:
-    return node.span or Span(0, 0)
+    return node.span or (0, 0)
 
 
 class Checker:
@@ -66,7 +66,7 @@ class Checker:
     def infer(self, ctx: Context, t: AnnTerm) -> CheckResult:
         if not ctx_ok(ctx):
             return Failure(Diagnostic(
-                "context", "context is not well-scoped", Span(0, 0),
+                "context", "context is not well-scoped", (0, 0),
                 code="context-ill-scoped"))
         try:
             return Inferred(self._infer(ctx, t))

@@ -11,7 +11,6 @@ same offset, on random text.  Like `tokenize`, it emits plain
 from __future__ import annotations
 
 from tvec.frontend import ParseError
-from tvec.syntax import Span
 from tvec.typecheck import Diagnostic
 
 KEYWORDS = frozenset({
@@ -69,7 +68,7 @@ def tokenize(text: str) -> list[tuple[str, str, int, int]]:
                 i = j
             else:
                 raise ParseError(Diagnostic(
-                    "lex", f"unexpected character {ch!r}", Span(i, i + 1),
+                    "lex", f"unexpected character {ch!r}", (i, i + 1),
                     code="parse-error"))
     toks.append(("eof", "", n, n))
     return toks

@@ -47,7 +47,7 @@ class Token(NamedTuple):
 
     @property
     def span(self) -> Span:
-        return Span(self.start, self.end)
+        return (self.start, self.end)
 
 
 class _Parser:
@@ -92,16 +92,16 @@ class _Parser:
             self.next()
             val = self.next()
             if val.kind == "large-elim":
-                return ModeItem(Mode.LARGE_ELIM, Span(tok.start, val.end))
+                return ModeItem(Mode.LARGE_ELIM, (tok.start, val.end))
             if val.kind == "ident" and val.text == "base":
-                return ModeItem(Mode.BASE, Span(tok.start, val.end))
+                return ModeItem(Mode.BASE, (tok.start, val.end))
             self._err("mode must be 'base' or 'large-elim'", val)
         if tok.kind == "assume":
             self.next()
             name = self.expect("ident", "a name")
             self.expect(":")
             ty = self.type_()
-            return AssumeItem(name.text, ty, Span(tok.start, self._prev_end()),
+            return AssumeItem(name.text, ty, (tok.start, self._prev_end()),
                               free_names(ty))
         if tok.kind == "def":
             self.next()
@@ -111,7 +111,7 @@ class _Parser:
             self.expect("=")
             body = self.term()
             return DefItem(name.text, ty, body,
-                           Span(tok.start, self._prev_end()),
+                           (tok.start, self._prev_end()),
                            free_names(ty) | free_names(body))
         self._err("expected 'def', 'assume', or 'mode'", tok)
 
@@ -143,7 +143,7 @@ class _Parser:
             elem = self.tyatom()
             length = self.atom()
             return VecTy(elem, erase(length),
-                         span=Span(tok.start, self._prev_end()))
+                         span=(tok.start, self._prev_end()))
         if tok.kind in ("Pi", "All"):
             name = self.expect("ident", "a bound variable")
             self.expect(":")
@@ -152,13 +152,13 @@ class _Parser:
             cod = self.type_()
             cls = PiTy if tok.kind == "Pi" else AllTy
             return cls(name.text, dom, close1(cod, name.text),
-                       span=Span(tok.start, self._prev_end()))
+                       span=(tok.start, self._prev_end()))
         if tok.kind == "ifzero":
             scrut = self.atom()
             on_zero = self.tyatom()
             on_succ = self.tyatom()
             return IfZeroTy(erase(scrut), on_zero, on_succ,
-                            span=Span(tok.start, self._prev_end()))
+                            span=(tok.start, self._prev_end()))
         raise AssertionError(tok)
 
     def tyatom(self) -> Ty:
@@ -178,7 +178,7 @@ class _Parser:
         lhs = self.apply()
         self.expect("=", "'=' (equation type)")
         rhs = self.apply()
-        return EqTy(erase(lhs), erase(rhs), span=Span(start, self._prev_end()))
+        return EqTy(erase(lhs), erase(rhs), span=(start, self._prev_end()))
 
     # -- terms ---------------------------------------------------------
 
@@ -193,7 +193,7 @@ class _Parser:
             body = self.term()
             cls = {"fun": TLam, "ifun": TLamImp, "qfun": TQLam}[tok.kind]
             return cls(name.text, dom, close1(body, name.text),
-                       span=Span(tok.start, self._prev_end()))
+                       span=(tok.start, self._prev_end()))
         return self.apply()
 
     def apply(self) -> AnnTerm:
@@ -203,17 +203,17 @@ class _Parser:
             tok = self.peek()
             if tok.kind in _ATOM_STARTS:
                 arg = self.atom()
-                t = App(t, arg, span=Span(start, self._prev_end()))
+                t = App(t, arg, span=(start, self._prev_end()))
             elif tok.kind == "@[":
                 self.next()
                 arg = self.term()
                 self.expect("]")
-                t = TAppImp(t, arg, span=Span(start, self._prev_end()))
+                t = TAppImp(t, arg, span=(start, self._prev_end()))
             elif tok.kind == "@-[":
                 self.next()
                 arg = self.term()
                 self.expect("]")
-                t = TQApp(t, arg, span=Span(start, self._prev_end()))
+                t = TQApp(t, arg, span=(start, self._prev_end()))
             else:
                 return t
 
@@ -222,17 +222,17 @@ class _Parser:
         kind = tok.kind
         if kind == "S":
             self.next()
-            return Succ(self.atom(), span=Span(tok.start, self._prev_end()))
+            return Succ(self.atom(), span=(tok.start, self._prev_end()))
         if kind == "cons":
             self.next()
             head = self.atom()
             tail = self.atom()
-            return Cons(head, tail, span=Span(tok.start, self._prev_end()))
+            return Cons(head, tail, span=(tok.start, self._prev_end()))
         if kind == "join":
             self.next()
             lhs = self.atom()
             rhs = self.atom()
-            return TJoin(lhs, rhs, span=Span(tok.start, self._prev_end()))
+            return TJoin(lhs, rhs, span=(tok.start, self._prev_end()))
         if kind == "rnat":
             self.next()
             self.expect("[")
@@ -244,7 +244,7 @@ class _Parser:
             step = self.atom()
             scrut = self.atom()
             return TRNat(var.text, close1(motive, var.text), base, step,
-                         scrut, span=Span(tok.start, self._prev_end()))
+                         scrut, span=(tok.start, self._prev_end()))
         if kind == "rvec":
             self.next()
             self.expect("[")
@@ -259,7 +259,7 @@ class _Parser:
             scrut = self.atom()
             closed = close_at(close_at(motive, 0, vvar.text), 1, lvar.text)
             return TRVec(lvar.text, vvar.text, closed, base, step, scrut,
-                         span=Span(tok.start, self._prev_end()))
+                         span=(tok.start, self._prev_end()))
         if kind == "cast":
             self.next()
             self.expect("[")
@@ -270,18 +270,18 @@ class _Parser:
             proof = self.atom()
             body = self.atom()
             return TCast(var.text, close1(motive, var.text), proof, body,
-                         span=Span(tok.start, self._prev_end()))
+                         span=(tok.start, self._prev_end()))
         if kind == "foldz":
             self.next()
             self.expect("[")
             other = self.type_()
             self.expect("]")
             body = self.atom()
-            return TFoldZ(other, body, span=Span(tok.start, self._prev_end()))
+            return TFoldZ(other, body, span=(tok.start, self._prev_end()))
         if kind == "unfoldz":
             self.next()
             body = self.atom()
-            return TUnfoldZ(body, span=Span(tok.start, self._prev_end()))
+            return TUnfoldZ(body, span=(tok.start, self._prev_end()))
         if kind == "folds":
             self.next()
             self.expect("[")
@@ -292,7 +292,7 @@ class _Parser:
             self.expect("]")
             body = self.atom()
             return TFoldS(witness, zero_ty, body,
-                          span=Span(tok.start, self._prev_end()))
+                          span=(tok.start, self._prev_end()))
         if kind == "unfolds":
             self.next()
             self.expect("[")
@@ -300,7 +300,7 @@ class _Parser:
             self.expect("]")
             body = self.atom()
             return TUnfoldS(witness, body,
-                            span=Span(tok.start, self._prev_end()))
+                            span=(tok.start, self._prev_end()))
         return self.atom()
 
     def atom(self) -> AnnTerm:
@@ -329,7 +329,7 @@ class _Parser:
             self.expect("[")
             elem = self.type_()
             self.expect("]")
-            return TNil(elem, span=Span(tok.start, self._prev_end()))
+            return TNil(elem, span=(tok.start, self._prev_end()))
         if tok.kind == "(":
             self.next()
             t = self.term()

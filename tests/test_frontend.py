@@ -21,14 +21,15 @@ from conftest import EXAMPLES
 from tvec.cli import main as cli_main
 from tvec.erase import erase
 from tvec.frontend import (
-    KEYWORDS, MAX_NUMERAL, DefItem, ModeItem, ParseError, ResolveError,
-    parse, parse_term, parse_type, pretty, resolve_defs, tokenize,
+    KEYWORDS, MAX_NUMERAL, AssumeItem, DefItem, ModeItem, ParseError,
+    ResolveError, parse, parse_term, parse_type, pretty, resolve_defs,
+    tokenize,
 )
 from tvec.oracle import enumerate_terms
 from tvec.syntax import (
     AllTy, App, BVar, Context, EqTy, FVar, IfZeroTy, Lam, NatTy, PiTy, RNat,
     RVec, Succ, TAppImp, TCast, Cons, TJoin, TLam, TLamImp, TNil, TQApp, TQLam,
-    Span, TRNat, TRVec, TUnfoldZ, VecTy, Zero, alpha_eq, free_vars,
+    TRNat, TRVec, TUnfoldZ, VecTy, Zero, alpha_eq, free_vars,
 )
 from tvec.typecheck import Checker, Inferred, Mode
 
@@ -140,7 +141,7 @@ class TestLexer:
         diag = exc.value.diagnostic
         assert diag.code == "parse-error"
         assert diag.message == f"unexpected character {char!r}"
-        assert (diag.span.start, diag.span.end) == (offset, offset + 1)
+        assert diag.span == (offset, offset + 1)
 
     @pytest.mark.parametrize("text", [
         "mode large-elim", "large-elim'", "large-elim_", "large-elim--",
@@ -339,7 +340,7 @@ class TestParseType:
         src = "Vec Nat " + "(nil[" * n + "Nat" + "])" * n
         with pytest.raises(ParseError) as exc:
             parse_type(src)
-        assert exc.value.diagnostic.span == Span(93, 94)
+        assert exc.value.diagnostic.span == (93, 94)
         assert calls <= 256
 
 
@@ -1074,3 +1075,55 @@ class TestReferenceParser:
     def test_grammar_token_strings(self, source):
         entry, text = source
         assert_same_parse(*ENTRY_POINTS[entry], text)
+
+
+# --------------------------------------------------------------------------
+# span shape
+
+# The parts of a source item that hold nodes.
+_ITEM_PARTS = {DefItem: ("ty", "body"), AssumeItem: ("ty",), ModeItem: ()}
+
+
+def _span_faults(roots, text: str) -> tuple[int, list]:
+    """How many nodes (and items) there are under `roots`, and those whose
+    span is not a pair of ints with 0 <= start <= end <= len(text) inside
+    the span of their parent; a loop, as numerals can be deep."""
+    seen, faults = 0, []
+    todo = [(root, (0, len(text))) for root in roots]
+    while todo:
+        x, (lo, hi) = todo.pop()
+        cls, span = type(x), x.span
+        seen += 1
+        if not (type(span) is tuple and len(span) == 2
+                and type(span[0]) is int and type(span[1]) is int
+                and lo <= span[0] <= span[1] <= hi):
+            faults.append((cls.__name__, span, (lo, hi)))
+            continue
+        parts = _ITEM_PARTS[cls] if cls in _ITEM_PARTS else cls.SCOPES
+        todo += [(getattr(x, name), span) for name in parts]
+    return seen, faults
+
+
+class TestSpanShape:
+    """Every node the parser builds carries its `(start, end)` offsets,
+    inside those of its parent.  The span is the last positional argument
+    of a node class, so an argument passed one place too far lands there
+    and shows here."""
+
+    @pytest.mark.parametrize("path", sorted(EXAMPLES.glob("*.tvec")),
+                             ids=lambda p: p.name)
+    def test_example_files(self, path):
+        text = path.read_text(encoding="utf-8")
+        seen, faults = _span_faults(parse(text).items, text)
+        assert faults == [] and seen > 50
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_printed_enumeration(self, mode):
+        scope = Context().extend("a", NAT).extend("b", VecTy(NAT, Zero()))
+        total = 0
+        for t in enumerate_terms(5, mode, scope):
+            text = pretty(t)
+            seen, faults = _span_faults([parse_term(text)], text)
+            assert faults == [], text
+            total += seen
+        assert total > 5_000

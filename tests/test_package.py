@@ -58,6 +58,19 @@ def test_no_module_rebinds_its_globals(path):
                 if isinstance(node, ast.Global)]
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_call_passes_span_by_keyword(path):
+    """A node's `span` is the last positional parameter of its class
+    (`syntax.frozen`).  CPython builds a dict of the keyword arguments of
+    every class call that passes one, and the parser and the walkers make
+    a node per step, so each call in `src/tvec` passes the span by
+    position."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and any(kw.arg == "span" for kw in node.keywords)]
+
+
 def test_every_dataclass_is_made_by_frozen():
     """One storage discipline: each dataclass that a module of `src/tvec`
     defines is made by `syntax.frozen`, so it is slotted, its instances

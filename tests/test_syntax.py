@@ -26,7 +26,7 @@ from tvec.typecheck import Diagnostic, Failure, Inferred, Mode
 from tvec.syntax import (
     AnnTerm, App, BVar, Cons, Context, EqTy, FVar, Join, Lam, NatTy, Nil,
     PiTy, Succ, TJoin, TLam, Ty, UnannTerm, VecTy, Zero, alpha_eq, Node,
-    Span, ctx_ok, free_vars, fresh_name, instantiate, node_count, subst,
+    ctx_ok, free_vars, fresh_name, instantiate, node_count, subst,
 )
 
 from locally_nameless import close1, close_at, open1, open_at, open2
@@ -58,9 +58,8 @@ class TestAlphaEquality:
         assert alpha_eq(Lam("x", BVar(0)), Lam("y", BVar(0)))
 
     def test_spans_do_not_matter(self):
-        from tvec.syntax import Span
-        assert alpha_eq(FVar("a", span=Span(0, 1)),
-                        FVar("a", span=Span(7, 8)))
+        assert alpha_eq(FVar("a", span=(0, 1)),
+                        FVar("a", span=(7, 8)))
 
     def test_free_names_do_matter(self):
         assert not alpha_eq(FVar("a"), FVar("b"))
@@ -311,8 +310,8 @@ def _record_pair(cls):
             CorpusDef: (a, ty, term),
         }[cls]
     return [cls(*build(*args)) for args in [
-        ("a", 1, NatTy(), Zero(), Span(0, 1), Mode.BASE, Context()),
-        ("b", 2, VecTy(NatTy(), Zero()), Succ(Zero()), Span(2, 3),
+        ("a", 1, NatTy(), Zero(), (0, 1), Mode.BASE, Context()),
+        ("b", 2, VecTy(NatTy(), Zero()), Succ(Zero()), (2, 3),
          Mode.LARGE_ELIM, Context().extend("n", NatTy())),
     ]]
 
@@ -325,11 +324,9 @@ RECORD_CLASSES = [
 
 
 def _sample(cls):
-    if cls is Span:
-        return Span(1, 2)
     if cls in RECORD_CLASSES:
         return _record_pair(cls)[0]
-    return _build(cls, "x", Span(0, 1))[0]
+    return _build(cls, "x", (0, 1))[0]
 
 
 def _stdlib_repr(t):
@@ -343,18 +340,13 @@ def _stdlib_repr(t):
 
 
 class TestNodeContract:
-    """Nodes, `Span` and the records of the other modules are slotted
+    """Nodes and the records of the other modules are slotted
     dataclasses that cannot change: built once, never changed."""
 
-    @pytest.mark.parametrize("cls", NODE_CLASSES + [Span],
-                             ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
     def test_frozen_slotted_dataclass(self, cls):
-        if cls is Span:
-            t, args = Span(1, 2), [1, 2]
-            twin = Span(1, 2)
-        else:
-            t, args = _build(cls, "x", Span(0, 1))
-            twin, _ = _build(cls, "y", Span(2, 3))
+        t, args = _build(cls, "x", (0, 1))
+        twin, _ = _build(cls, "y", (2, 3))
         assert not hasattr(t, "__dict__")
         names = [f.name for f in dataclasses.fields(t)]
         for name in names:
@@ -367,7 +359,9 @@ class TestNodeContract:
             with pytest.raises(TypeError):
                 cls(*args[:-1])
         with pytest.raises(TypeError):
-            cls(*args, Zero())
+            cls(*args, None, Zero())
+        by_position = cls(*args, (0, 1))
+        assert by_position == t and by_position.span == t.span == (0, 1)
         with pytest.raises(TypeError):
             cls(*args, colour="red")
         assert cls.__match_args__ == tuple(n for n in names if n != "span")
@@ -387,7 +381,7 @@ class TestNodeContract:
     @pytest.mark.parametrize("cls", [c for c in NODE_CLASSES if c.SCOPES],
                              ids=lambda c: c.__name__)
     def test_rebuild_keeps_hints_and_span(self, cls):
-        t, _ = _build(cls, "x", Span(0, 1))
+        t, _ = _build(cls, "x", (0, 1))
         kids = t.children()
         assert kids == [getattr(t, n) for n in cls.SCOPES]
         new = t.rebuild([Succ(k) for k in kids])
@@ -428,14 +422,13 @@ class TestNodeContract:
     def test_repr_is_the_dataclass_repr(self):
         assert repr(Stuck(Zero(), "no rule", 3)) == \
             "Stuck(term=Zero(), reason='no rule', steps=3)"
-        assert repr(Span(1, 2)) == "Span(start=1, end=2)"
-        assert repr(Lam("x", Succ(BVar(0)), span=Span(0, 9))) == \
+        assert repr(Lam("x", Succ(BVar(0)), span=(0, 9))) == \
             "Lam(hint='x', body=Succ(pred=BVar(index=0)))"
         for cls in NODE_CLASSES:
             t = _sample(cls)
             assert repr(t) == _stdlib_repr(t)
 
-    @pytest.mark.parametrize("cls", NODE_CLASSES + [Span] + RECORD_CLASSES,
+    @pytest.mark.parametrize("cls", NODE_CLASSES + RECORD_CLASSES,
                              ids=lambda c: c.__name__)
     def test_pickle_and_copy_round_trip(self, cls):
         t = _sample(cls)
