@@ -121,9 +121,7 @@ def subst_annotated(t: AnnTerm, name: str, repl: AnnTerm,
                     repl_erased: UnannTerm) -> AnnTerm:
     """Substitute an annotated term for a free variable: `inline` with the
     one entry `name` to `(repl, repl_erased)`."""
-    def leaf(v: FVar, _depth: int) -> Node:
-        return repl_erased if v.name == name else v
-    return _inline(t, {name: (repl, repl_erased)}, leaf)
+    return inline(t, {name: (repl, repl_erased)})
 
 
 def inline(t: AnnTerm | Ty, defs: dict[str, tuple[AnnTerm, UnannTerm]]

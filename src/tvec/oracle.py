@@ -208,7 +208,8 @@ def canonical_shape(v: UnannTerm, ty: Ty, mode: Mode = Mode.BASE,
         case EqTy(lhs, rhs):
             if not isinstance(v, Join):
                 return False
-            return joinable(lhs, rhs, fuel)
+            verdict = joinable(lhs, rhs, fuel)
+            return False if isinstance(verdict, tuple) else verdict
         case IfZeroTy(scrut, on_zero, on_succ):
             nf = normalize(scrut, fuel)
             if isinstance(nf, FuelExhausted):

@@ -1,8 +1,9 @@
 """Reduction: full beta normalization and call-by-value evaluation.
 
 Full reduction contracts redexes anywhere, including under binders; it
-drives the joinability test the checker uses for equations.  Call-by-value
-is the runtime semantics: left-to-right, operator before operand, recursor
+drives `joinable`, the one joinability test, which the checker's `join`
+and the self-test's canonical shapes both ask.  Call-by-value is the
+runtime semantics: left-to-right, operator before operand, recursor
 scrutinee last, never under a binder.  Both are fuel-bounded and report
 fuel exhaustion as a distinct outcome rather than looping or guessing.
 
@@ -348,20 +349,21 @@ def normalize(t: UnannTerm, fuel: int = DEFAULT_FUEL,
     return _run(t, fuel, strategy, on_step, outer)
 
 
-def joinable(a: UnannTerm, b: UnannTerm,
-             fuel: int = DEFAULT_FUEL) -> bool | FuelExhausted:
-    """True iff a and b normalize to alpha-equal terms.
-
-    Fuel exhaustion on either side propagates: an undecided comparison is
-    never reported as unequal.
-    """
-    na = normalize(a, fuel)
-    if isinstance(na, FuelExhausted):
-        return na
-    nb = normalize(b, fuel)
-    if isinstance(nb, FuelExhausted):
-        return nb
-    return alpha_eq(na.term, nb.term)
+def joinable(a: UnannTerm, b: UnannTerm, fuel: int = DEFAULT_FUEL,
+             outer: int = 0
+             ) -> bool | tuple[UnannTerm, UnannTerm] | FuelExhausted:
+    """The one decision of a join: True iff a and b, under `outer`
+    abstractions (see `normalize`), normalize to alpha-equal terms, else
+    their two distinct normal forms.  The first side to run out of fuel,
+    left first, gives its `FuelExhausted`: an undecided comparison is
+    never reported as unequal."""
+    forms = []
+    for side in (a, b):
+        out = normalize(side, fuel, outer=outer)
+        if isinstance(out, FuelExhausted):
+            return out
+        forms.append(out.term)
+    return alpha_eq(*forms) or tuple(forms)
 
 
 def eval_cbv(t: UnannTerm, fuel: int = DEFAULT_FUEL, *,

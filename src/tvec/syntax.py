@@ -67,7 +67,7 @@ reducer's memo of normal subterms by `id`.
 from __future__ import annotations
 
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
-from functools import cache, cached_property
+from functools import cache
 from typing import Callable, ClassVar, Iterator
 
 
@@ -674,7 +674,7 @@ def ctx_ok(ctx: Context) -> bool:
     return True
 
 
-@dataclass(frozen=True)   # not `frozen`: `ok` is cached in a `__dict__`
+@frozen
 class Context:
     """Ordered typing context; later entries may mention earlier names."""
 
@@ -700,5 +700,3 @@ class Context:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    ok = cached_property(ctx_ok)   # `infer` asks, mostly of one context

@@ -4,8 +4,9 @@ Each annotated construct determines exactly one rule, so checking is a
 single recursive pass over the term as a tree, except at the def bodies
 that the term shares (see the last paragraph).  All type comparisons are
 alpha-equivalence; there is no conversion rule.  Conversion happens only
-through explicit casts, whose equations are produced by `join`, which in
-turn decides joinability by fuel-bounded normalization of erasures.  A
+through explicit casts, whose equations are produced by `join`.  The
+checker decides a join by asking `reduce.joinable` of the two sides'
+erasures, the one decision the self-test's canonical shapes ask too.  A
 fuel-exhausted joinability test is reported as undecided, never as a
 mismatch.
 
@@ -28,10 +29,12 @@ the context holds only the assumptions.  `BVar(i)` has the i-th binder's
 domain for its type, raised past the i + 1 binders between.  A binder
 returns its product around its body's type as it stands; codomains,
 motives and the recursor step types are built by `syntax.instantiate`;
-join sides are normalized under the enclosing binders.  So checking costs
-time linear in binder depth.  Whether a bound variable survives erasure
-is noted by level as the pass meets it, so the side condition of
-implicit binders erases nothing.
+join sides are decided under the enclosing binders (`joinable`'s
+`outer`).  So checking costs time linear in binder depth.  Whether a
+bound variable survives erasure is noted by level as the pass meets it,
+so the side condition of implicit binders erases nothing.  `infer`
+checks that a context is well-scoped when it meets one other than its
+last, and keeps only a context that is.
 
 A failed check costs only the rules it ran.  The failing rule raises the
 parts its diagnostic is made from (`_fail`): the nodes, the enclosing
@@ -63,13 +66,13 @@ from functools import partial
 from typing import Callable, Iterable
 
 from .erase import erase
-from .reduce import DEFAULT_FUEL, FuelExhausted, normalize
+from .reduce import DEFAULT_FUEL, FuelExhausted, joinable
 from .syntax import (
     AllTy, AnnTerm, App, BVar, Cons, Context, EqTy, FVar, IfZeroTy, NatTy,
     Nil, Node, PiTy, Span, Succ, TAppImp, TCast, TFoldS, TFoldZ, TJoin,
     TLam, TLamImp, TNil, TQApp, TQLam, TRNat, TRVec, TUnfoldS, TUnfoldZ, Ty,
-    UnannTerm, VecTy, Zero, alpha_eq, free_vars, fresh_name, frozen,
-    instantiate, map_vars, numeral,
+    UnannTerm, VecTy, Zero, alpha_eq, ctx_ok, free_vars, fresh_name,
+    frozen, instantiate, map_vars, numeral,
 )
 
 
@@ -242,13 +245,14 @@ class Checker:
     # -- public entry points -------------------------------------------
 
     def infer(self, ctx: Context, t: AnnTerm) -> CheckResult:
-        if not ctx.ok:
-            return Failure(Diagnostic(
-                "context", "context is not well-scoped", (0, 0),
-                code="context-ill-scoped"))
-        if ctx is not self._ctx:
+        if ctx is not self._ctx:    # a context that passed stays passed
+            if not ctx_ok(ctx):
+                return Failure(Diagnostic(
+                    "context", "context is not well-scoped", (0, 0),
+                    code="context-ill-scoped"))
+            self._ctx = ctx
             self._memo.clear()      # a stored type holds in one context
-        self._ctx, self._root, self._kept = ctx, t, 0
+        self._root, self._kept = t, 0
         self._env.clear()       # a failure leaves its binders behind
         self._live.clear()
         try:
@@ -448,8 +452,16 @@ class Checker:
     def _join(self, t: TJoin) -> Ty:
         self._infer_erased(t.lhs)
         self._infer_erased(t.rhs)
-        return self._join_type(t, erase(t.lhs, self._shared),
-                               erase(t.rhs, self._shared))
+        lhs, rhs = erase(t.lhs, self._shared), erase(t.rhs, self._shared)
+        verdict = joinable(lhs, rhs, self.fuel, len(self._env))
+        if verdict is True:
+            return EqTy(lhs, rhs)
+        if isinstance(verdict, FuelExhausted):
+            self._fail("join", t, "undecided: fuel exhausted before both "
+                       "sides reached normal form", code="fuel-exhausted",
+                       actual=verdict.term)
+        self._fail("join", t, "the two sides have distinct normal forms",
+                   code="join-distinct", forms=verdict)
 
     # p : a = b   t : M[x := a]
     # ---------------------------------------- cast x.M p t : M[x := b]
@@ -572,27 +584,8 @@ class Checker:
         self._kept = kept
         return ty
 
-    def _join_type(self, t, lhs, rhs) -> Ty:
-        """The equation `join t` proves, given the erasures of its sides."""
-        # One normalization per side decides the rule and explains failure.
-        forms = []
-        for side in (lhs, rhs):
-            out = normalize(side, self.fuel, outer=len(self._env))
-            if isinstance(out, FuelExhausted):
-                self._fail("join", t,
-                           "undecided: fuel exhausted before both sides "
-                           "reached normal form",
-                           code="fuel-exhausted", actual=out.term)
-            forms.append(out)
-        left, right = forms
-        if alpha_eq(left.term, right.term):
-            return EqTy(lhs, rhs)
-        self._fail("join", t, "the two sides have distinct normal forms",
-                   code="join-distinct", forms=(left.term, right.term))
 
-
-# (rule, construct named in a mode violation, handler) per annotated-term
-# class.  A subclass may override what handlers call, such as `_join_type`.
+# (rule, construct a mode violation names, handler) per annotated-term class.
 _RULES: dict[type, tuple[str, str, Callable]] = {
     FVar: ("var", "variable", Checker._free_var),
     BVar: ("var", "variable", Checker._bound_var),

@@ -75,8 +75,7 @@ def test_every_dataclass_is_made_by_frozen():
     """One storage discipline: each dataclass that a module of `src/tvec`
     defines is made by `syntax.frozen`, so it is slotted, its instances
     have no `__dict__`, and it refuses assignment through the shared
-    `__setattr__`.  `syntax.Context` is the one exception, because it
-    caches `ok` in its instances' `__dict__` (`functools.cached_property`)."""
+    `__setattr__`."""
     made = []
     for path in SOURCES:
         if path.stem != "__init__":
@@ -87,10 +86,23 @@ def test_every_dataclass_is_made_by_frozen():
                      and value.__module__ == module.__name__]
     assert tvec.syntax.Context in made and tvec.Diagnostic in made
     odd = [cls.__qualname__ for cls in made
-           if cls is not tvec.syntax.Context
-           and ("__slots__" not in vars(cls) or cls.__dictoffset__
-                or cls.__setattr__ is not tvec.syntax._setattr)]
+           if "__slots__" not in vars(cls) or cls.__dictoffset__
+           or cls.__setattr__ is not tvec.syntax._setattr]
     assert odd == []
+
+
+def test_the_checker_decides_no_join_itself():
+    """`reduce.joinable` is the one decision of a join, which the checker
+    and the self-test both ask.  The checker imports no `normalize`, so it
+    cannot normalize join sides on its own again."""
+    tree = ast.parse((Path(tvec.__file__).parent / "typecheck.py").read_text())
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert "joinable" in imported and "normalize" not in imported
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and node.attr == "normalize"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

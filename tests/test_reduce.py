@@ -155,11 +155,32 @@ class TestJoinable:
         assert joinable(FVar("l2"), plus_u(unum(0), FVar("l2"))) is True
 
     def test_distinct_normal_forms(self):
-        assert joinable(unum(0), unum(1)) is False
+        assert joinable(unum(0), unum(1)) == (unum(0), unum(1))
+        # the pair is each side normalized
+        a, b = plus_u(unum(1), unum(1)), plus_u(unum(0), unum(3))
+        assert joinable(a, b) == (normalize(a).term, normalize(b).term) \
+            == (unum(2), unum(3))
+
+    def test_open_sides_join_under_outer(self):
+        # x |- (fun y => fun z => y) x  and  fun z => x: at outer=0 the
+        # loose x is a constant, which the beta step lets `fun z` capture
+        a, b = App(Lam("y", Lam("z", BVar(1))), BVar(0)), Lam("z", BVar(1))
+        assert joinable(a, b, outer=1) is True
+        assert joinable(a, b) == (normalize(a).term, normalize(b).term) \
+            == (Lam("z", BVar(0)), Lam("z", BVar(1)))
 
     def test_fuel_exhaustion_is_not_a_verdict(self):
         out = joinable(OMEGA, Zero(), fuel=50)
         assert isinstance(out, FuelExhausted)
+
+    def test_left_side_exhausts_first(self):
+        stalled = App(OMEGA, Zero())
+        for a, b, first in ((OMEGA, stalled, OMEGA),
+                            (stalled, OMEGA, stalled),
+                            (Zero(), OMEGA, OMEGA)):
+            want = normalize(first, fuel=50)
+            assert isinstance(want, FuelExhausted)
+            assert joinable(a, b, fuel=50) == want
 
 
 class TestCallByValue:

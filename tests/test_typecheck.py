@@ -187,6 +187,21 @@ class TestRuleNegative:
         diag = failure(ctx, Zero())
         assert diag.code == "context-ill-scoped"
 
+    def test_one_checker_rejects_a_bad_context_every_time(self):
+        """A checker checks a context only when it meets one other than
+        its last, and keeps only one that passes: the same bad context
+        fails again, before and after a good one."""
+        bad = Context().extend("v", VecTy(NAT, FVar("n")))
+        good = Context().extend("n", NAT).extend("v", VecTy(NAT, FVar("n")))
+        checker = Checker()
+        for ctx in (bad, bad, good, bad):
+            res = checker.infer(ctx, FVar("v"))
+            if ctx is good:
+                assert res == Inferred(VecTy(NAT, FVar("n")))
+            else:
+                assert isinstance(res, Failure)
+                assert res.diagnostic.code == "context-ill-scoped"
+
     def test_rnat_base_must_match_motive_at_zero(self):
         t = TRNat("x", VecTy(NAT, BVar(0)), Zero(),
                   TLam("y", NAT, TLam("u", NAT, BVar(0))), num(1))
