@@ -16,12 +16,22 @@ error, exhausted resources).
 
 The reduction budget comes from `--fuel`, falling back to the TVEC_FUEL
 environment variable and then to the built-in default.
+
+`main` parses the command line and runs the command with the cycle
+collector paused.  Refcounting alone frees everything a command drops,
+because nothing it makes can be part of a reference cycle: nodes and
+records are frozen and built bottom-up, so each refers only to objects
+made before it, and no closure in `src/tvec` refers to itself.  The
+collector would only re-walk the live parse tree, tokens and types.
+`main` turns it back on before writing the report, and only if it was on
+when `main` was called, so an in-process caller finds it as it was.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -316,6 +326,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = fuel = None
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args = _build_parser().parse_args(argv)
         fuel = _fuel_from(args)
@@ -331,6 +343,9 @@ def main(argv: list[str] | None = None) -> int:
         report = Report(err.status, {
             "defs": [], "mode": mode.value if mode else None, "fuel": fuel,
             "error": err.error}, note=err.note)
+    finally:
+        if collecting:
+            gc.enable()
     rejected = args is None     # argparse rejected the command line
     as_json = "--json" in argv if rejected else args.json
     out = json.dumps(report.payload, indent=2) if as_json else report.text

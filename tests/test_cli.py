@@ -10,6 +10,7 @@ invocation that argparse accepts must put one JSON object on stdout no
 matter what went wrong.
 """
 
+import gc
 import json
 import os
 import shutil
@@ -22,7 +23,7 @@ import pytest
 import tvec
 from tvec import cli
 from tvec.cli import main
-from tvec.frontend import MAX_NUMERAL
+from tvec.frontend import MAX_NUMERAL, parse, resolve_defs
 from tvec.oracle import ENUM_CAP
 from tvec.reduce import DEFAULT_FUEL, Stuck
 
@@ -736,6 +737,123 @@ class TestParserReuse:
         run_cli(capsys, "eval", VEC, "four", "--trace")
         assert run_cli(capsys, "eval", VEC, "four") == \
             (0, "4, Value, 21 steps\n", "")
+
+
+# --------------------------------------------------------------------------
+# the cycle collector, paused while a command runs
+
+
+@pytest.fixture
+def restore_collector():
+    """Whatever a test does to the collector, the next test finds it as
+    this one did."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.fixture
+def short_stack():
+    """Leaves the next call about as much stack as a fresh interpreter
+    whose recursion limit is 50: the input that
+    `TestErrorPaths::test_exhausted_stack_is_a_diagnostic` builds."""
+    limit = sys.getrecursionlimit()
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    sys.setrecursionlimit(depth + 50)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+class TestCollector:
+    """`main` runs the command with the cycle collector paused, on the
+    premise that nothing a command makes can be part of a reference
+    cycle (see `tvec.cli`)."""
+
+    def test_no_command_leaves_cyclic_garbage(self, restore_collector,
+                                              tmp_path, capsys):
+        """With the collector off, `gc.collect()` finds nothing after any
+        command, successful or not, once the cached argument parser is
+        built.  `--json` reports and command lines that argparse rejects
+        are left out: the standard library makes a fixed number of cyclic
+        objects on each such call whatever the command did (33 for json's
+        indenting encoder, and for argparse's `HelpFormatter` 6 per usage
+        line and about 40 per help text)."""
+        gc.disable()
+        cli._build_parser()
+        gc.collect()
+        bad = tmp_path / "bad.tvec"
+        bad.write_text("def n : Nat = nil [Nat]\n", encoding="utf-8")
+        syntax = tmp_path / "syntax.tvec"
+        syntax.write_text("def n : Nat = (\n", encoding="utf-8")
+        deep = tmp_path / "deep.tvec"
+        deep.write_text("def n : Nat = " + "(" * 3000 + "0" + ")" * 3000
+                        + "\n", encoding="utf-8")
+        runs = [(["check", path], 0) for path in (VEC, QUOD)]
+        for path in (VEC, QUOD):
+            text = Path(path).read_text(encoding="utf-8")
+            for name in (d.name for d in resolve_defs(parse(text)).defs):
+                runs += [(["eval", path, name], None),
+                         (["eval", path, name, "--strategy", "full"], None),
+                         (["eval", path, name, "--trace"], None),
+                         (["erase", path, name], 0)]
+        runs += [(["eval", VEC, "nope"], 1),
+                 (["check", str(bad)], 1),
+                 (["eval", VEC, "four", "--fuel", "3"], 1),
+                 (["check", "/nonexistent.tvec"], 2),
+                 (["check", str(syntax)], 2),
+                 (["check", str(deep)], 2),
+                 (["selftest", "--size", "3"], 1)]
+        found = {}
+        for argv, code in runs:
+            got = run_cli(capsys, *argv)[0]
+            assert code is None or got == code, argv
+            if unreachable := gc.collect():
+                found[" ".join(argv)] = unreachable
+        assert found == {}
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("argv, code", [
+        (["check", VEC], 0),
+        (["eval", VEC, "four", "--fuel", "3"], 1),
+        (["check", "/nonexistent.tvec"], 2),
+        (["check", VEC, "--json"], 2),
+        (["check"], "SystemExit(2)"),
+    ], ids=["ok", "failed", "failure-exit", "resource-exhausted",
+            "usage-error"])
+    def test_main_restores_the_collector(self, enabled, argv, code, request,
+                                         restore_collector, capsys):
+        exhausted = "--json" in argv
+        if exhausted:
+            request.getfixturevalue("short_stack")
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        got, out, _ = run_cli(capsys, *argv)
+        assert gc.isenabled() is enabled
+        assert got == code
+        if exhausted:
+            assert json.loads(out)["error"]["code"] == "resource-exhausted"
+
+    def test_the_command_runs_with_the_collector_paused(
+            self, monkeypatch, restore_collector, capsys):
+        seen = []
+        check = cli._COMMANDS["check"]
+
+        def spy(args, fuel):
+            seen.append(gc.isenabled())
+            return check(args, fuel)
+
+        monkeypatch.setitem(cli._COMMANDS, "check", spy)
+        gc.enable()
+        assert run_cli(capsys, "check", VEC)[0] == 0
+        assert seen == [False]
+        assert gc.isenabled()
 
 
 # --------------------------------------------------------------------------

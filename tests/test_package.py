@@ -58,6 +58,20 @@ def test_no_module_rebinds_its_globals(path):
                 if isinstance(node, ast.Global)]
 
 
+def test_only_the_command_line_imports_gc():
+    """The collector has one owner: `cli.main` pauses it around a command
+    and restores it (see `tvec.cli`), and no kernel module touches it."""
+    importers = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if any(isinstance(node, ast.Import)
+               and any(alias.name == "gc" for alias in node.names)
+               or isinstance(node, ast.ImportFrom) and node.module == "gc"
+               for node in ast.walk(tree)):
+            importers.append(path.name)
+    assert importers == ["cli.py"]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_call_passes_span_by_keyword(path):
     """A node's `span` is the last positional parameter of its class
