@@ -9,11 +9,12 @@ quasi-implicit ones and adds fold/unfold forms around types computed by
 `ifzero`, trading strong normalization of open terms for large
 eliminations while keeping closed evaluation safe.
 
-Modules: `syntax` (terms, types, binding), `erase` (annotation removal),
-`reduce` (full-beta and call-by-value), `typecheck` (the checker, both
-modes), `frontend` (.tvec parsing and printing), `corpus` (worked examples
-used by the tests and the self-test), `oracle` (enumeration and the
-property suite), and `cli`.
+Modules, each importing only those before it: `syntax` (terms, types,
+binding, the checker's modes and the diagnostics), `erase` (annotation
+removal), `reduce` (full-beta and call-by-value), `frontend` (.tvec
+parsing and printing), `typecheck` (the checker, both modes), `corpus`
+(worked examples used by the tests and the self-test), `oracle`
+(enumeration and the property suite), and `cli`.
 """
 
 from .erase import erase, subst_annotated
@@ -28,8 +29,9 @@ from .reduce import (
     DEFAULT_FUEL, FuelExhausted, NormalForm, Stuck, Value, eval_cbv,
     joinable, normalize,
 )
-from .syntax import AnnTerm, Context, Node, Ty, UnannTerm, alpha_eq
-from .typecheck import Checker, Diagnostic, Failure, Inferred, Mode
+from .syntax import (AnnTerm, Context, Diagnostic, Mode, Node, Ty,
+                     UnannTerm, alpha_eq)
+from .typecheck import Checker, Failure, Inferred
 
 __version__ = "0.1.0"
 

@@ -44,7 +44,8 @@ from .frontend import (
 )
 from .oracle import ENUM_CAP, run_property_suite
 from .reduce import DEFAULT_FUEL, FuelExhausted, Stuck, eval_cbv, normalize
-from .typecheck import Checker, Diagnostic, Inferred, Mode
+from .syntax import Diagnostic, Mode
+from .typecheck import Checker, Inferred
 
 EXIT_OK = 0
 EXIT_FAIL = 1

@@ -80,13 +80,12 @@ from typing import get_args
 
 from .erase import erase, inline
 from .syntax import (
-    AllTy, AnnTerm, App, BVar, Cons, Context, EqTy, FVar, IfZeroTy, Join,
-    Lam, NatTy, Nil, Node, PiTy, QApp, QLam, RNat, RVec, Span, Succ,
-    TAppImp, TCast, TFoldS, TFoldZ, TJoin, TLam, TLamImp, TNil, TQApp,
-    TQLam, TRNat, TRVec, TUnfoldS, TUnfoldZ, Ty, UnannTerm, VecTy, Zero,
-    free_vars, fresh_name, frozen, numeral, tower,
+    AllTy, AnnTerm, App, BVar, Cons, Context, Diagnostic, EqTy, FVar,
+    IfZeroTy, Join, Lam, Mode, NatTy, Nil, Node, PiTy, QApp, QLam, RNat,
+    RVec, Span, Succ, TAppImp, TCast, TFoldS, TFoldZ, TJoin, TLam, TLamImp,
+    TNil, TQApp, TQLam, TRNat, TRVec, TUnfoldS, TUnfoldZ, Ty, UnannTerm,
+    VecTy, Zero, free_vars, fresh_name, frozen, numeral, tower,
 )
-from .typecheck import Diagnostic, Mode
 
 
 class SourceError(Exception):

@@ -45,12 +45,12 @@ from .reduce import (
 )
 from .syntax import (
     AllTy, AnnTerm, App, BVar, Cons, Context, EqTy, FVar, IfZeroTy, Join,
-    Lam, NatTy, Nil, PiTy, QLam, Succ, TAppImp, TCast, TFoldS, TFoldZ,
-    TJoin, TLam, TLamImp, TNil, TQApp, TQLam, TRNat, TRVec, TUnfoldS,
-    TUnfoldZ, Ty, UnannTerm, VecTy, Zero, alpha_eq, free_vars, frozen,
-    instantiate, node_count, subst,
+    Lam, Mode, NatTy, Nil, PiTy, QLam, Succ, TAppImp, TCast, TFoldS,
+    TFoldZ, TJoin, TLam, TLamImp, TNil, TQApp, TQLam, TRNat, TRVec,
+    TUnfoldS, TUnfoldZ, Ty, UnannTerm, VecTy, Zero, alpha_eq, free_vars,
+    frozen, instantiate, node_count, subst,
 )
-from .typecheck import RULES, Checker, Inferred, Mode
+from .typecheck import RULES, Checker, Inferred
 
 ENUM_CAP = 8
 

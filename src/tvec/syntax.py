@@ -1,4 +1,5 @@
-"""Term and type syntax with a locally nameless binding discipline.
+"""Term and type syntax with a locally nameless binding discipline, and
+the checker's modes (`Mode`), which the parser reads too.
 
 Three syntactic categories share one node infrastructure:
 
@@ -42,9 +43,10 @@ here opens a binder with a name or closes a name into a binder: the
 corpus binds the names it builds terms from with a helper of its own, and
 the test suite's reference implementations carry their own open and close.
 
-Storage.  Node classes and the records of the other modules
-(`reduce.NormalForm`, `frontend.ResolvedDef`, ...) are slotted dataclasses
-that cannot change (`frozen`).  A node's `span` is a plain `(start, end)`
+Storage.  Node classes, the `Diagnostic`s that the frontend and the checker
+report, and the records of the other modules (`reduce.NormalForm`,
+`frontend.ResolvedDef`, ...) are slotted dataclasses that cannot change
+(`frozen`).  A node's `span` is a plain `(start, end)`
 pair of character offsets into the parsed text, or None; it is left out
 of `==`, `hash` and `repr`.  Per field shape, `frozen` compiles once an
 `__init__` that takes each field, positional or keyword, with its default
@@ -66,6 +68,7 @@ reducer's memo of normal subterms by `id`.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from functools import cache
 from typing import Callable, ClassVar, Iterator
@@ -700,3 +703,47 @@ class Context:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+class Mode(enum.Enum):
+    BASE = "base"
+    LARGE_ELIM = "large-elim"
+
+
+@frozen
+class Diagnostic:
+    rule: str
+    message: str
+    span: Span
+    code: str = "error"
+    expected: str | None = None
+    actual: str | None = None
+    severity: str = "error"
+    children: tuple["Diagnostic", ...] = ()
+
+    def to_json(self) -> dict:
+        start, end = self.span
+        return {
+            "rule": self.rule,
+            "code": self.code,
+            "message": self.message,
+            "severity": self.severity,
+            "span": {"start": start, "end": end},
+            "expected": self.expected,
+            "actual": self.actual,
+            "children": [c.to_json() for c in self.children],
+        }
+
+    def render(self, indent: int = 0) -> str:
+        pad = "  " * indent
+        lines = [f"{pad}{self.severity}[{self.rule}]: {self.message}"]
+        if self.span != (0, 0):
+            start, end = self.span
+            lines.append(f"{pad}  at {start}..{end}")
+        if self.expected is not None:
+            lines.append(f"{pad}  expected: {self.expected}")
+        if self.actual is not None:
+            lines.append(f"{pad}  actual:   {self.actual}")
+        for child in self.children:
+            lines.append(child.render(indent + 1))
+        return "\n".join(lines)

@@ -60,25 +60,20 @@ the rules pass the table to `erase`, which answers a shared body from it
 
 from __future__ import annotations
 
-import enum
 from collections import Counter
 from functools import partial
 from typing import Callable, Iterable
 
 from .erase import erase
+from .frontend import pretty
 from .reduce import DEFAULT_FUEL, FuelExhausted, joinable
 from .syntax import (
-    AllTy, AnnTerm, App, BVar, Cons, Context, EqTy, FVar, IfZeroTy, NatTy,
-    Nil, Node, PiTy, Span, Succ, TAppImp, TCast, TFoldS, TFoldZ, TJoin,
-    TLam, TLamImp, TNil, TQApp, TQLam, TRNat, TRVec, TUnfoldS, TUnfoldZ, Ty,
-    UnannTerm, VecTy, Zero, alpha_eq, ctx_ok, free_vars, fresh_name,
-    frozen, instantiate, map_vars, numeral,
+    AllTy, AnnTerm, App, BVar, Cons, Context, Diagnostic, EqTy, FVar,
+    IfZeroTy, Mode, NatTy, Nil, Node, PiTy, Span, Succ, TAppImp, TCast,
+    TFoldS, TFoldZ, TJoin, TLam, TLamImp, TNil, TQApp, TQLam, TRNat, TRVec,
+    TUnfoldS, TUnfoldZ, Ty, UnannTerm, VecTy, Zero, alpha_eq, ctx_ok,
+    free_vars, fresh_name, frozen, instantiate, map_vars, numeral,
 )
-
-
-class Mode(enum.Enum):
-    BASE = "base"
-    LARGE_ELIM = "large-elim"
 
 
 BASE_RULES = frozenset({
@@ -93,45 +88,6 @@ EXT_RULES = frozenset({
 })
 
 RULES = {Mode.BASE: BASE_RULES, Mode.LARGE_ELIM: EXT_RULES}
-
-
-@frozen
-class Diagnostic:
-    rule: str
-    message: str
-    span: Span
-    code: str = "error"
-    expected: str | None = None
-    actual: str | None = None
-    severity: str = "error"
-    children: tuple["Diagnostic", ...] = ()
-
-    def to_json(self) -> dict:
-        start, end = self.span
-        return {
-            "rule": self.rule,
-            "code": self.code,
-            "message": self.message,
-            "severity": self.severity,
-            "span": {"start": start, "end": end},
-            "expected": self.expected,
-            "actual": self.actual,
-            "children": [c.to_json() for c in self.children],
-        }
-
-    def render(self, indent: int = 0) -> str:
-        pad = "  " * indent
-        lines = [f"{pad}{self.severity}[{self.rule}]: {self.message}"]
-        if self.span != (0, 0):
-            start, end = self.span
-            lines.append(f"{pad}  at {start}..{end}")
-        if self.expected is not None:
-            lines.append(f"{pad}  expected: {self.expected}")
-        if self.actual is not None:
-            lines.append(f"{pad}  actual:   {self.actual}")
-        for child in self.children:
-            lines.append(child.render(indent + 1))
-        return "\n".join(lines)
 
 
 @frozen
@@ -169,11 +125,6 @@ class _CheckError(Exception):
     """A failed rule; its `args` are those of `_diagnose`."""
 
 
-def _fmt(node) -> str:
-    from .frontend import pretty
-    return pretty(node)
-
-
 def _span(node) -> Span:
     return node.span or (0, 0)
 
@@ -186,7 +137,7 @@ def _diagnose(rule: str, node, message: str, code: str,
     """The diagnostic of a failure at `node`.  `expected`, `actual` and
     the normal `forms` of the two sides of a join (`node`) may point at
     the enclosing binders `env`, which their texts name (`_named`)."""
-    text = _named(ctx, root, env) if env else _fmt
+    text = _named(ctx, root, env) if env else pretty
     children = ()
     if forms:
         children = (
@@ -209,7 +160,7 @@ def _named(ctx: Context, root: AnnTerm, env) -> Callable[[Node], str]:
     for hint, _ in env:
         args.insert(0, FVar(fresh_name(hint, taken)))
         taken.add(args[0].name)
-    return lambda node: _fmt(instantiate(node, tuple(args)))
+    return lambda node: pretty(instantiate(node, tuple(args)))
 
 
 class Checker:

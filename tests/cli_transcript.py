@@ -1,6 +1,7 @@
 """Print a stable transcript of the `tvec` command line.
 
     python3 tests/cli_transcript.py > transcript.txt
+    python3 tests/cli_transcript.py --update   # rewrite GOLDEN
 
 Runs `tvec.cli.main` in one process on every example, every benchmark
 program, a 200-cell vector literal and a set of broken files, and prints
@@ -16,6 +17,11 @@ copying it there.  Two checkouts whose command lines behave alike print the
 same bytes, so a change that must not alter any output is checked with one
 `diff`.
 
+`GOLDEN`, `tests/golden/cli_transcript.txt`, holds the transcript that the
+current command line must print; `tests/test_cli_transcript.py` compares the
+two.  A change that alters output rewrites it with `--update`, and its diff
+shows each changed invocation.
+
 Pytest does not collect this file; `tests/test_frontend.py` imports
 `BROKEN`, `FAMILY` and `two_name_chain` from it.
 """
@@ -29,8 +35,10 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden" / "cli_transcript.txt"
 
 # Files that fail to load, or that load only in part of their defs, most
 # with a def before the fault; `eval` and `erase` of that def must report
@@ -259,14 +267,17 @@ def _run(main, argv: list[str]) -> tuple[object, str, str]:
     return status, out.getvalue(), err.getvalue()
 
 
-def main() -> int:
-    sys.path.insert(0, str(ROOT / "src"))
-    os.environ["COLUMNS"] = "80"      # argparse wraps its messages to it
-    os.environ.pop("TVEC_FUEL", None)
+def blocks() -> list[str]:
+    """The transcript, one block of text per invocation, each starting
+    with its `$ tvec` line.  The working directory and the environment
+    are restored afterwards."""
     from tvec.cli import main as tvec_main
 
-    write = sys.stdout.write
-    with tempfile.TemporaryDirectory() as tmp:
+    out_blocks = []
+    # argparse wraps its messages to COLUMNS
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, COLUMNS="80"):
+        os.environ.pop("TVEC_FUEL", None)
         workdir = Path(tmp)
         files = _files(workdir)
         runs = _invocations(files, workdir)
@@ -277,10 +288,22 @@ def main() -> int:
                 status, out, err = _run(tvec_main, argv)
                 if argv[0] == "selftest":
                     out = _without_elapsed(out)
-                write(f"$ tvec {' '.join(argv)}\nexit {status}\n"
-                      f"--- stdout\n{out}--- stderr\n{err}\n")
+                out_blocks.append(f"$ tvec {' '.join(argv)}\nexit {status}\n"
+                                  f"--- stdout\n{out}--- stderr\n{err}\n")
         finally:
             os.chdir(cwd)
+    return out_blocks
+
+
+def main() -> int:
+    if sys.argv[1:] not in ([], ["--update"]):
+        sys.exit(f"usage: {sys.argv[0]} [--update]")
+    sys.path.insert(0, str(ROOT / "src"))
+    text = "".join(blocks())
+    if sys.argv[1:]:
+        GOLDEN.write_bytes(text.encode("utf-8"))
+    else:
+        sys.stdout.write(text)
     return 0
 
 

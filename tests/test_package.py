@@ -4,6 +4,7 @@ keep to the oldest Python that `pyproject.toml` allows."""
 
 import ast
 import dataclasses
+import graphlib
 import importlib
 import os
 import re
@@ -117,6 +118,67 @@ def test_the_checker_decides_no_join_itself():
     assert not [node.lineno for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute)
                 and node.attr == "normalize"]
+
+
+def _parsed() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(), filename=str(path))
+            for path in SOURCES}
+
+
+def _relative_imports(tree: ast.Module) -> list[ast.ImportFrom]:
+    """The `from . import m` and `from .m import n` anywhere in `tree`."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1]
+
+
+def test_the_module_graph_has_no_cycle():
+    """Each module imports only modules listed above it in README's
+    "Layout": the checker imports the printer, and the frontend takes
+    `Diagnostic` and `Mode` from `syntax`, not from the checker."""
+    graph = {stem: {node.module or alias.name
+                    for node in _relative_imports(tree)
+                    for alias in node.names}
+             for stem, tree in _parsed().items()}
+    try:
+        list(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as err:
+        pytest.fail(f"import cycle {' -> '.join(err.args[1])}")
+    assert "typecheck" not in graph["frontend"]
+
+
+def test_no_module_imports_inside_a_body():
+    """An import inside a function hides an edge of the module graph, and
+    a cycle with it."""
+    nested = [f"{stem}.py:{node.lineno}" for stem, tree in _parsed().items()
+              for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom))
+              and node.col_offset]
+    assert nested == []
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """The names that the top level of `tree` defines or assigns."""
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, ast.Assign):
+            names |= {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+        elif isinstance(stmt, ast.AnnAssign):
+            names.add(stmt.target.id)
+    return names
+
+
+def test_every_name_is_imported_from_its_definition():
+    """`from .m import n` takes `n` from the module that defines it, so
+    no module serves as a second address of another module's names."""
+    modules = _parsed()
+    relayed = [f"{stem}: {node.module}.{alias.name}"
+               for stem, tree in modules.items()
+               for node in _relative_imports(tree) for alias in node.names
+               if alias.name not in (_defined(modules[node.module])
+                                     if node.module else modules)]
+    assert relayed == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

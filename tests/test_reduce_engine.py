@@ -270,6 +270,17 @@ def _nested_redex(n):
     return _binders(n, App(Lam("y", Succ(BVar(0))), BVar(n - 1)))
 
 
+def _deep_body_beta(n):
+    """rnat 0 step ((fun z => z) 1) (fun k => 0), where step is
+    fun y => fun u => fun h => rnat 0 (fun a => fun b => h b) n.  LO
+    unfolds the inner recursor first, under the step's binders, into
+    h (h (... 0)), n deep; then each beta step walks that body."""
+    inner = RNat(Zero(), Lam("a", Lam("b", App(BVar(2), BVar(0)))), unum(n))
+    step = Lam("y", Lam("u", Lam("h", inner)))
+    return App(RNat(Zero(), step, App(Lam("z", BVar(0)), unum(1))),
+               Lam("k", Zero()))
+
+
 @pytest.fixture
 def default_recursion_limit():
     old = sys.getrecursionlimit()
@@ -323,6 +334,17 @@ class TestDeep:
             engine(strategy, _nested_redex(n), DEFAULT_FUEL)
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+    def test_deep_body_beta(self, strategy):
+        """A beta step into a body that reduction made deep: a walker
+        that recursed over the body would run out of stack here, though
+        every other case of this class has its depth in the input."""
+        assert_agrees_everywhere(strategy, _deep_body_beta(5))
+        n = 1500
+        out = engine(strategy, _deep_body_beta(n), DEFAULT_FUEL)
+        assert isinstance(out, Value if strategy == "cbv" else NormalForm)
+        assert out.term == Zero()
+        assert out.steps == (3 * n + 7 if strategy == "lo" else 4 * n + 7)
 
     def test_fuel_exhausted_mid_run(self, strategy):
         out = engine(strategy, plus_u(unum(1000), unum(1000)), 2000)

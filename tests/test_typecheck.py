@@ -245,14 +245,14 @@ class TestCheckerBookkeeping:
 class TestLazyDiagnostics:
     def test_types_are_printed_only_when_read(self, monkeypatch):
         calls = 0
-        real = tvec.frontend.pretty
+        real = tvec.typecheck.pretty
 
         def counted(node):
             nonlocal calls
             calls += 1
             return real(node)
 
-        monkeypatch.setattr(tvec.frontend, "pretty", counted)
+        monkeypatch.setattr(tvec.typecheck, "pretty", counted)
         res = Checker().check_against(Context(), Zero(),
                                       VecTy(NAT, Zero()))
         assert isinstance(res, Failure)
@@ -265,7 +265,7 @@ class TestLazyDiagnostics:
         assert calls == 2
 
     def test_join_notes_are_made_only_when_read(self, monkeypatch):
-        calls = counting(monkeypatch, ("pretty",), (tvec.frontend,))
+        calls = counting(monkeypatch, ("pretty",), (tvec.typecheck,))
         res = Checker().infer(Context(), parse_term("join 0 1"))
         assert isinstance(res, Failure)
         assert calls["pretty"] == 0
